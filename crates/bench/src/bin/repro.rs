@@ -12,43 +12,23 @@ use speedybox_bench::experiments;
 
 const USAGE: &str = "usage: repro [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|ablation|all]...";
 
-fn run_one(name: &str) -> bool {
-    match name {
-        "ablation" => println!("{}", experiments::ablation::run()),
-        "fig4" => println!("{}", experiments::fig4::run()),
-        "fig5" => println!("{}", experiments::fig5::run()),
-        "fig6" => println!("{}", experiments::fig6::run()),
-        "fig7" => println!("{}", experiments::fig7::run()),
-        "fig8" => println!("{}", experiments::fig8::run()),
-        "fig9" => println!("{}", experiments::fig9::run()),
-        "table2" => println!("{}", experiments::table2::run()),
-        "table3" => println!("{}", experiments::table3::run()),
-        _ => return false,
-    }
-    true
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
-    let all = ["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table2", "table3", "ablation"];
     for arg in &args {
-        match arg.as_str() {
-            "all" => {
-                for name in all {
-                    println!("{}", "=".repeat(78));
-                    assert!(run_one(name));
-                }
+        if arg == "all" {
+            for name in experiments::ALL {
+                println!("{}", "=".repeat(78));
+                println!("{}", experiments::render(name).expect("known experiment"));
             }
-            other => {
-                if !run_one(other) {
-                    eprintln!("unknown experiment: {other}\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
+        } else if let Some(report) = experiments::render(arg) {
+            println!("{report}");
+        } else {
+            eprintln!("unknown experiment: {arg}\n{USAGE}");
+            std::process::exit(2);
         }
     }
 }
