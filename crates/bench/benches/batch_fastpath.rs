@@ -11,10 +11,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use speedybox_packet::{Packet, PacketBuilder};
-use speedybox_platform::bess::BessChain;
 use speedybox_platform::chains::ipfilter_chain;
 use speedybox_platform::runtime::SboxConfig;
-use speedybox_platform::threaded::run_threaded_batched;
+use speedybox_platform::threaded::run_threaded;
+use speedybox_platform::Chain;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ fn bench_bess_batch(c: &mut Criterion) {
     g.throughput(Throughput::Elements(PACKETS as u64));
     for batch in [1usize, 8, 32, 128] {
         g.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
-            let mut chain = BessChain::speedybox_with(ipfilter_chain(3, 200), config(batch, 16));
+            let mut chain = Chain::speedybox_with(ipfilter_chain(3, 200), config(batch, 16));
             // Warm: install every flow's rule and seed the buffer pool so
             // iterations measure the steady-state fast path; the pooled
             // trace copy happens in setup, outside the timed region.
@@ -81,7 +81,7 @@ fn bench_threaded_batch(c: &mut Criterion) {
             // region is the threaded run alone.
             b.iter_batched(
                 || (ipfilter_chain(3, 200), packets.clone()),
-                |(nfs, trace)| black_box(run_threaded_batched(nfs, trace, true, 256, batch)),
+                |(nfs, trace)| black_box(run_threaded(nfs, trace, true, batch)),
                 BatchSize::LargeInput,
             );
         });
@@ -98,7 +98,7 @@ fn bench_shard_ablation(c: &mut Criterion) {
     g.throughput(Throughput::Elements(PACKETS as u64));
     for shards in [1usize, 4, 16] {
         g.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &shards| {
-            let mut chain = BessChain::speedybox_with(ipfilter_chain(3, 200), config(32, shards));
+            let mut chain = Chain::speedybox_with(ipfilter_chain(3, 200), config(32, shards));
             let pool = Arc::clone(chain.pool());
             let warm = chain.run(pool.copy_packets(&packets));
             pool.free_batch(warm.outputs);

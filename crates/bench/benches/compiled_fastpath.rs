@@ -6,9 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use speedybox_mat::{compile, consolidate, HeaderAction, OpCounter};
 use speedybox_packet::{HeaderField, Packet, PacketBuilder};
-use speedybox_platform::bess::BessChain;
 use speedybox_platform::chains::ipfilter_chain;
 use speedybox_platform::runtime::SboxConfig;
+use speedybox_platform::Chain;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
@@ -28,7 +28,7 @@ fn bench_chain_modes(c: &mut Criterion) {
     for (mode, compiled) in [("compiled", true), ("interpreted", false)] {
         g.bench_with_input(BenchmarkId::new(mode, 3usize), &compiled, |b, &compiled| {
             let config = SboxConfig { compiled, ..SboxConfig::default() };
-            let mut chain = BessChain::speedybox_with(ipfilter_chain(3, 200), config);
+            let mut chain = Chain::speedybox_with(ipfilter_chain(3, 200), config);
             chain.process(packet(0)); // install the fast-path rule
             let mut i = 1;
             b.iter(|| {

@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use speedybox_packet::{Packet, PacketBuilder};
-use speedybox_platform::bess::BessChain;
 use speedybox_platform::chains::ipfilter_chain;
+use speedybox_platform::Chain;
 use std::hint::black_box;
 
 fn packet(i: u32) -> Packet {
@@ -20,7 +20,7 @@ fn bench_chain(c: &mut Criterion) {
     let mut g = c.benchmark_group("bess_chain_per_packet");
     for n in [1usize, 3, 6, 9] {
         g.bench_with_input(BenchmarkId::new("original", n), &n, |b, &n| {
-            let mut chain = BessChain::original(ipfilter_chain(n, 200));
+            let mut chain = Chain::original(ipfilter_chain(n, 200));
             chain.process(packet(0)); // warm the firewall flow caches
             let mut i = 1;
             b.iter(|| {
@@ -29,7 +29,7 @@ fn bench_chain(c: &mut Criterion) {
             });
         });
         g.bench_with_input(BenchmarkId::new("speedybox", n), &n, |b, &n| {
-            let mut chain = BessChain::speedybox(ipfilter_chain(n, 200));
+            let mut chain = Chain::speedybox(ipfilter_chain(n, 200));
             chain.process(packet(0)); // install the fast-path rule
             let mut i = 1;
             b.iter(|| {
@@ -55,7 +55,7 @@ fn bench_classifier(c: &mut Criterion) {
 
 fn bench_global_mat_lookup(c: &mut Criterion) {
     use speedybox_mat::OpCounter;
-    let mut chain = BessChain::speedybox(ipfilter_chain(3, 50));
+    let mut chain = Chain::speedybox(ipfilter_chain(3, 50));
     let mut first = packet(0);
     let fid = first.five_tuple().unwrap().fid();
     chain.process(first.clone());

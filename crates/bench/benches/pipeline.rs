@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use speedybox_packet::{Packet, PacketBuilder};
 use speedybox_platform::chains::ipfilter_chain;
-use speedybox_platform::ThreadedOnvm;
+use speedybox_platform::run_threaded;
 use std::hint::black_box;
 
 const PACKETS: usize = 400;
@@ -34,14 +34,14 @@ fn bench_threaded_pipeline(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("baseline", n), &n, |b, &n| {
             b.iter_batched(
                 || (ipfilter_chain(n, 200), workload()),
-                |(nfs, pkts)| black_box(ThreadedOnvm::run(nfs, pkts, false).delivered.len()),
+                |(nfs, pkts)| black_box(run_threaded(nfs, pkts, false, 1).delivered.len()),
                 criterion::BatchSize::PerIteration,
             );
         });
         g.bench_with_input(BenchmarkId::new("speedybox", n), &n, |b, &n| {
             b.iter_batched(
                 || (ipfilter_chain(n, 200), workload()),
-                |(nfs, pkts)| black_box(ThreadedOnvm::run(nfs, pkts, true).delivered.len()),
+                |(nfs, pkts)| black_box(run_threaded(nfs, pkts, true, 1).delivered.len()),
                 criterion::BatchSize::PerIteration,
             );
         });

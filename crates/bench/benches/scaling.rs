@@ -23,10 +23,10 @@ use speedybox_nf::ipfilter::IpFilter;
 use speedybox_nf::monitor::Monitor;
 use speedybox_nf::Nf;
 use speedybox_packet::{FiveTuple, Packet, PacketBuilder, Protocol};
-use speedybox_platform::bess::BessChain;
 use speedybox_platform::chains::ipfilter_chain;
 use speedybox_platform::runtime::SboxConfig;
 use speedybox_platform::workers::run_workers;
+use speedybox_platform::Chain;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -163,7 +163,7 @@ fn bench_modeled_wall(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &workers| {
             let config = SboxConfig { workers, batch_size: 32, ..SboxConfig::default() };
-            let mut chain = BessChain::speedybox_with(ipfilter_chain(3, 200), config);
+            let mut chain = Chain::speedybox_with(ipfilter_chain(3, 200), config);
             let pool = Arc::clone(chain.pool());
             let warm = chain.run(pool.copy_packets(&packets));
             pool.free_batch(warm.outputs);

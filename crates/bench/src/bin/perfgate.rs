@@ -43,12 +43,11 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use speedybox_bench::harness::{Env, Runner};
 use speedybox_mat::{AdmissionPolicy, FlowTable, OpCounter, FID_SPACE};
 use speedybox_packet::{Fid, FiveTuple, Packet, Protocol};
-use speedybox_platform::bess::BessChain;
 use speedybox_platform::chains;
 use speedybox_platform::runtime::SboxConfig;
+use speedybox_platform::{Chain, Platform};
 use speedybox_telemetry::json::{escape, Json};
 use speedybox_telemetry::TelemetrySnapshot;
 use speedybox_traffic::{Workload, WorkloadConfig};
@@ -73,7 +72,7 @@ struct Measurement {
 }
 
 fn p50_with(
-    env: Env,
+    env: Platform,
     nfs: Vec<Box<dyn speedybox_nf::Nf>>,
     compiled: bool,
 ) -> (u64, TelemetrySnapshot) {
@@ -84,18 +83,15 @@ fn p50_with(
     })
     .packets();
     let config = SboxConfig { compiled, ..SboxConfig::default() };
-    let mut runner = Runner::with_config(env, nfs, config);
-    let _ = runner.run(packets);
-    let snapshot = match &runner {
-        Runner::Bess(c) => c.telemetry().snapshot(),
-        Runner::Onvm(c) => c.telemetry().snapshot(),
-    };
+    let mut chain = Chain::speedybox_with(nfs, config).with_platform(env);
+    let _ = chain.run(packets);
+    let snapshot = chain.telemetry().snapshot();
     (snapshot.latency[2].quantile(0.5), snapshot)
 }
 
 fn run_scenario(
     name: &'static str,
-    env: Env,
+    env: Platform,
     build: impl Fn() -> Vec<Box<dyn speedybox_nf::Nf>>,
 ) -> Measurement {
     let (p50_compiled, snapshot) = p50_with(env, build(), true);
@@ -111,8 +107,8 @@ fn run_scenario(
 
 fn measure() -> Vec<Measurement> {
     vec![
-        run_scenario("chain1-bess", Env::Bess, || chains::chain1(8).0),
-        run_scenario("chain2-onvm", Env::Onvm, || chains::chain2().0),
+        run_scenario("chain1-bess", Platform::Bess, || chains::chain1(8).0),
+        run_scenario("chain2-onvm", Platform::Onvm, || chains::chain2().0),
     ]
 }
 
@@ -150,7 +146,7 @@ fn pool_steady_state() -> PoolSteadyState {
     })
     .packets();
     let config = SboxConfig { batch_size: 32, ..SboxConfig::default() };
-    let mut chain = BessChain::speedybox_with(chains::chain1(8).0, config);
+    let mut chain = Chain::speedybox_with(chains::chain1(8).0, config);
     let pool = Arc::clone(chain.pool());
     let warm = chain.run(pool.copy_packets(&packets));
     pool.free_batch(warm.outputs);
@@ -282,7 +278,7 @@ fn scaling_point(workers: usize) -> ScalingPoint {
     let avoid: HashSet<u32> =
         packets.iter().filter_map(|p| p.five_tuple().ok()).map(|t| t.fid().value()).collect();
     let config = SboxConfig { workers, batch_size: 32, ..SboxConfig::default() };
-    let mut chain = BessChain::speedybox_with(chains::chain1(8).0, config);
+    let mut chain = Chain::speedybox_with(chains::chain1(8).0, config);
     let global = Arc::clone(&chain.sbox().expect("speedybox enabled").global);
 
     // Churn rules the trace never touches: publication races with the

@@ -13,17 +13,16 @@
 use std::fmt;
 
 use speedybox_mat::event::RulePatch;
-use speedybox_mat::{Event, HeaderAction, NfId, OpCounter};
+use speedybox_mat::{Event, HeaderAction, NfId};
 use speedybox_nf::synthetic::SyntheticNf;
 use speedybox_nf::Nf;
+use speedybox_packet::Packet;
 use speedybox_platform::chains::ipfilter_chain;
-use speedybox_platform::cycles::CycleModel;
-use speedybox_platform::runtime::{
-    fast_path, traverse_chain, FastPathScratch, SboxConfig, SpeedyBox,
-};
+use speedybox_platform::metrics::PathKind;
+use speedybox_platform::{Chain, Platform};
 use speedybox_stats::{table::pct_change, Table};
 
-use crate::harness::flow_packets;
+use crate::harness::{chain_on, flow_packets};
 
 /// A1 results: initial-packet cycles.
 #[derive(Debug, Clone, Copy)]
@@ -63,41 +62,43 @@ pub struct Ablation {
 }
 
 fn a1(chain_len: usize) -> RecordingOverhead {
-    let model = CycleModel::new();
-    let measure = |instrumented: bool| -> u64 {
-        let sbox = SpeedyBox::new(chain_len, SboxConfig::default());
-        let mut nfs = ipfilter_chain(chain_len, 200);
-        let mut pkt = flow_packets(1, 2600, 10).pop().expect("one packet");
-        let instruments = instrumented.then(|| sbox.instruments.clone());
-        let res = traverse_chain(&mut nfs, instruments.as_deref(), &mut pkt, &model);
-        res.per_nf_cycles.iter().sum()
+    // An ONVM chain's NF stages carry exactly the walk's per-NF cycles:
+    // classification and the rule install are charged to the manager.
+    let measure = |speedybox: bool| -> u64 {
+        let mut chain = chain_on(Platform::Onvm, ipfilter_chain(chain_len, 200), speedybox);
+        let stats = chain.run(flow_packets(1, 2600, 10));
+        stats.stage_cycles[1..].iter().sum()
     };
     RecordingOverhead { chain_len, baseline: measure(false), recording: measure(true) }
 }
 
-fn fast_cycles(sbox: &SpeedyBox, fid: speedybox_packet::Fid) -> u64 {
-    let model = CycleModel::new();
-    let mut pkt = flow_packets(1, 2600, 10).pop().expect("one packet");
-    pkt.set_fid(fid);
-    let mut scratch = FastPathScratch::default();
-    fast_path(sbox, &mut pkt, fid, &model, &mut scratch).expect("rule installed").work_cycles
+/// The ablations' one packet, sent once to record the flow and again to
+/// ride its rule.
+fn packet() -> Packet {
+    flow_packets(1, 2600, 10).pop().expect("one packet")
+}
+
+/// The fast path's work on `chain`'s next packet, classification
+/// excluded.
+fn fast_cycles(chain: &mut Chain) -> u64 {
+    let out = chain.process(packet());
+    assert_eq!(out.path, PathKind::Subsequent, "rule installed");
+    out.work_cycles - out.ops.classifications * chain.model().classification
 }
 
 fn a2() -> EventCheckCost {
-    let model = CycleModel::new();
     let points = [0usize, 1, 4, 16]
         .into_iter()
         .map(|n_events| {
-            let sbox = SpeedyBox::new(1, SboxConfig::default());
-            let mut nfs: Vec<Box<dyn Nf>> = vec![Box::new(SyntheticNf::forward("s"))];
-            let mut pkt = flow_packets(1, 2600, 10).pop().expect("one packet");
-            let mut ops = OpCounter::default();
-            let c = sbox.classifier.classify(&mut pkt, &mut ops).expect("valid packet");
-            traverse_chain(&mut nfs, Some(&sbox.instruments), &mut pkt, &model);
+            let mut chain = Chain::speedybox(vec![Box::new(SyntheticNf::forward("s"))]);
+            let pkt = packet();
+            let fid = pkt.five_tuple().expect("valid packet").fid();
+            chain.process(pkt);
+            let events = chain.sbox().expect("speedybox enabled").global.events();
             for i in 0..n_events {
-                sbox.global.events().register(
+                events.register(
                     Event::new(
-                        c.fid,
+                        fid,
                         NfId::new(0),
                         format!("quiescent-{i}"),
                         |_| false,
@@ -106,8 +107,7 @@ fn a2() -> EventCheckCost {
                     .recurring(),
                 );
             }
-            sbox.global.install(c.fid, &mut ops);
-            (n_events, fast_cycles(&sbox, c.fid))
+            (n_events, fast_cycles(&mut chain))
         })
         .collect();
     EventCheckCost { points }
@@ -115,12 +115,10 @@ fn a2() -> EventCheckCost {
 
 fn a3() -> ModifyWidthCost {
     use speedybox_packet::HeaderField;
-    let model = CycleModel::new();
     let fields =
         [HeaderField::DstIp, HeaderField::DstPort, HeaderField::SrcIp, HeaderField::SrcPort];
     let points = (0..=4usize)
         .map(|width| {
-            let sbox = SpeedyBox::new(1, SboxConfig::default());
             let writes: Vec<_> = fields[..width]
                 .iter()
                 .map(|&f| {
@@ -138,14 +136,11 @@ fn a3() -> ModifyWidthCost {
             } else {
                 HeaderAction::Modify(writes)
             };
-            let mut nfs: Vec<Box<dyn Nf>> =
+            let nfs: Vec<Box<dyn Nf>> =
                 vec![Box::new(SyntheticNf::forward("m").with_header_action(action))];
-            let mut pkt = flow_packets(1, 2600, 10).pop().expect("one packet");
-            let mut ops = OpCounter::default();
-            let c = sbox.classifier.classify(&mut pkt, &mut ops).expect("valid packet");
-            traverse_chain(&mut nfs, Some(&sbox.instruments), &mut pkt, &model);
-            sbox.global.install(c.fid, &mut ops);
-            (width, fast_cycles(&sbox, c.fid))
+            let mut chain = Chain::speedybox(nfs);
+            chain.process(packet());
+            (width, fast_cycles(&mut chain))
         })
         .collect();
     ModifyWidthCost { points }
@@ -198,6 +193,8 @@ impl fmt::Display for Ablation {
 
 #[cfg(test)]
 mod tests {
+    use speedybox_platform::cycles::CycleModel;
+
     use super::*;
 
     #[test]

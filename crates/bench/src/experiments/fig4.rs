@@ -14,9 +14,10 @@ use std::fmt;
 
 use speedybox_platform::chains::ipfilter_chain;
 use speedybox_platform::runtime::SboxConfig;
+use speedybox_platform::{Chain, Platform};
 use speedybox_stats::{table::pct_change, Table};
 
-use crate::harness::{flow_packets, steady_state, Env, Runner};
+use crate::harness::{chain_on, flow_packets, steady_state};
 
 /// ACL size per IPFilter (a realistic enterprise blacklist; the linear
 /// scan on flow setup is the dominant initial-packet cost).
@@ -48,29 +49,29 @@ pub struct Fig4 {
     pub onvm: Vec<Fig4Row>,
 }
 
-fn measure(env: Env, n: usize, speedybox: bool) -> (f64, f64) {
+fn measure(env: Platform, n: usize, speedybox: bool) -> (f64, f64) {
     // Fig 4 reproduces the *published* system, whose fast path interprets
     // the consolidated action per packet — the 1-HA overhead anchor only
     // exists there. The compiled micro-op programs (DESIGN.md §8) are an
     // extension measured by the `compiled_fastpath` bench and perfgate.
-    let mut runner = if speedybox {
+    let mut chain = if speedybox {
         let config = SboxConfig { compiled: false, ..SboxConfig::default() };
-        Runner::with_config(env, ipfilter_chain(n, ACL_RULES), config)
+        Chain::speedybox_with(ipfilter_chain(n, ACL_RULES), config).with_platform(env)
     } else {
-        Runner::new(env, ipfilter_chain(n, ACL_RULES), false)
+        chain_on(env, ipfilter_chain(n, ACL_RULES), false)
     };
-    let model = *runner.model();
+    let model = *chain.model();
     let pkts = flow_packets(PACKETS + 1, 2000, 10);
     let mut iter = pkts.into_iter();
-    let first = runner.process(iter.next().expect("nonempty"));
+    let first = chain.process(iter.next().expect("nonempty"));
     let init = first.work_cycles as f64;
-    let stats = runner.run(iter);
+    let stats = chain.run(iter);
     let sub = steady_state(&stats, &model).work_cycles;
     let _ = model;
     (init, sub)
 }
 
-fn rows(env: Env) -> Vec<Fig4Row> {
+fn rows(env: Platform) -> Vec<Fig4Row> {
     (1..=3)
         .map(|n| {
             let (orig_init, orig_sub) = measure(env, n, false);
@@ -83,7 +84,7 @@ fn rows(env: Env) -> Vec<Fig4Row> {
 /// Runs the experiment.
 #[must_use]
 pub fn run() -> Fig4 {
-    Fig4 { bess: rows(Env::Bess), onvm: rows(Env::Onvm) }
+    Fig4 { bess: rows(Platform::Bess), onvm: rows(Platform::Onvm) }
 }
 
 impl fmt::Display for Fig4 {

@@ -12,9 +12,10 @@
 use std::fmt;
 
 use speedybox_platform::chains::synthetic_sf_chain;
+use speedybox_platform::Platform;
 use speedybox_stats::{table::pct_change, table::ratio, Table};
 
-use crate::harness::{flow_packets, steady_state, Env, Runner};
+use crate::harness::{chain_on, flow_packets, steady_state};
 
 /// Scan passes per synthetic state function: calibrated so one SF costs
 /// about what a Snort inspection costs (~2400 cycles on a 64 B packet).
@@ -37,7 +38,7 @@ pub struct Fig5Point {
 #[derive(Debug, Clone)]
 pub struct Fig5Series {
     /// Environment.
-    pub env: Env,
+    pub env: Platform,
     /// SpeedyBox enabled?
     pub speedybox: bool,
     /// Points for n = 1..=3.
@@ -51,17 +52,17 @@ pub struct Fig5 {
     pub series: Vec<Fig5Series>,
 }
 
-fn series(env: Env, speedybox: bool) -> Fig5Series {
+fn series(env: Platform, speedybox: bool) -> Fig5Series {
     let points = (1..=3)
         .map(|n| {
-            let mut runner = Runner::new(env, synthetic_sf_chain(n, SCAN_PASSES), speedybox);
-            let model = *runner.model();
+            let mut chain = chain_on(env, synthetic_sf_chain(n, SCAN_PASSES), speedybox);
+            let model = *chain.model();
             let pkts = flow_packets(PACKETS + 1, 2200, 10);
             let mut iter = pkts.into_iter();
-            let _warmup = runner.process(iter.next().expect("nonempty"));
-            let stats = runner.run(iter);
+            let _warmup = chain.process(iter.next().expect("nonempty"));
+            let stats = chain.run(iter);
             let ss = steady_state(&stats, &model);
-            Fig5Point { n, rate_mpps: runner.rate_mpps(&stats), latency_us: ss.latency_us }
+            Fig5Point { n, rate_mpps: chain.rate_mpps(&stats), latency_us: ss.latency_us }
         })
         .collect();
     Fig5Series { env, speedybox, points }
@@ -71,7 +72,7 @@ fn series(env: Env, speedybox: bool) -> Fig5Series {
 #[must_use]
 pub fn run() -> Fig5 {
     let mut all = Vec::new();
-    for env in [Env::Bess, Env::Onvm] {
+    for env in Platform::ALL {
         for sbox in [false, true] {
             all.push(series(env, sbox));
         }
@@ -82,7 +83,7 @@ pub fn run() -> Fig5 {
 impl Fig5 {
     /// Finds a series.
     #[must_use]
-    pub fn get(&self, env: Env, speedybox: bool) -> &Fig5Series {
+    pub fn get(&self, env: Platform, speedybox: bool) -> &Fig5Series {
         self.series
             .iter()
             .find(|s| s.env == env && s.speedybox == speedybox)
@@ -102,15 +103,15 @@ impl fmt::Display for Fig5 {
         for i in 0..3 {
             t.row(vec![
                 (i + 1).to_string(),
-                format!("{:.2}", self.get(Env::Bess, false).points[i].rate_mpps),
-                format!("{:.2}", self.get(Env::Bess, true).points[i].rate_mpps),
-                format!("{:.2}", self.get(Env::Onvm, false).points[i].rate_mpps),
-                format!("{:.2}", self.get(Env::Onvm, true).points[i].rate_mpps),
+                format!("{:.2}", self.get(Platform::Bess, false).points[i].rate_mpps),
+                format!("{:.2}", self.get(Platform::Bess, true).points[i].rate_mpps),
+                format!("{:.2}", self.get(Platform::Onvm, false).points[i].rate_mpps),
+                format!("{:.2}", self.get(Platform::Onvm, true).points[i].rate_mpps),
             ]);
         }
         writeln!(f, "{t}")?;
-        let b3 = self.get(Env::Bess, true).points[2].rate_mpps;
-        let o3 = self.get(Env::Bess, false).points[2].rate_mpps;
+        let b3 = self.get(Platform::Bess, true).points[2].rate_mpps;
+        let o3 = self.get(Platform::Bess, false).points[2].rate_mpps;
         writeln!(f, "BESS speedup at 3 SFs: {} (paper: 2.1x)\n", ratio(b3, o3))?;
 
         writeln!(f, "(b) processing latency (us)")?;
@@ -118,16 +119,16 @@ impl fmt::Display for Fig5 {
         for i in 0..3 {
             t.row(vec![
                 (i + 1).to_string(),
-                format!("{:.2}", self.get(Env::Bess, false).points[i].latency_us),
-                format!("{:.2}", self.get(Env::Bess, true).points[i].latency_us),
-                format!("{:.2}", self.get(Env::Onvm, false).points[i].latency_us),
-                format!("{:.2}", self.get(Env::Onvm, true).points[i].latency_us),
+                format!("{:.2}", self.get(Platform::Bess, false).points[i].latency_us),
+                format!("{:.2}", self.get(Platform::Bess, true).points[i].latency_us),
+                format!("{:.2}", self.get(Platform::Onvm, false).points[i].latency_us),
+                format!("{:.2}", self.get(Platform::Onvm, true).points[i].latency_us),
             ]);
         }
         writeln!(f, "{t}")?;
         let red = pct_change(
-            self.get(Env::Bess, false).points[2].latency_us,
-            self.get(Env::Bess, true).points[2].latency_us,
+            self.get(Platform::Bess, false).points[2].latency_us,
+            self.get(Platform::Bess, true).points[2].latency_us,
         );
         writeln!(f, "BESS latency change at 3 SFs: {red} (paper: -59%)")
     }
@@ -140,10 +141,10 @@ mod tests {
     #[test]
     fn shape_matches_paper() {
         let fig = run();
-        let bess_orig = fig.get(Env::Bess, false);
-        let bess_sbox = fig.get(Env::Bess, true);
-        let onvm_orig = fig.get(Env::Onvm, false);
-        let onvm_sbox = fig.get(Env::Onvm, true);
+        let bess_orig = fig.get(Platform::Bess, false);
+        let bess_sbox = fig.get(Platform::Bess, true);
+        let onvm_orig = fig.get(Platform::Onvm, false);
+        let onvm_sbox = fig.get(Platform::Onvm, true);
 
         // BESS original rate decays ~1/N; SpeedyBox keeps it ~flat.
         assert!(bess_orig.points[2].rate_mpps < 0.45 * bess_orig.points[0].rate_mpps);

@@ -9,9 +9,10 @@
 use std::fmt;
 
 use speedybox_platform::chains::snort_monitor_chain;
+use speedybox_platform::Platform;
 use speedybox_stats::{table::pct_change, Table};
 
-use crate::harness::{steady_state, Env, Runner};
+use crate::harness::{chain_on, steady_state};
 use speedybox_packet::{Packet, PacketBuilder};
 
 /// Flows in the measurement workload.
@@ -23,7 +24,7 @@ pub const PACKETS_PER_FLOW: usize = 30;
 #[derive(Debug, Clone, Copy)]
 pub struct Fig6Env {
     /// Environment.
-    pub env: Env,
+    pub env: Platform,
     /// Original chain cycles per packet.
     pub orig_cycles: f64,
     /// SpeedyBox cycles per packet.
@@ -61,22 +62,22 @@ fn workload() -> Vec<Packet> {
     out
 }
 
-fn measure(env: Env, speedybox: bool) -> (f64, f64) {
+fn measure(env: Platform, speedybox: bool) -> (f64, f64) {
     let (nfs, _handles) = snort_monitor_chain();
-    let mut runner = Runner::new(env, nfs, speedybox);
-    let model = *runner.model();
+    let mut chain = chain_on(env, nfs, speedybox);
+    let model = *chain.model();
     // Warm up: one packet per flow fills caches and installs rules.
     let all = workload();
     let (warmup, measured) = all.split_at(FLOWS);
-    runner.run(warmup.to_vec());
-    let stats = runner.run(measured.to_vec());
-    (steady_state(&stats, &model).work_cycles, runner.rate_mpps(&stats))
+    chain.run(warmup.to_vec());
+    let stats = chain.run(measured.to_vec());
+    (steady_state(&stats, &model).work_cycles, chain.rate_mpps(&stats))
 }
 
 /// Runs the experiment.
 #[must_use]
 pub fn run() -> Fig6 {
-    let envs = [Env::Bess, Env::Onvm]
+    let envs = Platform::ALL
         .into_iter()
         .map(|env| {
             let (orig_cycles, orig_rate) = measure(env, false);
@@ -124,8 +125,8 @@ mod tests {
     #[test]
     fn shape_matches_paper() {
         let fig = run();
-        let bess = fig.envs.iter().find(|e| e.env == Env::Bess).unwrap();
-        let onvm = fig.envs.iter().find(|e| e.env == Env::Onvm).unwrap();
+        let bess = fig.envs.iter().find(|e| e.env == Platform::Bess).unwrap();
+        let onvm = fig.envs.iter().find(|e| e.env == Platform::Onvm).unwrap();
 
         // Substantial per-packet cycle reduction on both platforms.
         let red_bess = 1.0 - bess.sbox_cycles / bess.orig_cycles;

@@ -15,9 +15,10 @@ use std::fmt;
 
 use speedybox_platform::chains::snort_monitor_chain;
 use speedybox_platform::runtime::SboxConfig;
+use speedybox_platform::{Chain, Platform};
 use speedybox_stats::{table::pct_change, Table};
 
-use crate::harness::{steady_state, Env, Runner};
+use crate::harness::{chain_on, steady_state};
 use speedybox_packet::{Packet, PacketBuilder};
 
 /// Flows in the workload.
@@ -29,7 +30,7 @@ pub const PACKETS_PER_FLOW: usize = 30;
 #[derive(Debug, Clone, Copy)]
 pub struct Fig7Env {
     /// Environment.
-    pub env: Env,
+    pub env: Platform,
     /// Original chain latency.
     pub original: f64,
     /// Full SpeedyBox latency.
@@ -87,24 +88,24 @@ fn workload() -> Vec<Packet> {
     out
 }
 
-fn latency(env: Env, config: Option<SboxConfig>) -> f64 {
+fn latency(env: Platform, config: Option<SboxConfig>) -> f64 {
     let (nfs, _h) = snort_monitor_chain();
-    let mut runner = match config {
-        None => Runner::new(env, nfs, false),
-        Some(cfg) => Runner::with_config(env, nfs, cfg),
+    let mut chain = match config {
+        None => chain_on(env, nfs, false),
+        Some(cfg) => Chain::speedybox_with(nfs, cfg).with_platform(env),
     };
-    let model = *runner.model();
+    let model = *chain.model();
     let all = workload();
     let (warmup, measured) = all.split_at(FLOWS);
-    runner.run(warmup.to_vec());
-    let stats = runner.run(measured.to_vec());
+    chain.run(warmup.to_vec());
+    let stats = chain.run(measured.to_vec());
     steady_state(&stats, &model).latency_us
 }
 
 /// Runs the experiment.
 #[must_use]
 pub fn run() -> Fig7 {
-    let envs = [Env::Bess, Env::Onvm]
+    let envs = Platform::ALL
         .into_iter()
         .map(|env| Fig7Env {
             env,
@@ -159,8 +160,8 @@ mod tests {
     #[test]
     fn shape_matches_paper() {
         let fig = run();
-        let bess = fig.envs.iter().find(|e| e.env == Env::Bess).unwrap();
-        let onvm = fig.envs.iter().find(|e| e.env == Env::Onvm).unwrap();
+        let bess = fig.envs.iter().find(|e| e.env == Platform::Bess).unwrap();
+        let onvm = fig.envs.iter().find(|e| e.env == Platform::Onvm).unwrap();
 
         // Meaningful overall reductions on both platforms.
         assert!(

@@ -11,9 +11,10 @@
 use std::fmt;
 
 use speedybox_platform::chains::ipfilter_chain;
+use speedybox_platform::Platform;
 use speedybox_stats::Table;
 
-use crate::harness::{flow_packets, steady_state, Env, Runner};
+use crate::harness::{chain_on, flow_packets, steady_state};
 
 /// ACL rules per IPFilter.
 pub const ACL_RULES: usize = 200;
@@ -39,7 +40,7 @@ pub struct Fig8Point {
 #[derive(Debug, Clone)]
 pub struct Fig8Series {
     /// Environment.
-    pub env: Env,
+    pub env: Platform,
     /// SpeedyBox enabled?
     pub speedybox: bool,
     /// Points for the lengths this environment supports.
@@ -53,21 +54,21 @@ pub struct Fig8 {
     pub series: Vec<Fig8Series>,
 }
 
-fn series(env: Env, speedybox: bool) -> Fig8Series {
+fn series(env: Platform, speedybox: bool) -> Fig8Series {
     let max = match env {
-        Env::Bess => BESS_MAX,
-        Env::Onvm => ONVM_MAX,
+        Platform::Bess => BESS_MAX,
+        Platform::Onvm => ONVM_MAX,
     };
     let points = (1..=max)
         .map(|n| {
-            let mut runner = Runner::new(env, ipfilter_chain(n, ACL_RULES), speedybox);
-            let model = *runner.model();
+            let mut chain = chain_on(env, ipfilter_chain(n, ACL_RULES), speedybox);
+            let model = *chain.model();
             let pkts = flow_packets(PACKETS + 1, 2300, 10);
             let mut iter = pkts.into_iter();
-            let _warmup = runner.process(iter.next().expect("nonempty"));
-            let stats = runner.run(iter);
+            let _warmup = chain.process(iter.next().expect("nonempty"));
+            let stats = chain.run(iter);
             let ss = steady_state(&stats, &model);
-            Fig8Point { n, latency_us: ss.latency_us, rate_mpps: runner.rate_mpps(&stats) }
+            Fig8Point { n, latency_us: ss.latency_us, rate_mpps: chain.rate_mpps(&stats) }
         })
         .collect();
     Fig8Series { env, speedybox, points }
@@ -77,7 +78,7 @@ fn series(env: Env, speedybox: bool) -> Fig8Series {
 #[must_use]
 pub fn run() -> Fig8 {
     let mut all = Vec::new();
-    for env in [Env::Bess, Env::Onvm] {
+    for env in Platform::ALL {
         for sbox in [false, true] {
             all.push(series(env, sbox));
         }
@@ -88,7 +89,7 @@ pub fn run() -> Fig8 {
 impl Fig8 {
     /// Finds a series.
     #[must_use]
-    pub fn get(&self, env: Env, speedybox: bool) -> &Fig8Series {
+    pub fn get(&self, env: Platform, speedybox: bool) -> &Fig8Series {
         self.series
             .iter()
             .find(|s| s.env == env && s.speedybox == speedybox)
@@ -119,10 +120,10 @@ impl fmt::Display for Fig8 {
             for n in 1..=BESS_MAX {
                 t.row(vec![
                     n.to_string(),
-                    cell(self.get(Env::Bess, false), n, rate),
-                    cell(self.get(Env::Bess, true), n, rate),
-                    cell(self.get(Env::Onvm, false), n, rate),
-                    cell(self.get(Env::Onvm, true), n, rate),
+                    cell(self.get(Platform::Bess, false), n, rate),
+                    cell(self.get(Platform::Bess, true), n, rate),
+                    cell(self.get(Platform::Onvm, false), n, rate),
+                    cell(self.get(Platform::Onvm, true), n, rate),
                 ]);
             }
             writeln!(f, "{t}")?;
@@ -141,10 +142,10 @@ mod tests {
     #[test]
     fn shape_matches_paper() {
         let fig = run();
-        let bess_orig = fig.get(Env::Bess, false);
-        let bess_sbox = fig.get(Env::Bess, true);
-        let onvm_orig = fig.get(Env::Onvm, false);
-        let onvm_sbox = fig.get(Env::Onvm, true);
+        let bess_orig = fig.get(Platform::Bess, false);
+        let bess_sbox = fig.get(Platform::Bess, true);
+        let onvm_orig = fig.get(Platform::Onvm, false);
+        let onvm_sbox = fig.get(Platform::Onvm, true);
 
         // Original latency grows roughly linearly with length.
         let l1 = bess_orig.points[0].latency_us;
@@ -168,11 +169,11 @@ mod tests {
         assert!((sr5 - sr1).abs() / sr1 < 0.2, "ONVM SBox rate flat: {sr1} vs {sr5}");
 
         // BESS with SpeedyBox maintains rate while the original collapses.
-        let br1 = fig.get(Env::Bess, false).points[0].rate_mpps;
-        let br9 = fig.get(Env::Bess, false).points[8].rate_mpps;
+        let br1 = fig.get(Platform::Bess, false).points[0].rate_mpps;
+        let br9 = fig.get(Platform::Bess, false).points[8].rate_mpps;
         assert!(br9 < 0.3 * br1, "BESS original rate collapses with length");
-        let bs1 = fig.get(Env::Bess, true).points[0].rate_mpps;
-        let bs9 = fig.get(Env::Bess, true).points[8].rate_mpps;
+        let bs1 = fig.get(Platform::Bess, true).points[0].rate_mpps;
+        let bs9 = fig.get(Platform::Bess, true).points[8].rate_mpps;
         assert!(bs9 > 0.8 * bs1, "BESS SBox rate holds with length");
 
         // ONVM stops at 5.

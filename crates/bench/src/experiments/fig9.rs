@@ -16,10 +16,11 @@ use std::fmt;
 
 use speedybox_packet::Fid;
 use speedybox_platform::chains::{chain1, chain2};
+use speedybox_platform::Platform;
 use speedybox_stats::{table::pct_change, Cdf, Table};
 use speedybox_traffic::{Workload, WorkloadConfig};
 
-use crate::harness::{Env, Runner};
+use crate::harness::chain_on;
 
 /// Flows in the synthetic trace.
 pub const FLOWS: usize = 400;
@@ -50,7 +51,7 @@ pub struct Fig9Series {
     /// Chain.
     pub chain: Chain,
     /// Environment.
-    pub env: Env,
+    pub env: Platform,
     /// SpeedyBox enabled?
     pub speedybox: bool,
     /// Per-flow processing time CDF (µs).
@@ -76,17 +77,17 @@ fn trace() -> Workload {
     })
 }
 
-fn flow_times(chain: Chain, env: Env, speedybox: bool, w: &Workload) -> Cdf {
+fn flow_times(chain: Chain, env: Platform, speedybox: bool, w: &Workload) -> Cdf {
     let nfs = match chain {
         Chain::Chain1 => chain1(8).0,
         Chain::Chain2 => chain2().0,
     };
-    let mut runner = Runner::new(env, nfs, speedybox);
-    let model = *runner.model();
+    let mut sut = chain_on(env, nfs, speedybox);
+    let model = *sut.model();
     let mut per_flow: HashMap<Fid, u64> = HashMap::new();
     for (_, pkt) in &w.arrivals {
         let fid = pkt.five_tuple().unwrap().fid();
-        let out = runner.process(pkt.clone());
+        let out = sut.process(pkt.clone());
         *per_flow.entry(fid).or_insert(0) += out.latency_cycles;
     }
     Cdf::new(per_flow.values().map(|&c| model.micros(c)))
@@ -98,7 +99,7 @@ pub fn run() -> Fig9 {
     let w = trace();
     let mut series = Vec::new();
     for chain in [Chain::Chain1, Chain::Chain2] {
-        for env in [Env::Bess, Env::Onvm] {
+        for env in Platform::ALL {
             for sbox in [false, true] {
                 series.push(Fig9Series {
                     chain,
@@ -115,7 +116,7 @@ pub fn run() -> Fig9 {
 impl Fig9 {
     /// Finds a series.
     #[must_use]
-    pub fn get(&self, chain: Chain, env: Env, speedybox: bool) -> &Fig9Series {
+    pub fn get(&self, chain: Chain, env: Platform, speedybox: bool) -> &Fig9Series {
         self.series
             .iter()
             .find(|s| s.chain == chain && s.env == env && s.speedybox == speedybox)
@@ -129,7 +130,7 @@ impl fmt::Display for Fig9 {
         for chain in [Chain::Chain1, Chain::Chain2] {
             writeln!(f, "{}", chain.label())?;
             let mut t = Table::new(vec!["percentile", "p25", "p50", "p75", "p90", "p99"]);
-            for env in [Env::Bess, Env::Onvm] {
+            for env in Platform::ALL {
                 for sbox in [false, true] {
                     let s = self.get(chain, env, sbox);
                     let name = if sbox {
@@ -149,7 +150,7 @@ impl fmt::Display for Fig9 {
                 }
             }
             writeln!(f, "{t}")?;
-            for env in [Env::Bess, Env::Onvm] {
+            for env in Platform::ALL {
                 let o = self.get(chain, env, false).cdf.value_at(0.5);
                 let s = self.get(chain, env, true).cdf.value_at(0.5);
                 writeln!(f, "  p50 change on {}: {}", env.label(), pct_change(o, s))?;
@@ -168,7 +169,7 @@ mod tests {
     fn shape_matches_paper() {
         let fig = run();
         for chain in [Chain::Chain1, Chain::Chain2] {
-            for env in [Env::Bess, Env::Onvm] {
+            for env in Platform::ALL {
                 let orig = &fig.get(chain, env, false).cdf;
                 let fast = &fig.get(chain, env, true).cdf;
                 let reduction = 1.0 - fast.value_at(0.5) / orig.value_at(0.5);
@@ -204,7 +205,7 @@ mod tests {
     #[test]
     fn cdf_series_are_plot_ready() {
         let fig = run();
-        let s = fig.get(Chain::Chain1, Env::Bess, true).cdf.series(20);
+        let s = fig.get(Chain::Chain1, Platform::Bess, true).cdf.series(20);
         assert_eq!(s.len(), 20);
         assert!(s.windows(2).all(|w| w[1].0 >= w[0].0));
     }

@@ -12,9 +12,10 @@ use speedybox_mat::OpCounter;
 use speedybox_nf::ipfilter::{AclRule, IpFilter};
 use speedybox_nf::{Nf, NfContext};
 use speedybox_platform::cycles::CycleModel;
+use speedybox_platform::Platform;
 use speedybox_stats::{table::pct_change, Table};
 
-use crate::harness::{flow_packets, Env, Runner};
+use crate::harness::{chain_on, flow_packets};
 
 /// ACL size per IPFilter.
 pub const ACL_RULES: usize = 200;
@@ -25,7 +26,7 @@ pub const PACKETS: usize = 200;
 #[derive(Debug, Clone)]
 pub struct Table3Env {
     /// The environment.
-    pub env: Env,
+    pub env: Platform,
     /// Original chain: steady per-NF processing cycles (NF1, NF2, NF3).
     pub per_nf: [f64; 3],
     /// Original aggregate cycles per packet.
@@ -75,20 +76,20 @@ fn per_nf_cycles(model: &CycleModel) -> [f64; 3] {
     totals.map(|t| t as f64 / PACKETS as f64)
 }
 
-fn aggregate(env: Env, speedybox: bool) -> f64 {
-    let mut runner = Runner::new(env, forward_forward_drop(), speedybox);
-    let model = *runner.model();
+fn aggregate(env: Platform, speedybox: bool) -> f64 {
+    let mut chain = chain_on(env, forward_forward_drop(), speedybox);
+    let model = *chain.model();
     let pkts = flow_packets(PACKETS + 1, 2100, 10);
     let mut iter = pkts.into_iter();
-    let _warmup = runner.process(iter.next().expect("nonempty"));
-    let stats = runner.run(iter);
+    let _warmup = chain.process(iter.next().expect("nonempty"));
+    let stats = chain.run(iter);
     crate::harness::steady_state(&stats, &model).work_cycles
 }
 
 /// Runs the experiment.
 #[must_use]
 pub fn run() -> Table3 {
-    let envs = [Env::Bess, Env::Onvm]
+    let envs = Platform::ALL
         .into_iter()
         .map(|env| {
             let model = CycleModel::new();

@@ -2,95 +2,15 @@
 
 use speedybox_nf::Nf;
 use speedybox_packet::{Packet, PacketBuilder};
-use speedybox_platform::bess::BessChain;
 use speedybox_platform::cycles::CycleModel;
-use speedybox_platform::metrics::{ProcessedPacket, RunStats};
-use speedybox_platform::onvm::OnvmChain;
-use speedybox_platform::runtime::SboxConfig;
+use speedybox_platform::metrics::RunStats;
+use speedybox_platform::{Chain, Platform};
 
-/// Which execution environment an experiment runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Env {
-    /// BESS-style run-to-completion.
-    Bess,
-    /// OpenNetVM-style pipeline.
-    Onvm,
-}
-
-impl Env {
-    /// Display label matching the paper's figures.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Env::Bess => "BESS",
-            Env::Onvm => "ONVM",
-        }
-    }
-}
-
-/// A chain on either environment, with a uniform driving interface.
-#[derive(Debug)]
-pub enum Runner {
-    /// BESS chain.
-    Bess(BessChain),
-    /// OpenNetVM chain.
-    Onvm(OnvmChain),
-}
-
-impl Runner {
-    /// Builds a chain on `env`, original or SpeedyBox-enabled.
-    #[must_use]
-    pub fn new(env: Env, nfs: Vec<Box<dyn Nf>>, speedybox: bool) -> Self {
-        match (env, speedybox) {
-            (Env::Bess, false) => Runner::Bess(BessChain::original(nfs)),
-            (Env::Bess, true) => Runner::Bess(BessChain::speedybox(nfs)),
-            (Env::Onvm, false) => Runner::Onvm(OnvmChain::original(nfs)),
-            (Env::Onvm, true) => Runner::Onvm(OnvmChain::speedybox(nfs)),
-        }
-    }
-
-    /// Builds a SpeedyBox chain with explicit ablation knobs.
-    #[must_use]
-    pub fn with_config(env: Env, nfs: Vec<Box<dyn Nf>>, config: SboxConfig) -> Self {
-        match env {
-            Env::Bess => Runner::Bess(BessChain::speedybox_with(nfs, config)),
-            Env::Onvm => Runner::Onvm(OnvmChain::speedybox_with(nfs, config)),
-        }
-    }
-
-    /// Processes one packet.
-    pub fn process(&mut self, pkt: Packet) -> ProcessedPacket {
-        match self {
-            Runner::Bess(c) => c.process(pkt),
-            Runner::Onvm(c) => c.process(pkt),
-        }
-    }
-
-    /// Runs a packet sequence.
-    pub fn run(&mut self, pkts: impl IntoIterator<Item = Packet>) -> RunStats {
-        match self {
-            Runner::Bess(c) => c.run(pkts),
-            Runner::Onvm(c) => c.run(pkts),
-        }
-    }
-
-    /// The cycle model in use.
-    #[must_use]
-    pub fn model(&self) -> &CycleModel {
-        match self {
-            Runner::Bess(c) => c.model(),
-            Runner::Onvm(c) => c.model(),
-        }
-    }
-
-    /// The environment-appropriate processing rate for a run.
-    #[must_use]
-    pub fn rate_mpps(&self, stats: &RunStats) -> f64 {
-        match self {
-            Runner::Bess(c) => stats.run_to_completion_rate_mpps(c.model()),
-            Runner::Onvm(c) => stats.pipelined_rate_mpps(c.model()),
-        }
-    }
+/// Builds a chain on `platform`, original or SpeedyBox-enabled.
+#[must_use]
+pub fn chain_on(platform: Platform, nfs: Vec<Box<dyn Nf>>, speedybox: bool) -> Chain {
+    let chain = if speedybox { Chain::speedybox(nfs) } else { Chain::original(nfs) };
+    chain.with_platform(platform)
 }
 
 /// Builds an `n`-packet single-flow sequence with `payload_len`-byte

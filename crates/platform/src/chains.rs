@@ -344,10 +344,10 @@ mod tests {
     fn handles_observe_chain_state() {
         use speedybox_packet::PacketBuilder;
 
-        use crate::bess::BessChain;
+        use crate::Chain;
 
         let (nfs, handles) = chain2();
-        let mut chain = BessChain::speedybox(nfs);
+        let mut chain = Chain::speedybox(nfs);
         let pkts: Vec<_> = (0..5)
             .map(|i| {
                 PacketBuilder::tcp()

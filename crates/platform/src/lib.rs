@@ -4,18 +4,20 @@
 //! reproduces both as laptop-scale runtimes with a calibrated cycle model
 //! (see DESIGN.md for the substitution argument):
 //!
-//! * [`bess::BessChain`] — BESS-style: the whole chain in one
-//!   run-to-completion process, cheap module hops;
-//! * [`onvm::OnvmChain`] — OpenNetVM-style: one core per NF, inter-core
-//!   ring hops, pipelined throughput (deterministic model);
-//! * [`threaded`] — a real thread-per-NF OpenNetVM runtime over crossbeam
-//!   rings, for wall-clock measurements and concurrency tests;
+//! * [`chain::Chain`] — one service chain on either [`chain::Platform`]:
+//!   BESS-style (the whole chain in one run-to-completion process, module
+//!   hops) or OpenNetVM-style (one core per NF, ring hops, pipelined
+//!   throughput), both a deterministic cycle model whose per-packet step
+//!   is written once;
 //! * [`workers`] — N symmetric run-to-completion worker threads sharing
 //!   one classifier + Global MAT via wait-free generation loads, each
-//!   owning a FID slice (RSS-style steering);
+//!   owning a FID slice (RSS-style steering) and running the same step;
+//! * [`threaded`] — a real thread-per-NF OpenNetVM runtime over crossbeam
+//!   rings, for wall-clock measurements and concurrency tests;
 //! * [`runtime::SpeedyBox`] — the classifier + Global MAT + instrumentation
-//!   bundle both environments share, with the Fig 7 ablation knobs
+//!   bundle every runtime shares, with the Fig 7 ablation knobs
 //!   ([`runtime::SboxConfig`]);
+//! * [`supervisor`] — NF crash/restart checkpoints and replay;
 //! * [`parallel_exec`] — real-threads execution of the Table I
 //!   state-function schedule;
 //! * [`cycles::CycleModel`] — abstract-operation → cycle calibration;
@@ -24,11 +26,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use speedybox_platform::bess::BessChain;
 //! use speedybox_platform::chains::ipfilter_chain;
+//! use speedybox_platform::Chain;
 //! use speedybox_packet::PacketBuilder;
 //!
-//! let mut chain = BessChain::speedybox(ipfilter_chain(3, 30));
+//! let mut chain = Chain::speedybox(ipfilter_chain(3, 30));
 //! let packets: Vec<_> = (0..10)
 //!     .map(|i| {
 //!         PacketBuilder::tcp()
@@ -49,24 +51,20 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bess;
+pub mod chain;
 pub mod chains;
 pub mod cycles;
 pub mod metrics;
-pub mod onvm;
 pub mod parallel_exec;
 pub mod runtime;
 pub mod supervisor;
 pub mod threaded;
 pub mod workers;
 
-pub use bess::BessChain;
+pub use chain::{BessChain, Chain, Platform};
 pub use cycles::CycleModel;
 pub use metrics::{PathKind, ProcessedPacket, RunStats};
-pub use onvm::OnvmChain;
 pub use runtime::{SboxConfig, SpeedyBox};
 pub use supervisor::{ReplayEntry, Supervisor};
-pub use threaded::{
-    run_threaded, run_threaded_batched, run_threaded_on, ThreadedOnvm, ThreadedReport,
-};
+pub use threaded::{run_threaded, run_threaded_on, ThreadedReport, RING_CAPACITY};
 pub use workers::{run_workers, run_workers_on, WorkerReport};

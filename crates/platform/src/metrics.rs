@@ -1,7 +1,7 @@
 //! Run metrics: per-packet outcomes and aggregated statistics.
 
 use speedybox_mat::OpCounter;
-use speedybox_packet::Packet;
+use speedybox_packet::{Packet, PacketPool, PoolStats};
 use speedybox_telemetry::{PathClass, Telemetry};
 
 use crate::cycles::CycleModel;
@@ -39,6 +39,21 @@ pub fn observe(telemetry: &Telemetry, hint: u64, outcome: &ProcessedPacket) {
     let shard = telemetry.shard(hint);
     shard.record_packet(outcome.path.telemetry_class(), outcome.latency_cycles, outcome.survived());
     shard.add_ops(&outcome.ops.telemetry_totals());
+}
+
+/// Folds `pool`'s counter deltas since `seen` into the telemetry hub and
+/// advances `seen`. Shard 0: pool traffic is chain-global, not per-flow.
+/// A run over a fresh pool passes `&mut PoolStats::default()`.
+pub fn sync_pool(telemetry: &Telemetry, pool: &PacketPool, seen: &mut PoolStats) {
+    let now = pool.stats();
+    let shard = telemetry.shard(0);
+    shard.add_pool_hits(now.hits - seen.hits);
+    shard.add_pool_misses(now.misses - seen.misses);
+    shard.add_pool_recycled(now.recycled - seen.recycled);
+    shard.add_pool_refills(now.refills - seen.refills);
+    shard.add_pool_flushes(now.flushes - seen.flushes);
+    shard.set_pool_depth(now.depth);
+    *seen = now;
 }
 
 /// Outcome of processing one packet.

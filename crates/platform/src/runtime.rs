@@ -1,10 +1,11 @@
 //! The SpeedyBox runtime: classifier + Global MAT + instrumentation,
-//! shared by both execution environments.
+//! shared by every execution environment.
 //!
-//! The environment-specific parts (module hops vs. ring hops, pipelined vs.
-//! run-to-completion rate) live in [`crate::bess`] and [`crate::onvm`];
-//! everything about steering, recording, consolidation and fast-path
-//! execution is here.
+//! The per-packet step that strings these together lives in
+//! [`crate::chain`], whose [`Platform`](crate::chain::Platform) holds the
+//! platform-specific costs (module hops vs. ring hops, pipelined vs.
+//! run-to-completion rate); the building blocks of steering, recording,
+//! consolidation and fast-path execution are here.
 
 use std::sync::Arc;
 
@@ -13,7 +14,7 @@ use speedybox_mat::{
     AdmissionPolicy, EventTable, GlobalMat, LocalMat, NfId, NfInstrument, OpCounter, PacketClass,
     PacketClassifier, FID_SPACE,
 };
-use speedybox_nf::{Nf, NfContext, NfVerdict};
+use speedybox_nf::{Nf, NfContext};
 use speedybox_packet::{Fid, Packet};
 use speedybox_telemetry::Telemetry;
 
@@ -478,20 +479,6 @@ pub fn classify(
     Ok((c.fid, c.class, c.closes_flow))
 }
 
-/// Classifies a batch of packets under SpeedyBox with one shard-lock
-/// acquisition per touched shard (see
-/// [`PacketClassifier::classify_batch`]). Per-packet results and op counts
-/// are identical to calling [`classify`] in slice order. Flow-closing
-/// packets have their *classifier* entry removed inline; batch callers
-/// tear down only the Global MAT side afterwards.
-pub fn classify_batch(
-    sbox: &SpeedyBox,
-    packets: &mut [Packet],
-    ops: &mut [OpCounter],
-) -> Vec<Result<speedybox_mat::Classification, speedybox_packet::PacketError>> {
-    sbox.classifier.classify_batch(packets, ops)
-}
-
 /// Notifies all NFs that a flow closed.
 pub fn notify_flow_closed(nfs: &mut [Box<dyn Nf>], fid: Fid) {
     for nf in nfs {
@@ -499,7 +486,7 @@ pub fn notify_flow_closed(nfs: &mut [Box<dyn Nf>], fid: Fid) {
     }
 }
 
-/// Attaches an ingress FID for baseline runs (both environments tag packets
+/// Attaches an ingress FID for baseline runs (every environment tags packets
 /// at ingress so NF per-flow state is keyed identically with and without
 /// SpeedyBox; without SpeedyBox there is no steering). Cost-free: this is
 /// bookkeeping of the harness, not part of the modeled baseline data path
@@ -509,12 +496,6 @@ pub fn tag_ingress(packet: &mut Packet, ops: &mut OpCounter) {
     if let Ok(t) = packet.five_tuple() {
         packet.set_fid(t.fid());
     }
-}
-
-/// Re-exported verdict check used by environments.
-#[must_use]
-pub fn survives(verdict: NfVerdict) -> bool {
-    verdict.survives()
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! A real thread-per-NF OpenNetVM-style runtime.
 //!
-//! [`crate::onvm::OnvmChain`] models the pipeline deterministically for the
-//! figure harness; this module actually builds it: one OS thread per NF,
-//! bounded crossbeam channels as the RX/TX rings, and a manager that hosts
-//! the classifier and the Global MAT — the §VI-A architecture. Integration
-//! tests use it to show the consolidated fast path produces byte-identical
-//! output under true concurrency; wall-clock benches use it for real
-//! latency numbers.
+//! [`Chain`](crate::Chain) on [`Platform::Onvm`](crate::Platform::Onvm)
+//! models the pipeline deterministically for the figure harness; this
+//! module actually builds it: one OS thread per NF, bounded crossbeam
+//! channels as the RX/TX rings, and a manager that hosts the classifier
+//! and the Global MAT — the §VI-A architecture. Integration tests use it
+//! to show the consolidated fast path produces byte-identical output under
+//! true concurrency; wall-clock benches use it for real latency numbers.
 
 use std::sync::Arc;
 use std::thread;
@@ -15,10 +15,14 @@ use std::time::Instant;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use speedybox_mat::{FastPathOutcome, OpCounter, PacketClass};
 use speedybox_nf::{Nf, NfContext};
-use speedybox_packet::{Fid, Magazine, Packet, PacketPool};
+use speedybox_packet::{Fid, Magazine, Packet, PacketPool, PoolStats};
 use speedybox_telemetry::{PathClass, Telemetry, TelemetrySnapshot};
 
+use crate::metrics::sync_pool;
 use crate::runtime::{SboxConfig, SpeedyBox};
+
+/// Descriptor slots per NF ring.
+pub const RING_CAPACITY: usize = 256;
 
 /// Nanoseconds of a wall-clock interval as `u64` (584 years of headroom).
 #[allow(clippy::cast_possible_truncation)]
@@ -60,9 +64,14 @@ pub struct ThreadedReport {
 }
 
 /// Runs `packets` through `nfs`, each NF on its own thread connected by
-/// bounded rings of `ring_capacity` descriptors. With `speedybox` true the
-/// manager classifies, consolidates and fast-paths subsequent packets; the
-/// NF threads then only see flow-initial packets.
+/// bounded rings of [`RING_CAPACITY`] descriptors. With `speedybox` true
+/// the manager classifies, consolidates and fast-paths subsequent packets;
+/// the NF threads then only see flow-initial packets. The manager ingests
+/// packets in batches of `batch_size`: classification locks each
+/// flow-table shard once per batch, and runs of consecutive fast-path
+/// packets go through `GlobalMat::process_batch` with prefetched rule
+/// handles. Packet outcomes are identical at any batch size; only lock
+/// traffic (and therefore manager throughput) changes.
 ///
 /// # Panics
 /// Panics if an NF thread panics.
@@ -71,71 +80,26 @@ pub fn run_threaded(
     nfs: Vec<Box<dyn Nf>>,
     packets: Vec<Packet>,
     speedybox: bool,
-    ring_capacity: usize,
-) -> ThreadedReport {
-    run_threaded_batched(nfs, packets, speedybox, ring_capacity, 1)
-}
-
-/// [`run_threaded`] with the manager ingesting packets in batches of
-/// `batch_size`: classification locks each flow-table shard once per batch,
-/// and runs of consecutive fast-path packets are processed through
-/// `GlobalMat::process_batch` with prefetched rule handles. Packet
-/// outcomes are identical to `batch_size == 1`; only lock traffic (and
-/// therefore manager throughput) changes.
-///
-/// # Panics
-/// Panics if an NF thread panics.
-#[must_use]
-pub fn run_threaded_batched(
-    nfs: Vec<Box<dyn Nf>>,
-    packets: Vec<Packet>,
-    speedybox: bool,
-    ring_capacity: usize,
     batch_size: usize,
 ) -> ThreadedReport {
-    run_threaded_observed(nfs, packets, speedybox, ring_capacity, batch_size, 0, |_| {})
+    let sbox = speedybox
+        .then(|| SpeedyBox::new(nfs.len(), SboxConfig { batch_size, ..SboxConfig::default() }));
+    run_threaded_on(sbox.as_ref(), nfs, packets, batch_size, 0, |_| {})
 }
 
-/// [`run_threaded_batched`] with a live-telemetry hook: every
-/// `snapshot_every` completed packets the manager merges all counter shards
-/// and hands the snapshot to `on_snapshot` (pass `0` to disable periodic
-/// snapshots — the final one is always available via
+/// [`run_threaded`] over a caller-owned runtime (`None` for a baseline
+/// run), so rules, flow tables, telemetry — and a quarantine window opened
+/// by a crash handler — carry across runs. While the window is open,
+/// would-be fast-path packets ride the NF rings uninstrumented (no
+/// recording, no install), exactly like the deterministic chains'
+/// original-walk fallback.
+///
+/// Every `snapshot_every` completed packets the manager merges all
+/// counter shards and hands the snapshot to `on_snapshot` (pass `0` to
+/// disable periodic snapshots — the final one is always available via
 /// [`ThreadedReport::snapshot`]). Snapshots are taken from the manager
 /// thread while NF threads keep running, exercising the lock-free
 /// read-while-written path.
-///
-/// # Panics
-/// Panics if an NF thread panics.
-#[must_use]
-pub fn run_threaded_observed(
-    nfs: Vec<Box<dyn Nf>>,
-    packets: Vec<Packet>,
-    speedybox: bool,
-    ring_capacity: usize,
-    batch_size: usize,
-    snapshot_every: usize,
-    on_snapshot: impl FnMut(&TelemetrySnapshot),
-) -> ThreadedReport {
-    let nf_count = nfs.len();
-    let sbox = speedybox
-        .then(|| SpeedyBox::new(nf_count, SboxConfig { batch_size, ..SboxConfig::default() }));
-    run_threaded_on(
-        sbox.as_ref(),
-        nfs,
-        packets,
-        ring_capacity,
-        batch_size,
-        snapshot_every,
-        on_snapshot,
-    )
-}
-
-/// [`run_threaded_observed`] over a caller-owned runtime (`None` for a
-/// baseline run), so rules, flow tables, telemetry — and a quarantine
-/// window opened by a crash handler — carry across runs. While the window
-/// is open, would-be fast-path packets ride the NF rings uninstrumented
-/// (no recording, no install), exactly like the deterministic
-/// environments' original-walk fallback.
 ///
 /// Closing the window takes two steps here: `unquarantine_nf` *and* a
 /// `force_evict_flows` sweep. Window-era flows hold classifier entries
@@ -150,7 +114,6 @@ pub fn run_threaded_on(
     sbox: Option<&SpeedyBox>,
     nfs: Vec<Box<dyn Nf>>,
     packets: Vec<Packet>,
-    ring_capacity: usize,
     batch_size: usize,
     snapshot_every: usize,
     mut on_snapshot: impl FnMut(&TelemetrySnapshot),
@@ -168,12 +131,12 @@ pub fn run_threaded_on(
     let pool = Arc::new(PacketPool::default());
     let mut mgr_mag = Magazine::new(Arc::clone(&pool));
 
-    let (done_tx, done_rx) = bounded::<Done>(ring_capacity.max(total));
+    let (done_tx, done_rx) = bounded::<Done>(RING_CAPACITY.max(total));
     // Build the ring chain back to front.
     let mut next_tx: Option<Sender<Msg>> = None;
     let mut handles = Vec::new();
     for (i, mut nf) in nfs.into_iter().enumerate().rev() {
-        let (tx, rx): (Sender<Msg>, Receiver<Msg>) = bounded(ring_capacity);
+        let (tx, rx): (Sender<Msg>, Receiver<Msg>) = bounded(RING_CAPACITY);
         let downstream = next_tx.take();
         let done = done_tx.clone();
         let instrument = sbox.as_ref().map(|s| s.instruments[i].clone());
@@ -552,19 +515,11 @@ pub fn run_threaded_on(
         drain_one(done, &mut delivered, &mut latencies_ns, &mut dropped, &path_class);
     }
 
-    // Fold pool counters into the hub before the final snapshot (shard 0:
-    // pool traffic is run-global, not per-flow). NF-thread magazines have
-    // already flushed on drop; release the manager's too so the depth
-    // gauge reflects every idle buffer.
+    // Fold pool counters into the hub before the final snapshot. NF-thread
+    // magazines have already flushed on drop; release the manager's too so
+    // the depth gauge reflects every idle buffer.
     mgr_mag.flush();
-    let ps = pool.stats();
-    let shard = telemetry.shard(0);
-    shard.add_pool_hits(ps.hits);
-    shard.add_pool_misses(ps.misses);
-    shard.add_pool_recycled(ps.recycled);
-    shard.add_pool_refills(ps.refills);
-    shard.add_pool_flushes(ps.flushes);
-    shard.set_pool_depth(ps.depth);
+    sync_pool(&telemetry, &pool, &mut PoolStats::default());
 
     let snapshot = telemetry.snapshot();
     ThreadedReport {
@@ -572,33 +527,6 @@ pub fn run_threaded_on(
         dropped,
         latencies_ns,
         snapshot,
-    }
-}
-
-/// The SpeedyBox runtime used inside [`run_threaded`] — exposed so tests
-/// can pre-seed rules or inspect tables is intentionally *not* provided:
-/// the threaded runtime owns its state for thread-safety. Use
-/// [`crate::onvm::OnvmChain`] for white-box inspection.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedOnvm;
-
-impl ThreadedOnvm {
-    /// Convenience wrapper over [`run_threaded`] with a 256-slot ring.
-    #[must_use]
-    pub fn run(nfs: Vec<Box<dyn Nf>>, packets: Vec<Packet>, speedybox: bool) -> ThreadedReport {
-        run_threaded(nfs, packets, speedybox, 256)
-    }
-
-    /// Convenience wrapper over [`run_threaded_batched`] with a 256-slot
-    /// ring. `batch_size == 1` is identical to [`ThreadedOnvm::run`].
-    #[must_use]
-    pub fn run_batched(
-        nfs: Vec<Box<dyn Nf>>,
-        packets: Vec<Packet>,
-        speedybox: bool,
-        batch_size: usize,
-    ) -> ThreadedReport {
-        run_threaded_batched(nfs, packets, speedybox, 256, batch_size)
     }
 }
 
@@ -629,7 +557,7 @@ mod tests {
 
     #[test]
     fn baseline_delivers_everything() {
-        let report = ThreadedOnvm::run(fw_chain(3), packets(50, 4), false);
+        let report = run_threaded(fw_chain(3), packets(50, 4), false, 1);
         assert_eq!(report.delivered.len(), 50);
         assert_eq!(report.dropped, 0);
         assert!(report.latencies_ns.iter().all(|&l| l > 0));
@@ -637,7 +565,7 @@ mod tests {
 
     #[test]
     fn speedybox_delivers_everything() {
-        let report = ThreadedOnvm::run(fw_chain(3), packets(50, 4), true);
+        let report = run_threaded(fw_chain(3), packets(50, 4), true, 1);
         assert_eq!(report.delivered.len(), 50);
         assert_eq!(report.dropped, 0);
     }
@@ -645,8 +573,8 @@ mod tests {
     #[test]
     fn outputs_identical_with_and_without_speedybox() {
         let pkts = packets(40, 3);
-        let a = ThreadedOnvm::run(fw_chain(2), pkts.clone(), false);
-        let b = ThreadedOnvm::run(fw_chain(2), pkts, true);
+        let a = run_threaded(fw_chain(2), pkts.clone(), false, 1);
+        let b = run_threaded(fw_chain(2), pkts, true, 1);
         assert_eq!(a.delivered.len(), b.delivered.len());
         for (x, y) in a.delivered.iter().zip(&b.delivered) {
             assert_eq!(x.as_bytes(), y.as_bytes());
@@ -663,8 +591,8 @@ mod tests {
             Box::new(IpFilter::pass_through(5)),
             Box::new(IpFilter::new(vec![AclRule::deny_dst("10.0.0.2".parse().unwrap())])),
         ];
-        let a = ThreadedOnvm::run(deny, packets(20, 2), false);
-        let b = ThreadedOnvm::run(deny2, packets(20, 2), true);
+        let a = run_threaded(deny, packets(20, 2), false, 1);
+        let b = run_threaded(deny2, packets(20, 2), true, 1);
         assert_eq!(a.dropped, 20);
         assert_eq!(b.dropped, 20);
     }
@@ -676,8 +604,8 @@ mod tests {
         let chain_a: Vec<Box<dyn Nf>> = vec![Box::new(mon_a.clone())];
         let chain_b: Vec<Box<dyn Nf>> = vec![Box::new(mon_b.clone())];
         let pkts = packets(30, 3);
-        let _ = ThreadedOnvm::run(chain_a, pkts.clone(), false);
-        let _ = ThreadedOnvm::run(chain_b, pkts, true);
+        let _ = run_threaded(chain_a, pkts.clone(), false, 1);
+        let _ = run_threaded(chain_b, pkts, true, 1);
         assert_eq!(mon_a.snapshot(), mon_b.snapshot());
     }
 
@@ -693,22 +621,22 @@ mod tests {
                 .flags(TcpFlags::FIN | TcpFlags::ACK)
                 .build(),
         );
-        let _ = ThreadedOnvm::run(chain, pkts, true);
+        let _ = run_threaded(chain, pkts, true, 1);
         assert_eq!(mon.flow_count(), 0);
     }
 
     #[test]
     fn empty_chain_is_passthrough() {
-        let report = ThreadedOnvm::run(vec![], packets(10, 2), false);
+        let report = run_threaded(vec![], packets(10, 2), false, 1);
         assert_eq!(report.delivered.len(), 10);
     }
 
     #[test]
     fn batched_outputs_identical_to_single_packet() {
         let pkts = packets(60, 4);
-        let single = ThreadedOnvm::run(fw_chain(3), pkts.clone(), true);
+        let single = run_threaded(fw_chain(3), pkts.clone(), true, 1);
         for batch in [2, 8, 32, 128] {
-            let batched = ThreadedOnvm::run_batched(fw_chain(3), pkts.clone(), true, batch);
+            let batched = run_threaded(fw_chain(3), pkts.clone(), true, batch);
             assert_eq!(single.delivered.len(), batched.delivered.len(), "batch {batch}");
             assert_eq!(single.dropped, batched.dropped, "batch {batch}");
             for (x, y) in single.delivered.iter().zip(&batched.delivered) {
@@ -722,7 +650,7 @@ mod tests {
         for speedybox in [false, true] {
             let pkts = packets(40, 4);
             let expect_lat: usize = pkts.len();
-            let report = ThreadedOnvm::run(fw_chain(2), pkts, speedybox);
+            let report = run_threaded(fw_chain(2), pkts, speedybox, 1);
             let s = &report.snapshot;
             assert_eq!(s.packets, 40, "speedybox={speedybox}");
             assert_eq!(s.delivered as usize, report.delivered.len());
@@ -744,7 +672,8 @@ mod tests {
     #[test]
     fn observed_hook_fires_and_grows_monotonically() {
         let mut seen: Vec<u64> = Vec::new();
-        let report = run_threaded_observed(fw_chain(2), packets(50, 5), true, 256, 8, 10, |s| {
+        let sbox = SpeedyBox::new(2, SboxConfig { batch_size: 8, ..SboxConfig::default() });
+        let report = run_threaded_on(Some(&sbox), fw_chain(2), packets(50, 5), 8, 10, |s| {
             seen.push(s.packets)
         });
         assert!(!seen.is_empty(), "periodic hook never fired");
@@ -759,14 +688,14 @@ mod tests {
         let chain = || vec![Box::new(mon.clone()) as Box<dyn Nf>];
 
         // Warm run: flows record and ride the consolidated fast path.
-        let warm = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 256, 1, 0, |_| {});
+        let warm = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 1, 0, |_| {});
         assert_eq!(warm.delivered.len(), 12);
         assert!(warm.snapshot.paths[2] > 0, "expected fast-path traffic");
 
         // Crash handling: mask first, then sweep (same order as kill_nf).
         sbox.global.quarantine_nf(0);
         sbox.force_evict_flows(usize::MAX);
-        let q = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 256, 1, 0, |_| {});
+        let q = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 1, 0, |_| {});
         assert_eq!(q.delivered.len(), 12, "window must be loss-free");
         assert_eq!(q.snapshot.paths[2], warm.snapshot.paths[2], "no fast path in the window");
         assert_eq!(q.snapshot.paths[1], warm.snapshot.paths[1], "no recording in the window");
@@ -776,7 +705,7 @@ mod tests {
         // classifier entries with no rule — see `run_threaded_on`).
         sbox.global.unquarantine_nf(0);
         sbox.force_evict_flows(usize::MAX);
-        let r = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 256, 1, 0, |_| {});
+        let r = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 1, 0, |_| {});
         assert_eq!(r.delivered.len(), 12);
         assert_eq!(r.snapshot.paths[1] - q.snapshot.paths[1], 2, "flows re-record");
         assert_eq!(r.snapshot.paths[2] - q.snapshot.paths[2], 10);
@@ -796,7 +725,7 @@ mod tests {
                 .flags(TcpFlags::FIN | TcpFlags::ACK)
                 .build(),
         );
-        let _ = ThreadedOnvm::run_batched(chain, pkts, true, 16);
+        let _ = run_threaded(chain, pkts, true, 16);
         assert_eq!(mon.flow_count(), 0);
     }
 }

@@ -5,9 +5,11 @@
 //! scaling axis: N identical workers, each owning a FID slice of the
 //! traffic (RSS-style steering, `fid & (workers - 1)`), each driving
 //! classify → consolidated fast path → telemetry to completion on its own
-//! thread. The classifier and Global MAT are *shared* — workers read rule
-//! generations wait-free (one atomic load, see DESIGN.md §12) while the
-//! control plane churns installs and removals concurrently.
+//! thread. Every worker runs the same packet step as [`crate::chain`]'s
+//! chains, priced as BESS. The classifier and Global MAT are *shared* —
+//! workers read rule generations wait-free (one atomic load, see
+//! DESIGN.md §12) while the control plane churns installs and removals
+//! concurrently.
 //!
 //! Per-flow packet order is preserved by construction: a flow's FID maps
 //! to exactly one worker, and each worker processes its slice in arrival
@@ -18,15 +20,13 @@
 use std::sync::Arc;
 use std::thread;
 
-use speedybox_mat::{OpCounter, PacketClass};
 use speedybox_nf::Nf;
-use speedybox_packet::{Magazine, Packet, PacketPool};
-use speedybox_telemetry::{PathClass, TelemetrySnapshot};
+use speedybox_packet::{Packet, PacketPool, PoolStats};
+use speedybox_telemetry::TelemetrySnapshot;
 
-use crate::cycles::CycleModel;
-use crate::runtime::{
-    classify, fast_path, notify_flow_closed, traverse_chain, FastPathScratch, SboxConfig, SpeedyBox,
-};
+use crate::chain::{Lane, Platform};
+use crate::metrics::sync_pool;
+use crate::runtime::{SboxConfig, SpeedyBox};
 
 /// Result of a worker-pool run.
 #[derive(Debug)]
@@ -103,8 +103,7 @@ pub fn run_workers_on(
     let nf_count = nf_sets.first().map_or(0, Vec::len);
     assert!(nf_sets.iter().all(|s| s.len() == nf_count), "uneven NF chains");
 
-    let telemetry = Arc::clone(&sbox.telemetry);
-    // One shared buffer pool; each worker fronts it with a private
+    // One shared buffer pool; each worker's lane fronts it with a private
     // magazine so depot-lock traffic stays off the per-packet path.
     let pool = Arc::new(PacketPool::bounded(2048, config.pool_buffers));
 
@@ -116,148 +115,52 @@ pub fn run_workers_on(
         slices[w].push(pkt);
     }
 
-    let mut lanes: Vec<(Vec<Packet>, usize, usize, u64)> = Vec::with_capacity(workers);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (mut nfs, slice) in nf_sets.into_iter().zip(slices) {
-            let sbox = Arc::clone(sbox);
-            let mut mag = Magazine::new(Arc::clone(&pool));
-            handles.push(scope.spawn(move || worker_loop(&sbox, &mut nfs, slice, &mut mag)));
-        }
-        for h in handles {
-            lanes.push(h.join().expect("worker thread panicked"));
-        }
+    let sbox: &SpeedyBox = sbox;
+    let lanes: Vec<(Vec<Packet>, usize, u64)> = thread::scope(|scope| {
+        let handles: Vec<_> = nf_sets
+            .into_iter()
+            .zip(slices)
+            .map(|(nfs, slice)| {
+                let lane = Lane::new(nfs, Platform::Bess, &pool, 1, None);
+                scope.spawn(move || worker_loop(sbox, lane, slice))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
     });
     // Idle-eviction tick at the run boundary: the threaded harness has no
     // deterministic mid-run batch boundary, so idle flows are reclaimed
     // once all lanes drain. O(1) when nothing is due.
     sbox.tick_idle_eviction();
-
-    // Fold pool counters into the shared hub before snapshotting (shard 0:
-    // pool traffic is run-global, not per-flow).
-    let ps = pool.stats();
-    let shard = telemetry.shard(0);
-    shard.add_pool_hits(ps.hits);
-    shard.add_pool_misses(ps.misses);
-    shard.add_pool_recycled(ps.recycled);
-    shard.add_pool_refills(ps.refills);
-    shard.add_pool_flushes(ps.flushes);
-    shard.set_pool_depth(ps.depth);
+    // Fold pool counters into the shared hub before snapshotting.
+    sync_pool(&sbox.telemetry, &pool, &mut PoolStats::default());
 
     let mut delivered = Vec::new();
-    let mut dropped = 0;
     let mut per_worker = Vec::with_capacity(workers);
     let mut per_worker_cycles = Vec::with_capacity(workers);
-    for (out, lane_dropped, processed, cycles) in lanes {
-        dropped += lane_dropped;
+    for (out, processed, cycles) in lanes {
         per_worker.push(processed);
         per_worker_cycles.push(cycles);
         delivered.extend(out);
     }
     WorkerReport {
+        dropped: per_worker.iter().sum::<usize>() - delivered.len(),
         delivered,
-        dropped,
         per_worker,
         per_worker_cycles,
-        snapshot: telemetry.snapshot(),
+        snapshot: sbox.telemetry.snapshot(),
     }
 }
 
-/// One worker's run-to-completion loop over its FID slice: classify, then
-/// fast path for subsequent packets or instrumented traversal + install
-/// for flow-initial ones, then teardown and telemetry — every packet fully
-/// finished before the next begins.
-fn worker_loop(
-    sbox: &SpeedyBox,
-    nfs: &mut [Box<dyn Nf>],
-    slice: Vec<Packet>,
-    mag: &mut Magazine,
-) -> (Vec<Packet>, usize, usize, u64) {
-    let model = CycleModel::new();
+/// One worker's run-to-completion loop over its FID slice: every packet
+/// runs the shared packet step to completion before the next begins.
+/// Returns the delivered packets, the packets processed and the work.
+fn worker_loop(sbox: &SpeedyBox, mut lane: Lane, slice: Vec<Packet>) -> (Vec<Packet>, usize, u64) {
     let processed = slice.len();
-    let mut delivered = Vec::with_capacity(slice.len());
-    let mut dropped = 0usize;
-    let mut cycles = 0u64;
-    let mut scratch = FastPathScratch::default();
-    for mut pkt in slice {
-        let mut cls_ops = OpCounter::default();
-        let (fid, class, closes_flow) = match classify(sbox, &mut pkt, &mut cls_ops) {
-            Ok(c) => c,
-            Err(_) => {
-                // Unparseable: drop at the classifier (buffer recycled).
-                cls_ops.drops += 1;
-                let work = model.cycles(&cls_ops);
-                cycles += work;
-                let cell = sbox.telemetry.shard(0);
-                cell.record_packet(PathClass::Initial, work, false);
-                cell.add_ops(&cls_ops.telemetry_totals());
-                dropped += 1;
-                mag.give_packet(pkt);
-                continue;
-            }
-        };
-        // Open quarantine window: consolidated state is untrusted, so
-        // would-be fast-path packets ride the uninstrumented original walk
-        // (no recording, no install) until the window closes.
-        let class = if sbox.global.is_quarantined()
-            && matches!(class, PacketClass::Initial | PacketClass::Subsequent)
-        {
-            sbox.telemetry.shard(fid.index() as u64).add_quarantine_packets(1);
-            PacketClass::Handshake
-        } else {
-            class
-        };
-        let (survived, path, work) = match class {
-            PacketClass::Initial => {
-                let res = traverse_chain(nfs, Some(&sbox.instruments), &mut pkt, &model);
-                let mut install_ops = OpCounter::default();
-                sbox.global.install(fid, &mut install_ops);
-                cls_ops.merge(&res.ops);
-                cls_ops.merge(&install_ops);
-                let work = res.per_nf_cycles.iter().sum::<u64>() + model.cycles(&install_ops);
-                (res.survived, PathClass::Initial, work)
-            }
-            PacketClass::Collision | PacketClass::Handshake | PacketClass::Rejected => {
-                let res = traverse_chain(nfs, None, &mut pkt, &model);
-                cls_ops.merge(&res.ops);
-                (res.survived, PathClass::Baseline, res.per_nf_cycles.iter().sum())
-            }
-            PacketClass::Subsequent => match fast_path(sbox, &mut pkt, fid, &model, &mut scratch) {
-                Some(res) => {
-                    cls_ops.merge(&res.ops);
-                    (res.survived, PathClass::Subsequent, res.work_cycles)
-                }
-                None => {
-                    // Rule evicted by concurrent churn: slow-path fallback
-                    // reinstalls, exactly like the deterministic runtimes.
-                    let res = traverse_chain(nfs, Some(&sbox.instruments), &mut pkt, &model);
-                    let mut install_ops = OpCounter::default();
-                    sbox.global.install(fid, &mut install_ops);
-                    cls_ops.merge(&res.ops);
-                    cls_ops.merge(&install_ops);
-                    let work = res.per_nf_cycles.iter().sum::<u64>() + model.cycles(&install_ops);
-                    (res.survived, PathClass::Initial, work)
-                }
-            },
-        };
-        if closes_flow && class != PacketClass::Collision {
-            sbox.remove_flow(fid);
-            notify_flow_closed(nfs, fid);
-        }
-        let total = model.cycles(&cls_ops).max(work);
-        cycles += total;
-        let cell = sbox.telemetry.shard(fid.index() as u64);
-        cell.record_packet(path, total, survived);
-        cell.add_ops(&cls_ops.telemetry_totals());
-        if survived {
-            pkt.clear_fid();
-            delivered.push(pkt);
-        } else {
-            mag.give_packet(pkt);
-            dropped += 1;
-        }
+    let mut delivered = Vec::with_capacity(processed);
+    for pkt in slice {
+        delivered.extend(lane.process(sbox, pkt).packet);
     }
-    (delivered, dropped, processed, cycles)
+    (delivered, processed, lane.work_cycles())
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 
 use crate::fault::FaultPlan;
 use crate::json::Json;
-use crate::runner::{hex_decode, hex_encode, BugKind, Divergence, EnvKind, SimCase};
+use crate::runner::{hex_decode, hex_encode, BugKind, Divergence, SimCase};
 use crate::scenario::TraceItem;
+use crate::Platform;
 
 /// Artifact format version; bump on breaking layout changes.
 pub const ARTIFACT_VERSION: u64 = 1;
@@ -76,7 +77,7 @@ pub fn from_json(text: &str) -> Result<SimCase, String> {
         return Err(format!("unsupported artifact version {version}"));
     }
     let chain = root.get("chain").and_then(Json::as_str).ok_or("missing chain")?.to_string();
-    let env = EnvKind::parse(root.get("env").and_then(Json::as_str).ok_or("missing env")?)?;
+    let env = Platform::parse(root.get("env").and_then(Json::as_str).ok_or("missing env")?)?;
     let compiled = root.get("compiled").and_then(Json::as_bool).ok_or("missing compiled")?;
     let as_size = |v: u64| usize::try_from(v).map_err(|_| "field exceeds usize".to_string());
     let batch = as_size(root.get("batch").and_then(Json::as_u64).ok_or("missing batch")?.max(1))?;
@@ -119,7 +120,7 @@ mod tests {
         });
         let case = SimCase {
             chain: "chain1".into(),
-            env: EnvKind::Onvm,
+            env: Platform::Onvm,
             compiled: false,
             batch: 8,
             workers: 4,
@@ -162,7 +163,7 @@ mod tests {
         assert!(s.faults.to_dsl().contains("nfkill"), "{}", s.faults.to_dsl());
         let case = SimCase {
             chain: "snort-monitor".into(),
-            env: EnvKind::Bess,
+            env: Platform::Bess,
             compiled: true,
             batch: 1,
             workers: 1,
@@ -192,7 +193,7 @@ mod tests {
         });
         let case = SimCase {
             chain: "chain2".into(),
-            env: EnvKind::Bess,
+            env: Platform::Bess,
             compiled: true,
             batch: 1,
             workers: 1,
@@ -227,7 +228,7 @@ mod tests {
         });
         let case = SimCase {
             chain: "chain1".into(),
-            env: EnvKind::Bess,
+            env: Platform::Bess,
             compiled: true,
             batch: 1,
             workers: 1,

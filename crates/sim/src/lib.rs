@@ -37,6 +37,8 @@ pub mod shrink;
 
 pub use fault::{Fault, FaultAt, FaultPlan};
 pub use oracle::{Oracle, OracleVerdict};
-pub use runner::{run_case, BugKind, Divergence, DivergenceKind, EnvKind, RunOutcome, SimCase};
+pub use runner::{run_case, BugKind, Divergence, DivergenceKind, RunOutcome, SimCase};
 pub use scenario::{generate, ScenarioConfig, TraceItem};
 pub use shrink::shrink;
+/// The platform a [`SimCase`] runs on.
+pub use speedybox_platform::Platform;

@@ -8,8 +8,8 @@
 //! audit by eye, so a divergence indicts the consolidated runtime, not
 //! the referee.
 //!
-//! Semantics mirrored from the platform baselines (`BessChain::original`
-//! et al.), minus cycle accounting:
+//! Semantics mirrored from the platform baselines (`Chain::original` on
+//! either platform), minus cycle accounting:
 //!
 //! * frames that fail `Packet::from_frame` are rejected before any NF
 //!   sees them (the "NIC discard" path);

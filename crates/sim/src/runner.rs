@@ -23,47 +23,14 @@ use std::sync::Arc;
 
 use speedybox_mat::OpCounter;
 use speedybox_packet::{FiveTuple, Packet, Protocol};
-use speedybox_platform::bess::BessChain;
 use speedybox_platform::chains::{build_chain_hooks, ChainHooks};
 use speedybox_platform::metrics::{PathKind, ProcessedPacket};
-use speedybox_platform::onvm::OnvmChain;
 use speedybox_platform::runtime::{SboxConfig, SpeedyBox};
+use speedybox_platform::{Chain, Platform};
 
 use crate::fault::{Fault, FaultPlan};
 use crate::oracle::{Oracle, OracleVerdict};
 use crate::scenario::TraceItem;
-
-/// Which platform emulation runs the SUT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnvKind {
-    /// BESS-style run-to-completion chain.
-    Bess,
-    /// OpenNetVM-style per-NF-core chain.
-    Onvm,
-}
-
-impl EnvKind {
-    /// Canonical lowercase name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EnvKind::Bess => "bess",
-            EnvKind::Onvm => "onvm",
-        }
-    }
-
-    /// Parses a name produced by [`EnvKind::as_str`].
-    ///
-    /// # Errors
-    /// Unknown names.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "bess" => Ok(EnvKind::Bess),
-            "onvm" => Ok(EnvKind::Onvm),
-            other => Err(format!("unknown environment {other:?} (expected bess|onvm)")),
-        }
-    }
-}
 
 /// Deliberately seeded SUT bugs, for validating that the harness catches
 /// and shrinks real defects (mutation testing of the referee itself).
@@ -118,7 +85,7 @@ pub struct SimCase {
     /// Registry chain name.
     pub chain: String,
     /// Platform emulation.
-    pub env: EnvKind,
+    pub env: Platform,
     /// Start in compiled (micro-op) or interpreted rule execution.
     pub compiled: bool,
     /// Packets per `process_batch` call; 1 means the per-packet path.
@@ -197,84 +164,6 @@ pub struct RunOutcome {
     /// FNV-1a hash over the SUT's verdict/output stream (stable across
     /// runs of the same case).
     pub output_hash: u64,
-}
-
-/// The SUT: either platform emulation behind one interface.
-enum Sut {
-    Bess(BessChain),
-    Onvm(OnvmChain),
-}
-
-impl Sut {
-    fn process(&mut self, packet: Packet) -> ProcessedPacket {
-        match self {
-            Sut::Bess(c) => c.process(packet),
-            Sut::Onvm(c) => c.process(packet),
-        }
-    }
-
-    fn process_batch(&mut self, packets: Vec<Packet>) -> Vec<ProcessedPacket> {
-        match self {
-            Sut::Bess(c) => c.process_batch(packets),
-            Sut::Onvm(c) => c.process_batch(packets),
-        }
-    }
-
-    fn sbox(&self) -> Option<&SpeedyBox> {
-        match self {
-            Sut::Bess(c) => c.sbox(),
-            Sut::Onvm(c) => c.sbox(),
-        }
-    }
-
-    fn set_compiled(&mut self, compiled: bool) {
-        match self {
-            Sut::Bess(c) => c.set_compiled(compiled),
-            Sut::Onvm(c) => c.set_compiled(compiled),
-        }
-    }
-
-    fn clamp_pool(&self, capacity: usize) {
-        match self {
-            Sut::Bess(c) => c.pool().set_capacity(capacity),
-            Sut::Onvm(c) => c.pool().set_capacity(capacity),
-        }
-    }
-
-    fn supervised(&self) -> bool {
-        match self {
-            Sut::Bess(c) => c.supervised(),
-            Sut::Onvm(c) => c.supervised(),
-        }
-    }
-
-    fn kill_nf(&mut self, nf: usize, replay: bool) -> usize {
-        match self {
-            Sut::Bess(c) => c.kill_nf(nf, replay),
-            Sut::Onvm(c) => c.kill_nf(nf, replay),
-        }
-    }
-
-    fn recover_nf(&mut self, nf: usize) {
-        match self {
-            Sut::Bess(c) => c.recover_nf(nf),
-            Sut::Onvm(c) => c.recover_nf(nf),
-        }
-    }
-
-    fn checkpoint_now(&mut self) {
-        match self {
-            Sut::Bess(c) => c.checkpoint_now(),
-            Sut::Onvm(c) => c.checkpoint_now(),
-        }
-    }
-
-    fn log_external(&mut self, event: Arc<dyn Fn() + Send + Sync>) {
-        match self {
-            Sut::Bess(c) => c.log_external(event),
-            Sut::Onvm(c) => c.log_external(event),
-        }
-    }
 }
 
 /// The install/remove churn thread: hammers the Global MAT from a second
@@ -410,10 +299,7 @@ pub fn run_case(case: &SimCase) -> Result<RunOutcome, String> {
     if has_nf_faults {
         config.checkpoint_interval = 32;
     }
-    let mut sut = match case.env {
-        EnvKind::Bess => Sut::Bess(BessChain::speedybox_with(sut_nfs, config)),
-        EnvKind::Onvm => Sut::Onvm(OnvmChain::speedybox_with(sut_nfs, config)),
-    };
+    let mut sut = Chain::speedybox_with(sut_nfs, config).with_platform(case.env);
 
     // Every FID the trace can touch, so churn provably stays disjoint.
     let used_fids: HashSet<u32> = case
@@ -504,7 +390,7 @@ pub fn run_case(case: &SimCase) -> Result<RunOutcome, String> {
 /// been flushed).
 fn apply_fault(
     fault: &Fault,
-    sut: &mut Sut,
+    sut: &mut Chain,
     oracle_hooks: &ChainHooks,
     sut_hooks: &ChainHooks,
     st: &mut RunState,
@@ -585,7 +471,7 @@ fn apply_fault(
             // SUT-only memory pressure: clamp the buffer pool's retention
             // capacity. Subsequent takes beyond the clamp fall back to the
             // heap (counted as pool misses) — packet bytes must not change.
-            sut.clamp_pool(usize::try_from(*cap).unwrap_or(usize::MAX));
+            sut.pool().set_capacity(usize::try_from(*cap).unwrap_or(usize::MAX));
         }
         Fault::KillNf(nf) => {
             // SUT-only crash: rollback + replay + quarantine window. With
@@ -605,7 +491,7 @@ fn apply_fault(
 /// Processes the pending batch through both sides and compares.
 fn flush(
     pending: &mut Vec<(usize, TraceItem)>,
-    sut: &mut Sut,
+    sut: &mut Chain,
     oracle: &mut Oracle,
     st: &mut RunState,
     case: &SimCase,
@@ -664,7 +550,7 @@ fn compare_one(
     item: &TraceItem,
     oracle_verdict: &OracleVerdict,
     sut_out: Option<ProcessedPacket>,
-    sut: &Sut,
+    sut: &Chain,
     st: &mut RunState,
     case: &SimCase,
 ) -> Option<Divergence> {
@@ -860,7 +746,7 @@ mod tests {
     use super::*;
     use crate::scenario::{generate, ScenarioConfig};
 
-    fn case(chain: &str, env: EnvKind, batch: usize, faults: bool) -> SimCase {
+    fn case(chain: &str, env: Platform, batch: usize, faults: bool) -> SimCase {
         let s = generate(&ScenarioConfig {
             seed: 11,
             chain: chain.into(),
@@ -883,7 +769,7 @@ mod tests {
 
     #[test]
     fn clean_run_has_no_divergence() {
-        let out = run_case(&case("snort-monitor", EnvKind::Bess, 1, false)).unwrap();
+        let out = run_case(&case("snort-monitor", Platform::Bess, 1, false)).unwrap();
         assert!(out.divergence.is_none(), "{:?}", out.divergence);
         assert!(out.delivered > 0);
         assert!(out.rejected > 0, "malformed frames should be rejected");
@@ -891,15 +777,15 @@ mod tests {
 
     #[test]
     fn same_case_same_hash() {
-        let a = run_case(&case("chain2", EnvKind::Onvm, 8, false)).unwrap();
-        let b = run_case(&case("chain2", EnvKind::Onvm, 8, false)).unwrap();
+        let a = run_case(&case("chain2", Platform::Onvm, 8, false)).unwrap();
+        let b = run_case(&case("chain2", Platform::Onvm, 8, false)).unwrap();
         assert_eq!(a.output_hash, b.output_hash);
         assert!(a.divergence.is_none(), "{:?}", a.divergence);
     }
 
     #[test]
     fn seeded_bug_is_caught() {
-        let mut c = case("ipfilter:3", EnvKind::Bess, 1, false);
+        let mut c = case("ipfilter:3", Platform::Bess, 1, false);
         c.bug = Some(BugKind::SkipChecksumFix);
         let out = run_case(&c).unwrap();
         let d = out.divergence.expect("seeded checksum bug must diverge");
@@ -908,13 +794,13 @@ mod tests {
 
     #[test]
     fn faulted_run_stays_equivalent() {
-        let out = run_case(&case("maglev-failover", EnvKind::Bess, 1, true)).unwrap();
+        let out = run_case(&case("maglev-failover", Platform::Bess, 1, true)).unwrap();
         assert!(out.divergence.is_none(), "{:?}", out.divergence);
     }
 
     #[test]
     fn retire_fault_is_equivalence_preserving() {
-        let mut c = case("chain2", EnvKind::Bess, 4, false);
+        let mut c = case("chain2", Platform::Bess, 4, false);
         c.faults = FaultPlan::parse("churn@0..40;retire@20;retire@41").unwrap();
         let out = run_case(&c).unwrap();
         assert!(out.divergence.is_none(), "{:?}", out.divergence);
@@ -926,7 +812,7 @@ mod tests {
         // points; victims must transparently re-record on their next
         // packet with identical bytes and end-of-run NF state.
         for batch in [1usize, 4] {
-            let mut c = case("chain2", EnvKind::Bess, batch, false);
+            let mut c = case("chain2", Platform::Bess, batch, false);
             c.faults = FaultPlan::parse("evict@5=8;evict@20=2;evict@40=8").unwrap();
             let out = run_case(&c).unwrap();
             assert!(out.divergence.is_none(), "batch={batch}: {:?}", out.divergence);
@@ -937,7 +823,7 @@ mod tests {
     fn evict_ordering_bug_is_caught() {
         // The seeded half-teardown eviction leaves stale Local-MAT rules;
         // re-recording doubles them up, which the referee must notice.
-        let mut c = case("chain2", EnvKind::Bess, 1, false);
+        let mut c = case("chain2", Platform::Bess, 1, false);
         c.bug = Some(BugKind::EvictOrdering);
         c.faults = FaultPlan::parse("evict@5=8;evict@20=8").unwrap();
         let out = run_case(&c).unwrap();
@@ -946,7 +832,7 @@ mod tests {
 
     #[test]
     fn nf_crash_recovery_is_equivalence_preserving() {
-        for env in [EnvKind::Bess, EnvKind::Onvm] {
+        for env in Platform::ALL {
             let mut c = case("chain2", env, 1, false);
             c.faults = FaultPlan::parse("snap@5;nfkill@15=1;nfrecover@30=1;nfkill@45=0").unwrap();
             let out = run_case(&c).unwrap();
@@ -959,7 +845,7 @@ mod tests {
         // The seeded recovery bug restores the checkpoint but "forgets"
         // the in-flight log: every packet since the last checkpoint
         // vanishes from NF state — the counter sweep must notice.
-        let mut c = case("snort-monitor", EnvKind::Bess, 1, false);
+        let mut c = case("snort-monitor", Platform::Bess, 1, false);
         c.bug = Some(BugKind::SkipSnapshotReplay);
         c.faults = FaultPlan::parse("nfkill@25=0").unwrap();
         let out = run_case(&c).unwrap();
@@ -980,7 +866,7 @@ mod tests {
         assert!(s.faults.faults.iter().any(|f| matches!(f.fault, Fault::KillNf(_))));
         let c = SimCase {
             chain: "chain1".into(),
-            env: EnvKind::Bess,
+            env: Platform::Bess,
             compiled: true,
             batch: 1,
             workers: 1,
@@ -996,10 +882,10 @@ mod tests {
 
     #[test]
     fn worker_counts_share_one_output_hash() {
-        let base = run_case(&case("chain1", EnvKind::Bess, 8, false)).unwrap();
+        let base = run_case(&case("chain1", Platform::Bess, 8, false)).unwrap();
         assert!(base.divergence.is_none(), "{:?}", base.divergence);
         for workers in [2, 4, 8] {
-            let mut c = case("chain1", EnvKind::Bess, 8, false);
+            let mut c = case("chain1", Platform::Bess, 8, false);
             c.workers = workers;
             let out = run_case(&c).unwrap();
             assert!(out.divergence.is_none(), "workers={workers}: {:?}", out.divergence);

@@ -130,8 +130,9 @@ fn truncate_at(case: &mut SimCase, index: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{BugKind, EnvKind};
+    use crate::runner::BugKind;
     use crate::scenario::{generate, ScenarioConfig};
+    use crate::Platform;
 
     #[test]
     fn shrinks_seeded_bug_to_a_handful_of_packets() {
@@ -143,7 +144,7 @@ mod tests {
         });
         let case = SimCase {
             chain: "ipfilter:3".into(),
-            env: EnvKind::Bess,
+            env: Platform::Bess,
             compiled: true,
             batch: 1,
             workers: 1,

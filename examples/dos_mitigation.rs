@@ -10,7 +10,7 @@ use speedybox::nf::dosguard::DosGuard;
 use speedybox::nf::mazunat::MazuNat;
 use speedybox::nf::Nf;
 use speedybox::packet::{PacketBuilder, TcpFlags};
-use speedybox::platform::bess::BessChain;
+use speedybox::platform::Chain;
 use speedybox::platform::PathKind;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let guard = DosGuard::new(5);
     let nat = MazuNat::new("198.51.100.1".parse().unwrap(), (40000, 60000));
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(nat), Box::new(guard.clone())];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
 
     let syn_flood = |i: u32| {
         PacketBuilder::tcp()

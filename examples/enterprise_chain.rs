@@ -7,12 +7,12 @@
 use std::collections::HashMap;
 
 use speedybox::packet::Fid;
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::chain1;
+use speedybox::platform::Chain;
 use speedybox::stats::Summary;
 use speedybox::traffic::{Workload, WorkloadConfig};
 
-fn flow_times_us(chain: &mut BessChain, workload: &Workload) -> Vec<f64> {
+fn flow_times_us(chain: &mut Chain, workload: &Workload) -> Vec<f64> {
     // Flow processing time = sum of per-packet latencies of the flow
     // (paper §VII-B3).
     let mut per_flow: HashMap<Fid, u64> = HashMap::new();
@@ -45,11 +45,11 @@ fn main() {
     );
 
     let (nfs, _handles) = chain1(8);
-    let mut original = BessChain::original(nfs);
+    let mut original = Chain::original(nfs);
     let orig = Summary::new(flow_times_us(&mut original, &workload));
 
     let (nfs, handles) = chain1(8);
-    let mut speedy = BessChain::speedybox(nfs);
+    let mut speedy = Chain::speedybox(nfs);
     let fast = Summary::new(flow_times_us(&mut speedy, &workload));
 
     println!("flow processing time (us), chain: MazuNAT -> Maglev -> Monitor -> IPFilter");

@@ -8,7 +8,7 @@
 use speedybox::nf::maglev::Maglev;
 use speedybox::nf::Nf;
 use speedybox::packet::{HeaderField, PacketBuilder};
-use speedybox::platform::bess::BessChain;
+use speedybox::platform::Chain;
 
 fn main() {
     let maglev = Maglev::new(
@@ -18,7 +18,7 @@ fn main() {
         251,
     );
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(maglev.clone())];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
 
     let pkt = |i: u32| {
         PacketBuilder::tcp()

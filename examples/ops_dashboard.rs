@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --example ops_dashboard`
 
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::chain2;
+use speedybox::platform::Chain;
 use speedybox::stats::Histogram;
 use speedybox::traffic::{ReplaySchedule, Workload, WorkloadConfig, WorkloadStats};
 
@@ -31,7 +31,7 @@ fn main() {
     );
 
     let (nfs, handles) = chain2();
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
     let mut latency = Histogram::new();
     for sched in schedule.iter() {
         let out = chain.process(sched.packet.clone());

@@ -4,8 +4,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use speedybox::packet::PacketBuilder;
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::ipfilter_chain;
+use speedybox::platform::Chain;
 
 fn main() {
     // A chain of three IPFilter firewalls, each linearly scanning a 30-rule
@@ -22,12 +22,12 @@ fn main() {
         .collect();
 
     // Original chain: every packet traverses every NF.
-    let mut original = BessChain::original(ipfilter_chain(3, 30));
+    let mut original = Chain::original(ipfilter_chain(3, 30));
     let orig = original.run(packets.clone());
 
     // SpeedyBox: the first packet of the flow records each NF's behaviour;
     // the other 999 take the consolidated fast path.
-    let mut speedy = BessChain::speedybox(ipfilter_chain(3, 30));
+    let mut speedy = Chain::speedybox(ipfilter_chain(3, 30));
     let fast = speedy.run(packets);
 
     println!("chain: IPFilter x3 (30 ACL rules each), 1000 packets, 1 flow\n");

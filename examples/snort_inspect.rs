@@ -8,7 +8,7 @@
 use speedybox::nf::snort::SnortLite;
 use speedybox::nf::Nf;
 use speedybox::packet::PacketBuilder;
-use speedybox::platform::bess::BessChain;
+use speedybox::platform::Chain;
 
 const RULES: &str = r#"
 pass tcp any any -> any any (content:"healthcheck";)
@@ -19,7 +19,7 @@ log tcp any any -> any any (msg:"probe seen"; content:"probe";)
 fn run(speedybox: bool) -> Vec<(String, String)> {
     let ids = SnortLite::from_rules_text(RULES).expect("rules parse");
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(ids.clone())];
-    let mut chain = if speedybox { BessChain::speedybox(nfs) } else { BessChain::original(nfs) };
+    let mut chain = if speedybox { Chain::speedybox(nfs) } else { Chain::original(nfs) };
 
     // Three flows exercising the three rule classes (Pass/Alert/Log).
     let flows: [(&str, &[u8]); 3] = [

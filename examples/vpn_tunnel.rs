@@ -9,7 +9,7 @@ use speedybox::nf::monitor::Monitor;
 use speedybox::nf::vpn::VpnGateway;
 use speedybox::nf::Nf;
 use speedybox::packet::PacketBuilder;
-use speedybox::platform::bess::BessChain;
+use speedybox::platform::Chain;
 
 fn main() {
     // Chain: VPN ingress -> monitored core -> VPN egress. On the original
@@ -21,7 +21,7 @@ fn main() {
         Box::new(monitor.clone()),
         Box::new(VpnGateway::decap(0x1001)),
     ];
-    let mut speedy = BessChain::speedybox(nfs);
+    let mut speedy = Chain::speedybox(nfs);
 
     let packets: Vec<_> = (0..500)
         .map(|i| {
@@ -41,7 +41,7 @@ fn main() {
             Box::new(mon),
             Box::new(VpnGateway::decap(0x1001)),
         ];
-        BessChain::original(nfs).run(packets.clone())
+        Chain::original(nfs).run(packets.clone())
     };
     let speedy_stats = speedy.run(packets);
 

@@ -15,13 +15,10 @@ use std::process::ExitCode;
 
 use speedybox::lint::{build_chain, lint_chain, CHAIN_REGISTRY, LINT_ALL};
 use speedybox::mat::AdmissionPolicy;
-use speedybox::nf::Nf;
 use speedybox::packet::trace::Trace;
 use speedybox::packet::Packet;
-use speedybox::platform::bess::BessChain;
-use speedybox::platform::onvm::OnvmChain;
 use speedybox::platform::runtime::SboxConfig;
-use speedybox::platform::RunStats;
+use speedybox::platform::{Chain, Platform, RunStats};
 use speedybox::sim;
 use speedybox::stats::Summary;
 use speedybox::telemetry::TelemetrySnapshot;
@@ -166,65 +163,6 @@ fn load_packets(args: &Args) -> Result<Vec<Packet>, String> {
     Ok(Workload::generate(&WorkloadConfig { flows, seed, ..WorkloadConfig::default() }).packets())
 }
 
-enum Chain {
-    Bess(BessChain),
-    Onvm(OnvmChain),
-}
-
-impl Chain {
-    fn build(
-        env: &str,
-        nfs: Vec<Box<dyn Nf>>,
-        speedybox: bool,
-        config: SboxConfig,
-    ) -> Result<Self, String> {
-        match (env, speedybox) {
-            ("bess", false) => Ok(Chain::Bess(BessChain::original(nfs))),
-            ("bess", true) => Ok(Chain::Bess(BessChain::speedybox_with(nfs, config))),
-            ("onvm", false) => Ok(Chain::Onvm(OnvmChain::original(nfs))),
-            ("onvm", true) => Ok(Chain::Onvm(OnvmChain::speedybox_with(nfs, config))),
-            (other, _) => Err(format!("unknown env: {other}")),
-        }
-    }
-
-    fn run(&mut self, pkts: Vec<Packet>) -> RunStats {
-        match self {
-            Chain::Bess(c) => c.run(pkts),
-            Chain::Onvm(c) => c.run(pkts),
-        }
-    }
-
-    fn report(&self, stats: &RunStats) -> (f64, f64, f64) {
-        let (model, rate) = match self {
-            Chain::Bess(c) => (c.model(), stats.run_to_completion_rate_mpps(c.model())),
-            Chain::Onvm(c) => (c.model(), stats.pipelined_rate_mpps(c.model())),
-        };
-        (stats.mean_work_cycles(), stats.mean_latency_us(model), rate)
-    }
-
-    fn model(&self) -> &speedybox::platform::CycleModel {
-        match self {
-            Chain::Bess(c) => c.model(),
-            Chain::Onvm(c) => c.model(),
-        }
-    }
-
-    fn dump_mat(&self) -> Option<String> {
-        let sbox = match self {
-            Chain::Bess(c) => c.sbox(),
-            Chain::Onvm(c) => c.sbox(),
-        }?;
-        Some(sbox.global.dump())
-    }
-
-    fn snapshot(&self) -> TelemetrySnapshot {
-        match self {
-            Chain::Bess(c) => c.telemetry().snapshot(),
-            Chain::Onvm(c) => c.telemetry().snapshot(),
-        }
-    }
-}
-
 fn write_metrics(path: &str, snap: &TelemetrySnapshot) -> Result<(), String> {
     let text = if path.ends_with(".prom") { snap.to_prometheus() } else { snap.to_json() };
     std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
@@ -237,7 +175,9 @@ fn write_metrics(path: &str, snap: &TelemetrySnapshot) -> Result<(), String> {
 }
 
 fn print_run(label: &str, chain: &Chain, stats: &RunStats) {
-    let (cycles, latency, rate) = chain.report(stats);
+    let cycles = stats.mean_work_cycles();
+    let latency = stats.mean_latency_us(chain.model());
+    let rate = chain.rate_mpps(stats);
     let lat = Summary::from_u64(&stats.latencies_cycles);
     println!("{label}");
     println!(
@@ -269,7 +209,7 @@ fn print_run(label: &str, chain: &Chain, stats: &RunStats) {
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let chain_name = args.value("--chain").unwrap_or("chain1");
-    let env = args.value("--env").unwrap_or("bess");
+    let env = Platform::parse(args.value("--env").unwrap_or("bess"))?;
     let dump = args.flag("--dump-mat");
     let speedybox = args.flag("--speedybox") || dump;
     let default_cfg = SboxConfig::default();
@@ -289,6 +229,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         checkpoint_interval: args.usize_value("--checkpoint-interval", 0)? as u64,
         ..default_cfg
     };
+    let build = |speedybox: bool| -> Result<Chain, String> {
+        let nfs = build_chain(chain_name)?;
+        let chain =
+            if speedybox { Chain::speedybox_with(nfs, config) } else { Chain::original(nfs) };
+        Ok(chain.with_platform(env))
+    };
     if args.flag("--verify") {
         // Preflight on a fresh instance: pass 2 statically invokes event
         // update handlers, which may mutate NF state, so the linted chain
@@ -303,31 +249,31 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!("verify: {chain_name} passed ({} warning(s))\n", report.warn_count());
     }
     let packets = load_packets(args)?;
-    println!("chain: {chain_name} on {env}, {} packets\n", packets.len());
+    println!("chain: {chain_name} on {}, {} packets\n", env.as_str(), packets.len());
 
     if args.flag("--compare") {
-        let mut orig = Chain::build(env, build_chain(chain_name)?, false, config)?;
+        let mut orig = build(false)?;
         let so = orig.run(packets.clone());
         print_run("original", &orig, &so);
-        let mut fast = Chain::build(env, build_chain(chain_name)?, true, config)?;
+        let mut fast = build(true)?;
         let sf = fast.run(packets);
         print_run("\nspeedybox", &fast, &sf);
         let cut = 1.0 - sf.mean_latency_cycles() / so.mean_latency_cycles();
         println!("\nlatency reduction: {:.1}%", cut * 100.0);
         if let Some(path) = args.value("--metrics") {
-            write_metrics(path, &fast.snapshot())?;
+            write_metrics(path, &fast.telemetry().snapshot())?;
         }
         return Ok(());
     }
 
-    let mut chain = Chain::build(env, build_chain(chain_name)?, speedybox, config)?;
+    let mut chain = build(speedybox)?;
     let stats = chain.run(packets);
     print_run(if speedybox { "speedybox" } else { "original" }, &chain, &stats);
     if dump {
-        println!("\n{}", chain.dump_mat().expect("speedybox enabled"));
+        println!("\n{}", chain.sbox().expect("speedybox enabled").global.dump());
     }
     if let Some(path) = args.value("--metrics") {
-        write_metrics(path, &chain.snapshot())?;
+        write_metrics(path, &chain.telemetry().snapshot())?;
     }
     Ok(())
 }
@@ -363,7 +309,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 /// One configuration axis of the sim sweep.
 struct SimConfig {
     chain: String,
-    env: sim::EnvKind,
+    env: Platform,
     compiled: bool,
     batch: usize,
     workers: usize,
@@ -373,7 +319,7 @@ fn sim_configs(args: &Args) -> Result<Vec<SimConfig>, String> {
     if args.flag("--all") {
         let mut configs = Vec::new();
         for chain in LINT_ALL {
-            for env in [sim::EnvKind::Bess, sim::EnvKind::Onvm] {
+            for env in Platform::ALL {
                 for compiled in [true, false] {
                     for batch in [1usize, 8] {
                         for workers in [1usize, 2, 4, 8] {
@@ -393,7 +339,7 @@ fn sim_configs(args: &Args) -> Result<Vec<SimConfig>, String> {
     }
     Ok(vec![SimConfig {
         chain: args.value("--chain").unwrap_or("chain1").to_string(),
-        env: sim::EnvKind::parse(args.value("--env").unwrap_or("bess"))?,
+        env: Platform::parse(args.value("--env").unwrap_or("bess"))?,
         compiled: !args.flag("--interpreted"),
         batch: args.usize_value("--batch", 1)?.max(1),
         workers: args.workers_value(1)?,

@@ -23,11 +23,11 @@
 //! the paper.
 //!
 //! ```
-//! use speedybox::platform::bess::BessChain;
+//! use speedybox::platform::Chain;
 //! use speedybox::platform::chains::ipfilter_chain;
 //! use speedybox::packet::PacketBuilder;
 //!
-//! let mut chain = BessChain::speedybox(ipfilter_chain(3, 30));
+//! let mut chain = Chain::speedybox(ipfilter_chain(3, 30));
 //! let pkt = PacketBuilder::tcp().payload(b"hello").build();
 //! let out = chain.process(pkt);
 //! assert!(out.survived());

@@ -21,13 +21,10 @@
 //! about to process traffic.
 
 use speedybox_mat::track;
-use speedybox_mat::{OpCounter, PacketClass};
 use speedybox_nf::Nf;
 use speedybox_platform::chains;
-use speedybox_platform::cycles::CycleModel;
-use speedybox_platform::runtime::{
-    classify, fast_path, traverse_chain, FastPathScratch, SboxConfig, SpeedyBox,
-};
+use speedybox_platform::metrics::PathKind;
+use speedybox_platform::Chain;
 use speedybox_traffic::{Workload, WorkloadConfig};
 use speedybox_verify::{
     check_access_log, check_snapshots, verify_flow, EventSpec, NfActions, NfStateSpec, Report,
@@ -54,13 +51,11 @@ pub fn lint_chain(name: &str) -> Result<Report, String> {
 /// recorded. The chain instance is consumed conceptually — pass 2 may have
 /// mutated NF state — so callers must not run traffic through it afterwards.
 #[must_use]
-pub fn lint_nfs(chain_name: &str, mut nfs: Vec<Box<dyn Nf>>) -> Report {
+pub fn lint_nfs(chain_name: &str, nfs: Vec<Box<dyn Nf>>) -> Report {
     // Drain stale tracker records so SBX010 findings are attributable to
     // this chain's fast-path packets alone.
     let _ = track::take_violations();
 
-    let sbox = SpeedyBox::new(nfs.len(), SboxConfig::default());
-    let model = CycleModel::new();
     let names: Vec<String> = nfs.iter().map(|nf| nf.name().to_string()).collect();
 
     // Pass 6 input, taken before traffic flows: the declaration triple is
@@ -73,6 +68,9 @@ pub fn lint_nfs(chain_name: &str, mut nfs: Vec<Box<dyn Nf>>) -> Report {
     // Deterministic workload: enough flows to hit every NF code path
     // (suspicious payloads included for Snort-bearing chains), enough
     // packets per flow to exercise the fast path and the access tracker.
+    // Flow-closing packets are left out: the chain would tear the flow's
+    // rules down, and the passes below read them after the run. They
+    // carry no payload, so the access tracker loses nothing.
     let packets = Workload::generate(&WorkloadConfig {
         flows: 12,
         seed: 7,
@@ -81,29 +79,15 @@ pub fn lint_nfs(chain_name: &str, mut nfs: Vec<Box<dyn Nf>>) -> Report {
     })
     .packets();
 
+    let mut chain = Chain::speedybox(nfs);
     let mut fids = std::collections::BTreeSet::new();
-    let mut scratch = FastPathScratch::default();
-    for mut packet in packets {
-        let mut ops = OpCounter::default();
-        let Ok((fid, class, _closes)) = classify(&sbox, &mut packet, &mut ops) else {
-            continue;
-        };
-        match class {
-            PacketClass::Initial => {
-                traverse_chain(&mut nfs, Some(&sbox.instruments), &mut packet, &model);
-                sbox.global.install(fid, &mut ops);
-                fids.insert(fid);
-            }
-            PacketClass::Subsequent => {
-                if fast_path(&sbox, &mut packet, fid, &model, &mut scratch).is_none() {
-                    traverse_chain(&mut nfs, None, &mut packet, &model);
-                }
-            }
-            _ => {
-                traverse_chain(&mut nfs, None, &mut packet, &model);
-            }
+    for packet in packets.into_iter().filter(|p| !p.tcp_flags().closes_flow()) {
+        let fid = packet.five_tuple().map(|t| t.fid());
+        if chain.process(packet).path == PathKind::Initial {
+            fids.extend(fid);
         }
     }
+    let sbox = chain.sbox().expect("speedybox enabled");
 
     let mut report = Report::new(chain_name);
     for fid in fids {

@@ -7,7 +7,7 @@ use speedybox::nf::mazunat::MazuNat;
 use speedybox::nf::monitor::Monitor;
 use speedybox::nf::Nf;
 use speedybox::packet::{HeaderField, Packet, PacketBuilder};
-use speedybox::platform::bess::BessChain;
+use speedybox::platform::Chain;
 use speedybox::platform::PathKind;
 
 fn outbound(src_port: u16, i: u32) -> Packet {
@@ -36,7 +36,7 @@ fn chain(nat: &MazuNat, mon: &Monitor) -> Vec<Box<dyn Nf>> {
 fn both_directions_fast_path_independently() {
     let nat = MazuNat::new("198.51.100.1".parse().unwrap(), (50000, 51000));
     let mon = Monitor::new();
-    let mut c = BessChain::speedybox(chain(&nat, &mon));
+    let mut c = Chain::speedybox(chain(&nat, &mon));
 
     // Outbound: initial then fast.
     let out1 = c.process(outbound(4000, 0));
@@ -76,8 +76,8 @@ fn bidirectional_outputs_match_baseline() {
             pkts.push(reply(50000, i));
         }
     }
-    let base = BessChain::original(mk()).run(pkts.clone());
-    let fast = BessChain::speedybox(mk()).run(pkts);
+    let base = Chain::original(mk()).run(pkts.clone());
+    let fast = Chain::speedybox(mk()).run(pkts);
     assert_eq!(base.delivered, fast.delivered);
     assert_eq!(base.dropped, fast.dropped);
     for (a, b) in base.outputs.iter().zip(&fast.outputs) {
@@ -89,7 +89,7 @@ fn bidirectional_outputs_match_baseline() {
 fn unsolicited_inbound_early_drops_on_fast_path() {
     let nat = MazuNat::new("198.51.100.1".parse().unwrap(), (50000, 51000));
     let mon = Monitor::new();
-    let mut c = BessChain::speedybox(chain(&nat, &mon));
+    let mut c = Chain::speedybox(chain(&nat, &mon));
     // No outbound flow exists: stray inbound gets a drop rule.
     let first = c.process(reply(50123, 0));
     assert!(first.packet.is_none());

@@ -16,10 +16,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use speedybox::mat::{Event, NfId, RulePatch};
 use speedybox::packet::{Fid, Packet};
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::{chain1, chain2, Chain2Handles};
-use speedybox::platform::onvm::OnvmChain;
 use speedybox::platform::runtime::SboxConfig;
+use speedybox::platform::{Chain, Platform};
 use speedybox::traffic::{Workload, WorkloadConfig};
 
 fn workload(flows: usize, seed: u64) -> Vec<Packet> {
@@ -84,7 +83,7 @@ struct Observation {
 
 fn run_chain1(packets: &[Packet], batch_size: usize, shards: usize) -> Observation {
     let (nfs, handles) = chain1(4);
-    let mut chain = BessChain::speedybox_with(nfs, sbox_config(batch_size, shards));
+    let mut chain = Chain::speedybox_with(nfs, sbox_config(batch_size, shards));
     let fires = register_counting_events(
         chain.sbox().expect("speedybox enabled").global.events(),
         packets,
@@ -109,7 +108,8 @@ fn run_chain1(packets: &[Packet], batch_size: usize, shards: usize) -> Observati
 /// platforms are covered; Snort logs stand in for the NAT observation.
 fn run_chain2(packets: &[Packet], batch_size: usize, shards: usize) -> (Observation, Vec<String>) {
     let (nfs, Chain2Handles { snort, monitor }) = chain2();
-    let mut chain = OnvmChain::speedybox_with(nfs, sbox_config(batch_size, shards));
+    let mut chain =
+        Chain::speedybox_with(nfs, sbox_config(batch_size, shards)).with_platform(Platform::Onvm);
     let fires = register_counting_events(
         chain.sbox().expect("speedybox enabled").global.events(),
         packets,

@@ -8,9 +8,8 @@
 //! SpeedyBox."
 
 use speedybox::packet::Packet;
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::{chain1, chain2, Chain1Handles, Chain2Handles};
-use speedybox::platform::onvm::OnvmChain;
+use speedybox::platform::{Chain, Platform};
 use speedybox::traffic::{Workload, WorkloadConfig};
 
 fn workload(flows: usize, seed: u64) -> Workload {
@@ -34,7 +33,7 @@ struct Chain1Run {
 /// (affecting ~20-25% of flows on a 4-backend pool).
 fn run_chain1(packets: &[Packet], speedybox: bool) -> Chain1Run {
     let (nfs, handles) = chain1(4);
-    let mut chain = if speedybox { BessChain::speedybox(nfs) } else { BessChain::original(nfs) };
+    let mut chain = if speedybox { Chain::speedybox(nfs) } else { Chain::original(nfs) };
     let mut outputs = Vec::new();
     let midpoint = packets.len() / 2;
     for (i, p) in packets.iter().enumerate() {
@@ -75,8 +74,7 @@ fn chain2_outputs_logs_and_counters_identical() {
 
     let run = |speedybox: bool| -> (Vec<Vec<u8>>, Vec<String>, usize) {
         let (nfs, Chain2Handles { snort, monitor }) = chain2();
-        let mut chain =
-            if speedybox { BessChain::speedybox(nfs) } else { BessChain::original(nfs) };
+        let mut chain = if speedybox { Chain::speedybox(nfs) } else { Chain::original(nfs) };
         let stats = chain.run(packets.iter().cloned());
         let outputs = stats.outputs.iter().map(|p| p.as_bytes().to_vec()).collect();
         let logs = snort.log().into_iter().map(|e| format!("{:?} {}", e.action, e.msg)).collect();
@@ -98,8 +96,11 @@ fn chain1_equivalence_holds_on_onvm_too() {
 
     let run = |speedybox: bool| -> Vec<Vec<u8>> {
         let (nfs, handles) = chain1(4);
-        let mut chain =
-            if speedybox { OnvmChain::speedybox(nfs) } else { OnvmChain::original(nfs) };
+        let mut chain = if speedybox {
+            Chain::speedybox(nfs).with_platform(Platform::Onvm)
+        } else {
+            Chain::original(nfs).with_platform(Platform::Onvm)
+        };
         let midpoint = packets.len() / 2;
         let mut outputs = Vec::new();
         for (i, p) in packets.iter().enumerate() {
@@ -127,8 +128,7 @@ fn chain1_speedybox_reduces_median_flow_time() {
     let w = workload(80, 44);
     let flow_times = |speedybox: bool| -> Summary {
         let (nfs, _) = chain1(4);
-        let mut chain =
-            if speedybox { BessChain::speedybox(nfs) } else { BessChain::original(nfs) };
+        let mut chain = if speedybox { Chain::speedybox(nfs) } else { Chain::original(nfs) };
         let mut per_flow: HashMap<Fid, u64> = HashMap::new();
         for (_, p) in &w.arrivals {
             let fid = p.five_tuple().unwrap().fid();

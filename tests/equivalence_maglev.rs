@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 use speedybox::nf::maglev::Maglev;
 use speedybox::nf::Nf;
 use speedybox::packet::{HeaderField, Packet, PacketBuilder};
-use speedybox::platform::bess::BessChain;
+use speedybox::platform::Chain;
 
 fn lb(backends: usize) -> Maglev {
     Maglev::new(
@@ -40,7 +40,7 @@ fn backend_name(_maglev: &Maglev, ip: Ipv4Addr) -> String {
 fn destination_flips_exactly_at_packet_six() {
     let maglev = lb(4);
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(maglev.clone())];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
 
     let mut outputs = Vec::new();
     for i in 1..=10u32 {
@@ -69,7 +69,7 @@ fn destination_flips_exactly_at_packet_six() {
 fn remaining_headers_and_payloads_intact_after_event() {
     let maglev = lb(4);
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(maglev.clone())];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
     for i in 1..=5u32 {
         chain.process(flow_packet(i));
     }
@@ -92,8 +92,7 @@ fn fast_path_and_slow_path_reroute_identically() {
     let run = |speedybox: bool| -> Vec<Ipv4Addr> {
         let maglev = lb(4);
         let nfs: Vec<Box<dyn Nf>> = vec![Box::new(maglev.clone())];
-        let mut chain =
-            if speedybox { BessChain::speedybox(nfs) } else { BessChain::original(nfs) };
+        let mut chain = if speedybox { Chain::speedybox(nfs) } else { Chain::original(nfs) };
         let mut dsts = Vec::new();
         for i in 1..=10u32 {
             if i == 6 {
@@ -115,7 +114,7 @@ fn double_failure_reroutes_twice() {
     // the flow moves again.
     let maglev = lb(4);
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(maglev.clone())];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
     let fid = flow_packet(0).five_tuple().unwrap().fid();
 
     chain.process(flow_packet(1));
@@ -135,7 +134,7 @@ fn double_failure_reroutes_twice() {
 fn all_backends_dead_drops_on_fast_path() {
     let maglev = lb(2);
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(maglev.clone())];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
     chain.process(flow_packet(1));
     maglev.fail_backend("backend-0");
     maglev.fail_backend("backend-1");

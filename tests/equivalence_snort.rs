@@ -8,8 +8,7 @@
 use speedybox::nf::snort::{LogEntry, SnortLite};
 use speedybox::nf::Nf;
 use speedybox::packet::{Packet, PacketBuilder, TcpFlags};
-use speedybox::platform::bess::BessChain;
-use speedybox::platform::onvm::OnvmChain;
+use speedybox::platform::{Chain, Platform};
 
 const RULES: &str = r#"
 pass tcp any any -> any any (content:"healthcheck";)
@@ -56,7 +55,7 @@ fn traffic() -> Vec<Packet> {
 fn run_bess(speedybox: bool) -> Vec<LogEntry> {
     let ids = SnortLite::from_rules_text(RULES).expect("rules parse");
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(ids.clone())];
-    let mut chain = if speedybox { BessChain::speedybox(nfs) } else { BessChain::original(nfs) };
+    let mut chain = if speedybox { Chain::speedybox(nfs) } else { Chain::original(nfs) };
     chain.run(traffic());
     ids.log()
 }
@@ -64,7 +63,11 @@ fn run_bess(speedybox: bool) -> Vec<LogEntry> {
 fn run_onvm(speedybox: bool) -> Vec<LogEntry> {
     let ids = SnortLite::from_rules_text(RULES).expect("rules parse");
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(ids.clone())];
-    let mut chain = if speedybox { OnvmChain::speedybox(nfs) } else { OnvmChain::original(nfs) };
+    let mut chain = if speedybox {
+        Chain::speedybox(nfs).with_platform(Platform::Onvm)
+    } else {
+        Chain::original(nfs).with_platform(Platform::Onvm)
+    };
     chain.run(traffic());
     ids.log()
 }
@@ -100,7 +103,7 @@ fn all_three_branches_covered() {
 fn fin_cleanup_then_new_flow_reinspects() {
     let ids = SnortLite::from_rules_text(RULES).expect("rules parse");
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(ids.clone())];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
     let mk = |flags: u8, payload: &[u8]| {
         PacketBuilder::tcp()
             .src("10.0.0.1:2000".parse().unwrap())

@@ -13,8 +13,8 @@ use speedybox::mat::PacketClass;
 use speedybox::nf::monitor::Monitor;
 use speedybox::nf::Nf;
 use speedybox::packet::{Fid, FiveTuple, Packet, PacketBuilder, Protocol};
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::ipfilter_chain;
+use speedybox::platform::Chain;
 use speedybox::platform::PathKind;
 
 fn colliding_tuples() -> (FiveTuple, FiveTuple) {
@@ -52,7 +52,7 @@ fn packet(t: &FiveTuple, i: u32) -> Packet {
 #[test]
 fn colliding_flow_takes_original_path() {
     let (ta, tb) = colliding_tuples();
-    let mut chain = BessChain::speedybox(ipfilter_chain(2, 20));
+    let mut chain = Chain::speedybox(ipfilter_chain(2, 20));
     // Owner flow takes slow-then-fast path.
     assert_eq!(chain.process(packet(&ta, 0)).path, PathKind::Initial);
     assert_eq!(chain.process(packet(&ta, 1)).path, PathKind::Subsequent);
@@ -77,8 +77,8 @@ fn collision_outputs_match_baseline() {
         pkts.push(packet(&ta, i));
         pkts.push(packet(&tb, i));
     }
-    let base = BessChain::original(ipfilter_chain(2, 20)).run(pkts.clone());
-    let fast = BessChain::speedybox(ipfilter_chain(2, 20)).run(pkts);
+    let base = Chain::original(ipfilter_chain(2, 20)).run(pkts.clone());
+    let fast = Chain::speedybox(ipfilter_chain(2, 20)).run(pkts);
     assert_eq!(base.outputs.len(), fast.outputs.len());
     for (a, b) in base.outputs.iter().zip(&fast.outputs) {
         assert_eq!(a.as_bytes(), b.as_bytes());
@@ -88,7 +88,7 @@ fn collision_outputs_match_baseline() {
 #[test]
 fn collision_fin_does_not_tear_down_owner_rule() {
     let (ta, tb) = colliding_tuples();
-    let mut chain = BessChain::speedybox(ipfilter_chain(1, 10));
+    let mut chain = Chain::speedybox(ipfilter_chain(1, 10));
     chain.process(packet(&ta, 0));
     assert_eq!(chain.sbox().unwrap().global.len(), 1);
     // Colliding flow sends a FIN: the owner's rule must survive.
@@ -111,8 +111,7 @@ fn monitor_state_shared_across_collision_matches_baseline() {
     let mk_run = |speedybox: bool| -> u64 {
         let mon = Monitor::new();
         let nfs: Vec<Box<dyn Nf>> = vec![Box::new(mon.clone())];
-        let mut chain =
-            if speedybox { BessChain::speedybox(nfs) } else { BessChain::original(nfs) };
+        let mut chain = if speedybox { Chain::speedybox(nfs) } else { Chain::original(nfs) };
         for i in 0..5 {
             chain.process(packet(&ta, i));
             chain.process(packet(&tb, i));
@@ -125,7 +124,7 @@ fn monitor_state_shared_across_collision_matches_baseline() {
 #[test]
 fn classifier_reports_collision_class() {
     let (ta, tb) = colliding_tuples();
-    let chain = BessChain::speedybox(ipfilter_chain(1, 10));
+    let chain = Chain::speedybox(ipfilter_chain(1, 10));
     let sbox = chain.sbox().unwrap();
     let mut ops = speedybox::mat::OpCounter::default();
     let mut pa = packet(&ta, 0);

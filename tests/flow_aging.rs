@@ -7,8 +7,8 @@
 use speedybox::nf::monitor::Monitor;
 use speedybox::nf::Nf;
 use speedybox::packet::{Packet, PacketBuilder};
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::ipfilter_chain;
+use speedybox::platform::Chain;
 use speedybox::platform::PathKind;
 
 fn udp_packet(src_port: u16, i: u32) -> Packet {
@@ -21,7 +21,7 @@ fn udp_packet(src_port: u16, i: u32) -> Packet {
 
 #[test]
 fn udp_rules_linger_without_aging() {
-    let mut chain = BessChain::speedybox(ipfilter_chain(2, 20));
+    let mut chain = Chain::speedybox(ipfilter_chain(2, 20));
     for flow in 0..10 {
         for i in 0..3 {
             chain.process(udp_packet(5000 + flow, i));
@@ -35,7 +35,7 @@ fn udp_rules_linger_without_aging() {
 
 #[test]
 fn idle_udp_flows_are_reclaimed() {
-    let mut chain = BessChain::speedybox(ipfilter_chain(2, 20));
+    let mut chain = Chain::speedybox(ipfilter_chain(2, 20));
     // Ten UDP flows, then one flow keeps talking while the others idle.
     for flow in 0..10 {
         chain.process(udp_packet(5000 + flow, 0));
@@ -58,7 +58,7 @@ fn idle_udp_flows_are_reclaimed() {
 fn expiry_tears_down_nf_mat_state() {
     let mon = Monitor::new();
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(mon)];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
     chain.process(udp_packet(6000, 0));
     let fid = udp_packet(6000, 0).five_tuple().unwrap().fid();
     assert!(chain.sbox().unwrap().global.contains(fid));
@@ -77,9 +77,9 @@ fn aging_preserves_output_equivalence() {
     // Expiring a flow mid-stream only moves later packets back through the
     // slow path once — the bytes that come out are unchanged.
     let pkts: Vec<Packet> = (0..30).map(|i| udp_packet(7000, i)).collect();
-    let baseline = BessChain::original(ipfilter_chain(2, 20)).run(pkts.clone());
+    let baseline = Chain::original(ipfilter_chain(2, 20)).run(pkts.clone());
 
-    let mut chain = BessChain::speedybox(ipfilter_chain(2, 20));
+    let mut chain = Chain::speedybox(ipfilter_chain(2, 20));
     let mut outputs = Vec::new();
     for (i, p) in pkts.into_iter().enumerate() {
         if i == 15 {

@@ -6,8 +6,8 @@
 use speedybox::nf::mazunat::MazuNat;
 use speedybox::nf::Nf;
 use speedybox::packet::{Packet, PacketBuilder, TcpFlags};
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::ipfilter_chain;
+use speedybox::platform::Chain;
 use speedybox::platform::{PathKind, SboxConfig};
 
 fn cfg() -> SboxConfig {
@@ -26,7 +26,7 @@ fn pkt(flags: u8, payload: &[u8], seq: u32) -> Packet {
 
 #[test]
 fn syn_rides_original_chain_first_data_packet_records() {
-    let mut chain = BessChain::speedybox_with(ipfilter_chain(2, 20), cfg());
+    let mut chain = Chain::speedybox_with(ipfilter_chain(2, 20), cfg());
     // SYN and a retransmitted SYN: both pre-handshake.
     assert_eq!(chain.process(pkt(TcpFlags::SYN, b"", 0)).path, PathKind::Baseline);
     assert_eq!(chain.process(pkt(TcpFlags::SYN, b"", 0)).path, PathKind::Baseline);
@@ -40,14 +40,14 @@ fn syn_rides_original_chain_first_data_packet_records() {
 
 #[test]
 fn default_mode_records_from_first_packet() {
-    let mut chain = BessChain::speedybox(ipfilter_chain(2, 20));
+    let mut chain = Chain::speedybox(ipfilter_chain(2, 20));
     assert_eq!(chain.process(pkt(TcpFlags::SYN, b"", 0)).path, PathKind::Initial);
     assert_eq!(chain.process(pkt(TcpFlags::ACK, b"data", 1)).path, PathKind::Subsequent);
 }
 
 #[test]
 fn pure_syn_flood_never_installs_rules() {
-    let mut chain = BessChain::speedybox_with(ipfilter_chain(1, 10), cfg());
+    let mut chain = Chain::speedybox_with(ipfilter_chain(1, 10), cfg());
     for i in 0..50 {
         let out = chain.process(pkt(TcpFlags::SYN, b"", i));
         assert_eq!(out.path, PathKind::Baseline);
@@ -58,7 +58,7 @@ fn pure_syn_flood_never_installs_rules() {
 
 #[test]
 fn udp_flows_are_unaffected_by_handshake_mode() {
-    let mut chain = BessChain::speedybox_with(ipfilter_chain(1, 10), cfg());
+    let mut chain = Chain::speedybox_with(ipfilter_chain(1, 10), cfg());
     let udp = |i: u32| {
         PacketBuilder::udp()
             .src("10.0.0.1:5353".parse().unwrap())
@@ -78,7 +78,7 @@ fn nat_allocates_during_handshake_and_rule_matches() {
     // connection the peer observed during the handshake.
     let nat = MazuNat::new("198.51.100.1".parse().unwrap(), (50000, 51000));
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(nat)];
-    let mut chain = BessChain::speedybox_with(nfs, cfg());
+    let mut chain = Chain::speedybox_with(nfs, cfg());
 
     let syn_out = chain.process(pkt(TcpFlags::SYN, b"", 0)).packet.unwrap();
     let syn_port = syn_out.get_field(speedybox::packet::HeaderField::SrcPort).unwrap().as_port();
@@ -102,8 +102,8 @@ fn outputs_identical_to_baseline_in_handshake_mode() {
         v.push(pkt(TcpFlags::FIN | TcpFlags::ACK, b"", 10));
         v
     };
-    let base = BessChain::original(ipfilter_chain(3, 20)).run(pkts.clone());
-    let fast = BessChain::speedybox_with(ipfilter_chain(3, 20), cfg()).run(pkts);
+    let base = Chain::original(ipfilter_chain(3, 20)).run(pkts.clone());
+    let fast = Chain::speedybox_with(ipfilter_chain(3, 20), cfg()).run(pkts);
     assert_eq!(base.outputs.len(), fast.outputs.len());
     for (a, b) in base.outputs.iter().zip(&fast.outputs) {
         assert_eq!(a.as_bytes(), b.as_bytes());

@@ -3,10 +3,9 @@
 
 use speedybox::packet::trace::Trace;
 use speedybox::packet::Packet;
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::{chain2, ipfilter_chain, snort_monitor_chain};
-use speedybox::platform::onvm::OnvmChain;
-use speedybox::platform::ThreadedOnvm;
+use speedybox::platform::run_threaded;
+use speedybox::platform::{Chain, Platform};
 use speedybox::traffic::{Workload, WorkloadConfig};
 
 fn workload(flows: usize, seed: u64) -> Vec<Packet> {
@@ -24,8 +23,8 @@ fn workload(flows: usize, seed: u64) -> Vec<Packet> {
 #[test]
 fn bess_and_onvm_produce_identical_outputs() {
     let pkts = workload(30, 1);
-    let bess = BessChain::speedybox(ipfilter_chain(3, 20)).run(pkts.clone());
-    let onvm = OnvmChain::speedybox(ipfilter_chain(3, 20)).run(pkts);
+    let bess = Chain::speedybox(ipfilter_chain(3, 20)).run(pkts.clone());
+    let onvm = Chain::speedybox(ipfilter_chain(3, 20)).with_platform(Platform::Onvm).run(pkts);
     assert_eq!(bess.outputs.len(), onvm.outputs.len());
     for (a, b) in bess.outputs.iter().zip(&onvm.outputs) {
         assert_eq!(a.as_bytes(), b.as_bytes());
@@ -35,8 +34,9 @@ fn bess_and_onvm_produce_identical_outputs() {
 #[test]
 fn threaded_onvm_matches_modeled_onvm_outputs() {
     let pkts = workload(20, 2);
-    let modeled = OnvmChain::speedybox(ipfilter_chain(2, 20)).run(pkts.clone());
-    let threaded = ThreadedOnvm::run(ipfilter_chain(2, 20), pkts, true);
+    let modeled =
+        Chain::speedybox(ipfilter_chain(2, 20)).with_platform(Platform::Onvm).run(pkts.clone());
+    let threaded = run_threaded(ipfilter_chain(2, 20), pkts, true, 1);
     assert_eq!(modeled.outputs.len(), threaded.delivered.len());
     for (a, b) in modeled.outputs.iter().zip(&threaded.delivered) {
         assert_eq!(a.as_bytes(), b.as_bytes());
@@ -50,10 +50,10 @@ fn threaded_onvm_snort_monitor_equivalence() {
     let pkts = workload(25, 3);
 
     let (nfs_base, h_base) = snort_monitor_chain();
-    BessChain::original(nfs_base).run(pkts.clone());
+    Chain::original(nfs_base).run(pkts.clone());
 
     let (nfs_thr, h_thr) = snort_monitor_chain();
-    let report = ThreadedOnvm::run(nfs_thr, pkts, true);
+    let report = run_threaded(nfs_thr, pkts, true, 1);
     assert!(report.dropped == 0);
 
     let logs_base: Vec<String> = h_base.snort.log().iter().map(|e| e.msg.clone()).collect();
@@ -72,8 +72,8 @@ fn trace_capture_and_replay_is_faithful() {
     let replayed = reloaded.packets().unwrap();
 
     // Replaying the reloaded trace produces the same chain results.
-    let direct = BessChain::speedybox(ipfilter_chain(2, 10)).run(w.packets());
-    let viatrace = BessChain::speedybox(ipfilter_chain(2, 10)).run(replayed);
+    let direct = Chain::speedybox(ipfilter_chain(2, 10)).run(w.packets());
+    let viatrace = Chain::speedybox(ipfilter_chain(2, 10)).run(replayed);
     assert_eq!(direct.delivered, viatrace.delivered);
     assert_eq!(direct.outputs.len(), viatrace.outputs.len());
     for (a, b) in direct.outputs.iter().zip(&viatrace.outputs) {
@@ -86,7 +86,7 @@ fn many_flows_interleaved_keep_rules_apart() {
     // 200 interleaved flows: every flow's first packet is slow-path, all
     // others fast-path, and nothing cross-contaminates.
     let pkts = workload(200, 5);
-    let mut chain = BessChain::speedybox(ipfilter_chain(2, 10));
+    let mut chain = Chain::speedybox(ipfilter_chain(2, 10));
     let stats = chain.run(pkts);
     assert_eq!(stats.path_counts[1], 200, "one initial packet per flow");
     assert_eq!(stats.dropped, 0);
@@ -99,7 +99,7 @@ fn many_flows_interleaved_keep_rules_apart() {
 fn chain2_runs_on_threaded_runtime() {
     let pkts = workload(15, 6);
     let (nfs, handles) = chain2();
-    let report = ThreadedOnvm::run(nfs, pkts, true);
+    let report = run_threaded(nfs, pkts, true, 1);
     assert!(report.dropped == 0);
     assert!(!report.delivered.is_empty());
     // Suspicious flows exist in this workload, so the IDS spoke.
@@ -113,8 +113,8 @@ fn baseline_threaded_latency_exceeds_fast_path_latency() {
     // packets skip the rings, so mean latency should not be higher than
     // the all-rings baseline. (Generous margin: CI machines are noisy.)
     let pkts = workload(10, 7);
-    let base = ThreadedOnvm::run(ipfilter_chain(4, 200), pkts.clone(), false);
-    let fast = ThreadedOnvm::run(ipfilter_chain(4, 200), pkts, true);
+    let base = run_threaded(ipfilter_chain(4, 200), pkts.clone(), false, 1);
+    let fast = run_threaded(ipfilter_chain(4, 200), pkts, true, 1);
     let b = Summary::new(base.latencies_ns.iter().map(|&x| x as f64)).median();
     let f = Summary::new(fast.latencies_ns.iter().map(|&x| x as f64)).median();
     assert!(f <= b * 3.0, "fast-path median {f}ns should not be far above baseline {b}ns");

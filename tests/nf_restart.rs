@@ -13,7 +13,7 @@
 #![allow(clippy::cast_possible_truncation)] // seed counts fit any usize
 
 use speedybox::sim::{
-    generate, run_case, BugKind, EnvKind, Fault, FaultPlan, ScenarioConfig, SimCase,
+    generate, run_case, BugKind, Fault, FaultPlan, Platform, ScenarioConfig, SimCase,
 };
 
 const SEEDS: u64 = 32;
@@ -30,7 +30,7 @@ fn sweep_chain(chain: &str) {
         });
         kills +=
             scenario.faults.faults.iter().filter(|f| matches!(f.fault, Fault::KillNf(_))).count();
-        for env in [EnvKind::Bess, EnvKind::Onvm] {
+        for env in [Platform::Bess, Platform::Onvm] {
             for batch in [1usize, 8] {
                 let case = SimCase {
                     chain: chain.to_owned(),
@@ -122,7 +122,7 @@ fn skip_snapshot_replay_twin_is_flagged() {
             });
             let case = SimCase {
                 chain: chain.to_owned(),
-                env: EnvKind::Bess,
+                env: Platform::Bess,
                 compiled: true,
                 batch: 1,
                 workers: 1,

@@ -14,7 +14,7 @@ use speedybox::nf::synthetic::{SyntheticNf, SyntheticSf};
 use speedybox::nf::vpn::VpnGateway;
 use speedybox::nf::Nf;
 use speedybox::packet::{HeaderField, Packet, PacketBuilder};
-use speedybox::platform::bess::BessChain;
+use speedybox::platform::{Chain, Platform};
 
 const RULES: &str = r#"
 alert tcp any any -> any any (msg:"evil"; content:"evil";)
@@ -121,14 +121,14 @@ proptest! {
         kinds in prop::collection::vec(arb_nf_kind(), 0..5),
         packets in arb_packets(),
     ) {
-        let orig = BessChain::original(build_chain(&kinds)).run(packets.clone());
-        let fast = BessChain::speedybox(build_chain(&kinds)).run(packets.clone());
+        let orig = Chain::original(build_chain(&kinds)).run(packets.clone());
+        let fast = Chain::speedybox(build_chain(&kinds)).run(packets.clone());
         prop_assert_eq!(orig.delivered, fast.delivered);
         prop_assert_eq!(orig.dropped, fast.dropped);
         for (a, b) in orig.outputs.iter().zip(&fast.outputs) {
             prop_assert_eq!(a.as_bytes(), b.as_bytes());
         }
-        let onvm = speedybox::platform::onvm::OnvmChain::speedybox(build_chain(&kinds))
+        let onvm = Chain::speedybox(build_chain(&kinds)).with_platform(Platform::Onvm)
             .run(packets);
         prop_assert_eq!(onvm.delivered, orig.delivered);
         for (a, b) in orig.outputs.iter().zip(&onvm.outputs) {
@@ -154,8 +154,8 @@ proptest! {
                     .build()
             })
             .collect();
-        let orig = BessChain::original(build_chain(&kinds)).run(packets.clone());
-        let fast = BessChain::speedybox(build_chain(&kinds)).run(packets);
+        let orig = Chain::original(build_chain(&kinds)).run(packets.clone());
+        let fast = Chain::speedybox(build_chain(&kinds)).run(packets);
         // The fast path's per-packet overhead (classify + MAT lookup +
         // fixed dispatch) plus the amortized slow-path recording are
         // bounded constants — SpeedyBox can cost more than the baseline

@@ -13,7 +13,7 @@
 #![allow(clippy::cast_possible_truncation)] // test data built from loop indices
 
 use speedybox::sim::{
-    generate, run_case, shrink, BugKind, DivergenceKind, EnvKind, Fault, FaultAt, FaultPlan,
+    generate, run_case, shrink, BugKind, DivergenceKind, Fault, FaultAt, FaultPlan, Platform,
     ScenarioConfig, SimCase,
 };
 
@@ -29,7 +29,7 @@ fn sweep_chain(chain: &str) {
             with_faults: true,
             nf_faults: false,
         });
-        for env in [EnvKind::Bess, EnvKind::Onvm] {
+        for env in [Platform::Bess, Platform::Onvm] {
             for compiled in [true, false] {
                 for batch in [1usize, 8] {
                     let case = SimCase {
@@ -126,7 +126,7 @@ fn seeded_bug_is_caught_and_shrunk() {
         });
         let case = SimCase {
             chain: chain.to_owned(),
-            env: EnvKind::Bess,
+            env: Platform::Bess,
             compiled: true,
             batch: 1,
             workers: 1,
@@ -184,7 +184,7 @@ fn worker_sweep_is_divergence_free_and_hash_stable() {
             for workers in [1usize, 2, 4, 8] {
                 let case = SimCase {
                     chain: chain.to_owned(),
-                    env: EnvKind::Bess,
+                    env: Platform::Bess,
                     compiled: true,
                     batch: 8,
                     workers,
@@ -232,7 +232,7 @@ fn bounded_table_sweep_is_equivalent() {
             for batch in [1usize, 8] {
                 let case = SimCase {
                     chain: chain.to_owned(),
-                    env: EnvKind::Bess,
+                    env: Platform::Bess,
                     compiled: true,
                     batch,
                     workers: 1,
@@ -276,7 +276,7 @@ fn pool_pressure_sweep_is_equivalent() {
                 for batch in [1usize, 8] {
                     let case = SimCase {
                         chain: chain.to_owned(),
-                        env: EnvKind::Bess,
+                        env: Platform::Bess,
                         compiled: true,
                         batch,
                         workers: 1,
@@ -310,7 +310,7 @@ fn run_case_is_deterministic() {
     });
     let case = SimCase {
         chain: "chain2".to_owned(),
-        env: EnvKind::Onvm,
+        env: Platform::Onvm,
         compiled: true,
         batch: 8,
         workers: 1,

@@ -7,8 +7,8 @@ use speedybox::nf::maglev::Maglev;
 use speedybox::nf::monitor::Monitor;
 use speedybox::nf::Nf;
 use speedybox::packet::PacketBuilder;
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::ipfilter_chain;
+use speedybox::platform::Chain;
 use speedybox::traffic::{Workload, WorkloadConfig};
 
 #[test]
@@ -21,7 +21,7 @@ fn nine_nf_chain_with_heavy_flow_churn() {
         seed: 0xdead,
         ..WorkloadConfig::default()
     });
-    let mut chain = BessChain::speedybox(ipfilter_chain(9, 50));
+    let mut chain = Chain::speedybox(ipfilter_chain(9, 50));
     let stats = chain.run(w.packets());
     assert_eq!(stats.dropped, 0);
     assert_eq!(stats.path_counts[1], 500, "one slow-path packet per flow");
@@ -36,7 +36,7 @@ fn nine_nf_chain_with_heavy_flow_churn() {
 fn reopened_flows_get_fresh_rules() {
     // The same 5-tuple opens, closes and reopens 50 times; each connection
     // must re-record (the classifier forgets it on FIN).
-    let mut chain = BessChain::speedybox(ipfilter_chain(3, 20));
+    let mut chain = Chain::speedybox(ipfilter_chain(3, 20));
     let mut initial_count = 0;
     for round in 0..50u32 {
         let mut b = PacketBuilder::tcp();
@@ -71,7 +71,7 @@ fn event_storm_under_backend_flapping() {
     );
     let mon = Monitor::new();
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(maglev.clone()), Box::new(mon)];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
 
     let mut delivered = 0;
     for i in 0..2000u32 {
@@ -101,7 +101,7 @@ fn event_storm_under_backend_flapping() {
 fn dos_guard_blocks_attackers_not_bystanders_at_scale() {
     let guard = DosGuard::new(10);
     let nfs: Vec<Box<dyn Nf>> = vec![Box::new(guard)];
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
     let mut dropped_attacker = 0;
     let mut delivered_legit = 0;
     for i in 0..1500u32 {
@@ -133,7 +133,7 @@ fn dos_guard_blocks_attackers_not_bystanders_at_scale() {
 fn large_flow_population_with_aging_stays_bounded() {
     // 4000 UDP flows with periodic aging: table sizes stay bounded by the
     // active set, not the total population.
-    let mut chain = BessChain::speedybox(ipfilter_chain(2, 10));
+    let mut chain = Chain::speedybox(ipfilter_chain(2, 10));
     let mut max_rules = 0usize;
     for wave in 0..8u16 {
         for f in 0..500u16 {
@@ -156,7 +156,7 @@ fn telemetry_stays_consistent_under_threaded_churn() {
     // runtime: NF threads record op counters concurrently with the
     // manager's packet records, and the final merged snapshot must still
     // account for every packet exactly once.
-    use speedybox::platform::threaded::ThreadedOnvm;
+    use speedybox::platform::threaded::run_threaded;
     let w = Workload::generate(&WorkloadConfig {
         flows: 300,
         median_packets: 4.0,
@@ -166,7 +166,7 @@ fn telemetry_stays_consistent_under_threaded_churn() {
     });
     let packets = w.packets();
     let total = packets.len();
-    let report = ThreadedOnvm::run_batched(ipfilter_chain(4, 50), packets, true, 16);
+    let report = run_threaded(ipfilter_chain(4, 50), packets, true, 16);
     let s = &report.snapshot;
     assert_eq!(s.packets as usize, total, "every packet counted once");
     assert_eq!(s.delivered as usize, report.delivered.len());
@@ -185,7 +185,8 @@ fn concurrent_snapshots_are_monotone_and_exact_at_quiescence() {
     // Periodic snapshots taken while NF threads are still writing their
     // shards: totals may lag but can never go backwards, and the final
     // quiescent snapshot is exact.
-    use speedybox::platform::threaded::run_threaded_observed;
+    use speedybox::platform::run_threaded_on;
+    use speedybox::platform::runtime::{SboxConfig, SpeedyBox};
     let w = Workload::generate(&WorkloadConfig {
         flows: 200,
         median_packets: 5.0,
@@ -197,7 +198,8 @@ fn concurrent_snapshots_are_monotone_and_exact_at_quiescence() {
     let mut last_packets = 0u64;
     let mut last_ops = 0u64;
     let mut fired = 0usize;
-    let report = run_threaded_observed(ipfilter_chain(3, 50), packets, true, 256, 8, 40, |snap| {
+    let sbox = SpeedyBox::new(3, SboxConfig { batch_size: 8, ..SboxConfig::default() });
+    let report = run_threaded_on(Some(&sbox), ipfilter_chain(3, 50), packets, 8, 40, |snap| {
         fired += 1;
         assert!(snap.packets >= last_packets, "packet count went backwards");
         let ops_sum: u64 = snap.ops.0.iter().sum();

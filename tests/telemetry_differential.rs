@@ -9,11 +9,10 @@
 
 use speedybox::nf::Nf;
 use speedybox::packet::Packet;
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains;
-use speedybox::platform::onvm::OnvmChain;
 use speedybox::platform::runtime::SboxConfig;
 use speedybox::platform::RunStats;
+use speedybox::platform::{Chain, Platform};
 use speedybox::telemetry::{TelemetrySnapshot, OP_NAMES};
 use speedybox::traffic::{Workload, WorkloadConfig};
 
@@ -86,9 +85,9 @@ fn check_bess(chain: &str, speedybox: bool, batch_size: usize) {
     let label = format!("bess/{chain}/sbox={speedybox}/batch={batch_size}");
     let config = SboxConfig { batch_size, shards: 4, ..SboxConfig::default() };
     let mut c = if speedybox {
-        BessChain::speedybox_with(build(chain), config)
+        Chain::speedybox_with(build(chain), config)
     } else {
-        BessChain::original(build(chain))
+        Chain::original(build(chain))
     };
     let stats = c.run(workload(60, 3));
     assert_matches(&stats, &c.telemetry().snapshot(), &label);
@@ -98,9 +97,9 @@ fn check_onvm(chain: &str, speedybox: bool, batch_size: usize) {
     let label = format!("onvm/{chain}/sbox={speedybox}/batch={batch_size}");
     let config = SboxConfig { batch_size, shards: 4, ..SboxConfig::default() };
     let mut c = if speedybox {
-        OnvmChain::speedybox_with(build(chain), config)
+        Chain::speedybox_with(build(chain), config).with_platform(Platform::Onvm)
     } else {
-        OnvmChain::original(build(chain))
+        Chain::original(build(chain)).with_platform(Platform::Onvm)
     };
     let stats = c.run(workload(60, 3));
     assert_matches(&stats, &c.telemetry().snapshot(), &label);
@@ -144,8 +143,8 @@ fn onvm_chain2_matches_run_stats() {
 #[test]
 fn merged_snapshots_match_merged_stats() {
     let config = SboxConfig { shards: 4, ..SboxConfig::default() };
-    let mut a = BessChain::speedybox_with(build("chain1"), config);
-    let mut b = BessChain::speedybox_with(build("chain1"), config);
+    let mut a = Chain::speedybox_with(build("chain1"), config);
+    let mut b = Chain::speedybox_with(build("chain1"), config);
     let sa = a.run(workload(40, 1));
     let sb = b.run(workload(40, 2));
 
@@ -171,12 +170,50 @@ fn merged_snapshots_match_merged_stats() {
 /// exactly: a snapshot serialized to JSON and parsed back is the snapshot.
 #[test]
 fn snapshot_json_round_trips_after_real_run() {
-    let mut c = BessChain::speedybox_with(
-        build("chain2"),
-        SboxConfig { shards: 4, ..SboxConfig::default() },
-    );
+    let mut c =
+        Chain::speedybox_with(build("chain2"), SboxConfig { shards: 4, ..SboxConfig::default() });
     let _ = c.run(workload(50, 9));
     let snap = c.telemetry().snapshot();
     let back = TelemetrySnapshot::from_json(&snap.to_json()).expect("parse own JSON");
     assert_eq!(snap, back);
+}
+
+/// The evicted-rule fallback: a live flow whose Global MAT rule is gone
+/// (`remove_flow` while the classifier still knows the flow) re-records on
+/// its next packet. That packet is an initial packet, so it is priced and
+/// counted as one on both platforms: its rule install shows up in the op
+/// totals (one install per consolidation), and on ONVM it pays the same
+/// ring hops as the flow's first walk.
+#[test]
+fn evicted_rule_fallback_counts_as_an_initial_packet() {
+    use speedybox::packet::PacketBuilder;
+    let flow: Vec<Packet> = (0..4u8)
+        .map(|i| {
+            PacketBuilder::tcp()
+                .src("10.0.0.1:4000".parse().unwrap())
+                .dst("10.0.0.2:80".parse().unwrap())
+                .payload(&[i; 16])
+                .build()
+        })
+        .collect();
+    let fid = flow[0].five_tuple().unwrap().fid();
+    for platform in Platform::ALL {
+        let label = format!("{}/evicted-rule fallback", platform.as_str());
+        let config = SboxConfig { shards: 4, ..SboxConfig::default() };
+        let mut c =
+            Chain::speedybox_with(chains::ipfilter_chain(3, 30), config).with_platform(platform);
+        let mut stats = RunStats::default();
+        let mut ring_hops = Vec::new();
+        for (i, packet) in flow.iter().cloned().enumerate() {
+            if i == 2 {
+                c.sbox().expect("speedybox enabled").global.remove_flow(fid);
+            }
+            let outcome = c.process(packet);
+            ring_hops.push(outcome.ops.ring_hops);
+            stats.record(outcome);
+        }
+        assert_eq!(stats.path_counts, [0, 2, 2], "{label}: the fallback is an initial packet");
+        assert_eq!(ring_hops[2], ring_hops[0], "{label}: fallback ring hops = initial walk's");
+        assert_matches(&stats, &c.telemetry().snapshot(), &label);
+    }
 }

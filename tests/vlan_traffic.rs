@@ -5,8 +5,8 @@
 use speedybox::packet::pcap::{read_pcap, write_pcap};
 use speedybox::packet::trace::{Trace, TraceRecord};
 use speedybox::packet::{HeaderField, Packet, PacketBuilder};
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::{chain1, ipfilter_chain};
+use speedybox::platform::Chain;
 use speedybox::platform::PathKind;
 
 fn tagged(vlan: u16, src_port: u16, i: u32) -> Packet {
@@ -21,7 +21,7 @@ fn tagged(vlan: u16, src_port: u16, i: u32) -> Packet {
 
 #[test]
 fn tags_survive_fast_path() {
-    let mut chain = BessChain::speedybox(ipfilter_chain(2, 20));
+    let mut chain = Chain::speedybox(ipfilter_chain(2, 20));
     for i in 0..5 {
         let out = chain.process(tagged(100, 4000, i));
         let pkt = out.packet.expect("delivered");
@@ -35,7 +35,7 @@ fn tagged_and_untagged_same_tuple_share_a_flow() {
     // The 5-tuple (not the tag) is flow identity, as in the paper's
     // classifier; a tagged packet on an established untagged flow is
     // subsequent traffic.
-    let mut chain = BessChain::speedybox(ipfilter_chain(1, 10));
+    let mut chain = Chain::speedybox(ipfilter_chain(1, 10));
     let untagged = PacketBuilder::tcp()
         .src("10.0.0.1:4100".parse().unwrap())
         .dst("10.0.0.2:80".parse().unwrap())
@@ -50,8 +50,8 @@ fn tagged_and_untagged_same_tuple_share_a_flow() {
 #[test]
 fn vlan_outputs_match_baseline_through_chain1() {
     let pkts: Vec<Packet> = (0..12).map(|i| tagged(200, 4200 + (i % 3) as u16, i)).collect();
-    let base = BessChain::original(chain1(4).0).run(pkts.clone());
-    let fast = BessChain::speedybox(chain1(4).0).run(pkts);
+    let base = Chain::original(chain1(4).0).run(pkts.clone());
+    let fast = Chain::speedybox(chain1(4).0).run(pkts);
     assert_eq!(base.outputs.len(), fast.outputs.len());
     for (a, b) in base.outputs.iter().zip(&fast.outputs) {
         assert_eq!(a.as_bytes(), b.as_bytes());
@@ -62,7 +62,7 @@ fn vlan_outputs_match_baseline_through_chain1() {
 #[test]
 fn nat_rewrites_through_the_tag() {
     let (nfs, handles) = chain1(4);
-    let mut chain = BessChain::speedybox(nfs);
+    let mut chain = Chain::speedybox(nfs);
     let out = chain.process(tagged(300, 4300, 0)).packet.unwrap();
     // MazuNAT rewrote the source behind the VLAN tag.
     assert_eq!(

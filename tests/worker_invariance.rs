@@ -2,8 +2,8 @@
 //!
 //! Two layers are proven here, mirroring the shard-invariance suite:
 //!
-//! 1. **Deterministic model** (`SboxConfig::workers` on `BessChain` /
-//!    `OnvmChain`): the worker count only redistributes *attribution* of
+//! 1. **Deterministic model** (`SboxConfig::workers` on `Chain`, BESS and
+//!    ONVM): the worker count only redistributes *attribution* of
 //!    work across FID slices — outputs, drop decisions, path mix, NF
 //!    counters, and Event Table firings must be exactly identical at
 //!    1/2/4/8 workers, and per-worker cycle totals must conserve the
@@ -25,11 +25,10 @@ use speedybox::nf::ipfilter::IpFilter;
 use speedybox::nf::monitor::Monitor;
 use speedybox::nf::Nf;
 use speedybox::packet::{Fid, Packet};
-use speedybox::platform::bess::BessChain;
 use speedybox::platform::chains::{chain1, chain2, Chain2Handles};
-use speedybox::platform::onvm::OnvmChain;
 use speedybox::platform::runtime::SboxConfig;
 use speedybox::platform::workers::run_workers;
+use speedybox::platform::{Chain, Platform};
 use speedybox::traffic::{Workload, WorkloadConfig};
 
 fn workload(flows: usize, seed: u64) -> Vec<Packet> {
@@ -100,7 +99,7 @@ struct WorkerFacts {
 
 fn run_chain1(packets: &[Packet], workers: usize, batch: usize) -> (Observation, WorkerFacts) {
     let (nfs, handles) = chain1(4);
-    let mut chain = BessChain::speedybox_with(nfs, sbox_config(workers, batch));
+    let mut chain = Chain::speedybox_with(nfs, sbox_config(workers, batch));
     let fires = register_counting_events(
         chain.sbox().expect("speedybox enabled").global.events(),
         packets,
@@ -129,7 +128,8 @@ fn run_chain1(packets: &[Packet], workers: usize, batch: usize) -> (Observation,
 
 fn run_chain2(packets: &[Packet], workers: usize, batch: usize) -> (Observation, Vec<String>) {
     let (nfs, Chain2Handles { snort, monitor }) = chain2();
-    let mut chain = OnvmChain::speedybox_with(nfs, sbox_config(workers, batch));
+    let mut chain =
+        Chain::speedybox_with(nfs, sbox_config(workers, batch)).with_platform(Platform::Onvm);
     let fires = register_counting_events(
         chain.sbox().expect("speedybox enabled").global.events(),
         packets,
@@ -309,4 +309,25 @@ fn worker_sweep_is_invariant() {
         "8 workers must beat one worker on modeled wall: {wall8} vs {}",
         facts1.worker_wall
     );
+}
+
+/// One worker thread runs the same packet step as the per-packet chain,
+/// priced as BESS: a one-worker `run_workers` reports the same paths,
+/// latencies, op totals, fast-path hits and rule installs as `Chain` on
+/// the same trace. Pool counters are left out: the two runs use different
+/// pools.
+#[test]
+fn one_worker_matches_the_per_packet_chain() {
+    let packets = workload(24, 7);
+    let mut chain = Chain::speedybox(chain1(4).0);
+    let _ = chain.run(packets.iter().cloned());
+    let report = run_workers(vec![chain1(4).0], packets, SboxConfig::default());
+    let (a, b) = (chain.telemetry().snapshot(), report.snapshot);
+    let (la, lb) = (a.latency_total(), b.latency_total());
+    assert_eq!(a.paths, b.paths, "paths");
+    assert_eq!(la.count, lb.count, "latency count");
+    assert_eq!(la.sum, lb.sum, "latency sum");
+    assert_eq!(a.ops, b.ops, "op totals");
+    assert_eq!(a.fastpath_hits, b.fastpath_hits, "fast-path hits");
+    assert_eq!(a.rules_installed, b.rules_installed, "rule installs");
 }

@@ -14,9 +14,9 @@
 
 use allocmeter::CountingAlloc;
 use speedybox_packet::{Magazine, Packet, PacketBuilder};
-use speedybox_platform::bess::BessChain;
 use speedybox_platform::chains::chain1;
 use speedybox_platform::runtime::SboxConfig;
+use speedybox_platform::Chain;
 use std::sync::Arc;
 
 #[global_allocator]
@@ -44,7 +44,7 @@ fn template() -> Vec<Packet> {
 }
 
 fn run_batch(
-    chain: &mut BessChain,
+    chain: &mut Chain,
     mag: &mut Magazine,
     template: &[Packet],
     input: &mut Vec<Packet>,
@@ -67,7 +67,7 @@ fn run_batch(
 fn steady_state_batch_allocates_nothing() {
     let (nfs, _handles) = chain1(8);
     let mut chain =
-        BessChain::speedybox_with(nfs, SboxConfig { batch_size: BATCH, ..SboxConfig::default() });
+        Chain::speedybox_with(nfs, SboxConfig { batch_size: BATCH, ..SboxConfig::default() });
     let mut mag = Magazine::new(Arc::clone(chain.pool()));
     let template = template();
     let mut input: Vec<Packet> = Vec::with_capacity(BATCH);
