@@ -126,24 +126,20 @@ impl BatchState {
 }
 
 /// A packet's path and price, before its buffer is handed back or
-/// recycled.
+/// recycled. Its operations accumulate in the caller's `OpCounter`.
 #[derive(Clone, Copy)]
 struct Priced {
     survived: bool,
     work: u64,
     latency: u64,
     path: PathKind,
-    ops: OpCounter,
 }
 
 impl Priced {
-    /// Adds the cost of the entry step (classification or ingress tag)
+    /// Adds the cycles of the entry step (classification or ingress tag)
     /// that preceded the arm.
-    fn after(mut self, entry_ops: &OpCounter, entry_cycles: u64) -> Self {
-        self.ops.merge(entry_ops);
-        self.work += entry_cycles;
-        self.latency += entry_cycles;
-        self
+    fn after(self, entry_cycles: u64) -> Self {
+        Self { work: self.work + entry_cycles, latency: self.latency + entry_cycles, ..self }
     }
 }
 
@@ -217,18 +213,18 @@ impl Lane {
     /// The original chain's packet: the ingress FID tag, then the
     /// uninstrumented walk.
     fn baseline(&mut self, telemetry: &Telemetry, mut packet: Packet) -> ProcessedPacket {
-        let mut entry_ops = OpCounter::default();
-        tag_ingress(&mut packet, &mut entry_ops);
-        let entry_cycles = self.model.cycles(&entry_ops);
+        let mut ops = OpCounter::default();
+        tag_ingress(&mut packet, &mut ops);
+        let entry_cycles = self.model.cycles(&ops);
         self.charge(0, entry_cycles);
-        let priced = self.walk(&mut packet, None);
+        let priced = self.walk(&mut packet, None, &mut ops);
         if packet.tcp_flags().closes_flow() {
             if let Some(fid) = packet.fid() {
                 notify_flow_closed(&mut self.nfs, fid);
             }
         }
         let hint = packet.fid().map_or(0, |f| f.index() as u64);
-        self.finish(telemetry, hint, packet, priced.after(&entry_ops, entry_cycles))
+        self.finish(telemetry, hint, packet, priced.after(entry_cycles), ops)
     }
 
     /// A SpeedyBox packet: classification, then [`Lane::step`].
@@ -255,8 +251,8 @@ impl Lane {
         let cycles = self.model.cycles(&ops);
         self.charge(0, cycles);
         let priced =
-            Priced { survived: false, work: cycles, latency: cycles, path: PathKind::Initial, ops };
-        self.finish(telemetry, 0, packet, priced)
+            Priced { survived: false, work: cycles, latency: cycles, path: PathKind::Initial };
+        self.finish(telemetry, 0, packet, priced, ops)
     }
 
     /// The packet step after classification, shared by every platform,
@@ -301,8 +297,9 @@ impl Lane {
         let cls_cycles = self.model.cycles(&cls_ops);
         self.charge(0, cls_cycles);
 
+        let mut ops = cls_ops;
         let fast = if class == PacketClass::Subsequent {
-            self.fast(sbox, fid, &mut packet, batch.as_deref_mut())
+            self.fast(sbox, fid, &mut packet, batch.as_deref_mut(), &mut ops)
         } else {
             None
         };
@@ -313,13 +310,13 @@ impl Lane {
             // connection is not established yet. Rejected: the flow table
             // is full under the Reject admission policy. None records.
             (PacketClass::Collision | PacketClass::Handshake | PacketClass::Rejected, None) => {
-                self.walk(&mut packet, None)
+                self.walk(&mut packet, None, &mut ops)
             }
             // Initial packets, and subsequent packets whose rule was
             // evicted (e.g. by FID collision cleanup): record, then
             // consolidate into the Global MAT.
             (PacketClass::Initial | PacketClass::Subsequent, None) => {
-                let priced = self.walk(&mut packet, Some((sbox, fid)));
+                let priced = self.walk(&mut packet, Some((sbox, fid)), &mut ops);
                 if let Some(bs) = batch.as_deref_mut() {
                     bs.invalidate(fid);
                 }
@@ -340,21 +337,26 @@ impl Lane {
             }
             notify_flow_closed(&mut self.nfs, fid);
         }
-        self.finish(&sbox.telemetry, hint, packet, priced.after(&cls_ops, cls_cycles))
+        self.finish(&sbox.telemetry, hint, packet, priced.after(cls_cycles), ops)
     }
 
     /// The walk arms: the packet runs through the original chain,
     /// uninstrumented, or — with `record` — recording its flow's behaviour
     /// and then installing the flow's consolidated rule. The platform
     /// charges its hops per NF reached.
-    fn walk(&mut self, packet: &mut Packet, record: Option<(&SpeedyBox, Fid)>) -> Priced {
+    fn walk(
+        &mut self,
+        packet: &mut Packet,
+        record: Option<(&SpeedyBox, Fid)>,
+        ops: &mut OpCounter,
+    ) -> Priced {
         let instruments = record.map(|(sbox, _)| sbox.instruments.as_slice());
         let res = traverse_chain(&mut self.nfs, instruments, packet, &self.model);
         for (i, &c) in res.per_nf_cycles.iter().enumerate() {
             self.charge(i + 1, c);
         }
         let mut work = res.per_nf_cycles.iter().sum::<u64>();
-        let mut ops = res.ops;
+        ops.merge(&res.ops);
         let path = match record {
             None => PathKind::Baseline,
             Some((sbox, fid)) => {
@@ -387,7 +389,7 @@ impl Lane {
                 work + hops * self.model.ring_transit
             }
         };
-        Priced { survived: res.survived, work, latency, path, ops }
+        Priced { survived: res.survived, work, latency, path }
     }
 
     /// The fast-path arm: the flow's consolidated rule, from the batch's
@@ -398,6 +400,7 @@ impl Lane {
         fid: Fid,
         packet: &mut Packet,
         batch: Option<&mut BatchState>,
+        ops: &mut OpCounter,
     ) -> Option<Priced> {
         let res = match batch {
             Some(bs) if !bs.stale.contains(&fid) => {
@@ -432,12 +435,12 @@ impl Lane {
             }
             self.stage_cycles[0] += manager;
         }
+        ops.merge(&res.ops);
         Some(Priced {
             survived: res.survived,
             work: res.work_cycles,
             latency: res.latency_cycles,
             path: PathKind::Subsequent,
-            ops: res.ops,
         })
     }
 
@@ -450,6 +453,7 @@ impl Lane {
         hint: u64,
         mut packet: Packet,
         priced: Priced,
+        ops: OpCounter,
     ) -> ProcessedPacket {
         let outcome = ProcessedPacket {
             packet: if priced.survived {
@@ -462,7 +466,7 @@ impl Lane {
             work_cycles: priced.work,
             latency_cycles: priced.latency,
             path: priced.path,
-            ops: priced.ops,
+            ops,
         };
         observe(telemetry, hint, &outcome);
         // Masked by the (power-of-two) worker count, so the cast cannot
