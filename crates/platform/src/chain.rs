@@ -577,12 +577,6 @@ impl Chain {
         self
     }
 
-    /// The platform the chain models.
-    #[must_use]
-    pub fn platform(&self) -> Platform {
-        self.lane.platform
-    }
-
     /// The cycle model in use.
     #[must_use]
     pub fn model(&self) -> &CycleModel {
@@ -918,7 +912,6 @@ mod tests {
             assert_eq!(Platform::parse(p.as_str()), Ok(p));
         }
         assert!(Platform::parse("dpdk").unwrap_err().contains("unknown environment"));
-        assert_eq!(Chain::original(vec![]).platform(), Platform::Bess);
     }
 
     #[test]

@@ -66,5 +66,5 @@ pub use cycles::CycleModel;
 pub use metrics::{PathKind, ProcessedPacket, RunStats};
 pub use runtime::{SboxConfig, SpeedyBox};
 pub use supervisor::{ReplayEntry, Supervisor};
-pub use threaded::{run_threaded, run_threaded_on, ThreadedReport, RING_CAPACITY};
+pub use threaded::{run_threaded, run_threaded_on, ThreadedReport};
 pub use workers::{run_workers, run_workers_on, WorkerReport};

@@ -22,7 +22,7 @@ use crate::metrics::sync_pool;
 use crate::runtime::{SboxConfig, SpeedyBox};
 
 /// Descriptor slots per NF ring.
-pub const RING_CAPACITY: usize = 256;
+const RING_CAPACITY: usize = 256;
 
 /// Nanoseconds of a wall-clock interval as `u64` (584 years of headroom).
 #[allow(clippy::cast_possible_truncation)]
@@ -64,7 +64,7 @@ pub struct ThreadedReport {
 }
 
 /// Runs `packets` through `nfs`, each NF on its own thread connected by
-/// bounded rings of [`RING_CAPACITY`] descriptors. With `speedybox` true
+/// bounded rings of `RING_CAPACITY` (256) descriptors. With `speedybox` true
 /// the manager classifies, consolidates and fast-paths subsequent packets;
 /// the NF threads then only see flow-initial packets. The manager ingests
 /// packets in batches of `batch_size`: classification locks each
