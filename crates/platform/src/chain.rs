@@ -1067,6 +1067,28 @@ mod tests {
     }
 
     #[test]
+    fn empty_batch_folds_pool_counters_into_telemetry() {
+        // Per-packet processing never syncs pool counters; an empty batch
+        // call does, on original and SpeedyBox chains alike.
+        for mut chain in [Chain::original(fw_chain(1)), Chain::speedybox(fw_chain(1))] {
+            let mut rx = Vec::new();
+            chain.pool().copy_packets_into(&packets(1000, 4), &mut rx);
+            for p in rx.drain(..) {
+                let _ = chain.process(p);
+            }
+            let counts = |chain: &Chain| {
+                let snap = chain.telemetry().snapshot();
+                (snap.pool_hits, snap.pool_misses)
+            };
+            assert_eq!(counts(&chain), (0, 0));
+            chain.process_batch_into(&mut rx, &mut Vec::new());
+            let stats = chain.pool().stats();
+            assert_eq!(counts(&chain), (stats.hits, stats.misses));
+            assert_eq!(stats.hits + stats.misses, 4, "one buffer per copied packet");
+        }
+    }
+
+    #[test]
     fn run_aggregates_ops() {
         let mut chain = Chain::speedybox(fw_chain(1));
         let stats = chain.run(packets(1000, 5));
