@@ -11,7 +11,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use speedybox_mat::{AdmissionPolicy, FlowTable, FID_SPACE};
 use speedybox_packet::Fid;
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// Flows per install/expiry iteration — large enough to spill the wheel's
 /// first level and touch many index chunks, small enough to keep
@@ -29,7 +28,7 @@ fn bench_install(c: &mut Criterion) {
             || FlowTable::<u64>::new(64, FID_SPACE, AdmissionPolicy::EvictOldest),
             |table| {
                 for i in 0..BATCH {
-                    table.insert(Fid::new(i), Arc::new(u64::from(i)), u64::from(i));
+                    table.insert(Fid::new(i), u64::from(i), u64::from(i));
                 }
                 table
             },
@@ -43,7 +42,7 @@ fn bench_install(c: &mut Criterion) {
             || {
                 let table = FlowTable::<u64>::new(64, FID_SPACE, AdmissionPolicy::EvictOldest);
                 for i in 0..BATCH {
-                    table.insert(Fid::new(i), Arc::new(u64::from(i)), u64::from(i));
+                    table.insert(Fid::new(i), u64::from(i), u64::from(i));
                 }
                 table.expire_idle(u64::from(BATCH) + 2_000, 1_000);
                 table.collect_generations();
@@ -52,7 +51,7 @@ fn bench_install(c: &mut Criterion) {
             |table| {
                 let base = u64::from(BATCH) + 3_000;
                 for i in 0..BATCH {
-                    table.insert(Fid::new(i), Arc::new(u64::from(i)), base + u64::from(i));
+                    table.insert(Fid::new(i), u64::from(i), base + u64::from(i));
                 }
                 table
             },
@@ -65,7 +64,7 @@ fn bench_install(c: &mut Criterion) {
 fn bench_lookup(c: &mut Criterion) {
     let table = FlowTable::<u64>::new(64, FID_SPACE, AdmissionPolicy::EvictOldest);
     for i in 0..LIVE {
-        table.insert(Fid::new(i), Arc::new(u64::from(i)), u64::from(i));
+        table.insert(Fid::new(i), u64::from(i), u64::from(i));
     }
     let mut g = c.benchmark_group("flow_lookup_1m_live");
     for stride in [1u32, 4093] {
@@ -92,7 +91,7 @@ fn bench_eviction_churn(c: &mut Criterion) {
             || {
                 let table = FlowTable::<u64>::new(64, BATCH as usize, AdmissionPolicy::EvictOldest);
                 for i in 0..BATCH {
-                    table.insert(Fid::new(i), Arc::new(u64::from(i)), u64::from(i));
+                    table.insert(Fid::new(i), u64::from(i), u64::from(i));
                 }
                 table
             },
@@ -100,7 +99,7 @@ fn bench_eviction_churn(c: &mut Criterion) {
                 let base = u64::from(BATCH);
                 for i in 0..BATCH {
                     // A disjoint FID range, so every insert displaces.
-                    table.insert(Fid::new(BATCH + i), Arc::new(0), base + u64::from(i));
+                    table.insert(Fid::new(BATCH + i), 0, base + u64::from(i));
                 }
                 table
             },
@@ -113,7 +112,7 @@ fn bench_eviction_churn(c: &mut Criterion) {
             || {
                 let table = FlowTable::<u64>::new(64, FID_SPACE, AdmissionPolicy::EvictOldest);
                 for i in 0..BATCH {
-                    table.insert(Fid::new(i), Arc::new(u64::from(i)), u64::from(i));
+                    table.insert(Fid::new(i), u64::from(i), u64::from(i));
                 }
                 table
             },

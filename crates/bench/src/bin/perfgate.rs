@@ -409,7 +409,7 @@ fn flow_scale() -> FlowScale {
 
     let start = Instant::now();
     for i in 0..n {
-        table.insert(Fid::new(i), Arc::new(u64::from(i)), u64::from(i));
+        table.insert(Fid::new(i), u64::from(i), u64::from(i));
     }
     let install_rate_mpps = f64::from(n) / start.elapsed().as_secs_f64() / 1e6;
     assert_eq!(table.len(), n as usize, "every install must take a slab slot");
@@ -440,7 +440,7 @@ fn flow_scale() -> FlowScale {
     // arena's high-water mark cannot grow, so neither can peak memory.
     let start = Instant::now();
     for i in 0..n {
-        table.insert(Fid::new(i), Arc::new(u64::from(i)), u64::from(n) + 3_000 + u64::from(i));
+        table.insert(Fid::new(i), u64::from(i), u64::from(n) + 3_000 + u64::from(i));
     }
     let reinstall_rate_mpps = f64::from(n) / start.elapsed().as_secs_f64() / 1e6;
     table.collect_generations();

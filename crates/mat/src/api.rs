@@ -154,8 +154,7 @@ mod tests {
         let events = Arc::new(EventTable::new());
         let inst = NfInstrument::new(Arc::new(LocalMat::new(NfId::new(3))), events.clone());
         inst.register_event(Fid::new(1), "e", |_| true, |_| RulePatch::default());
-        let mut ops = OpCounter::default();
-        let fired = events.check(Fid::new(1), &mut ops);
+        let fired = events.fire(Fid::new(1));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].0, NfId::new(3));
     }

@@ -5,20 +5,24 @@
 //! chain (slow path), subsequent packets to the Global MAT (fast path).
 //! The classifier also watches TCP FIN/RST to garbage-collect rules.
 //!
-//! Flow state lives in a bounded [`FlowTable`]: slab slots addressed by a
-//! direct FID index (lookups are wait-free — no hashing, no generation
-//! clone), a per-shard timer wheel driven by the deterministic packet
-//! clock for idle expiry, and a configurable capacity with LRU eviction or
-//! admission rejection when full (see [`PacketClass::Rejected`]).
+//! Flow state lives in the bounded flow table the classifier shares with
+//! the Global MAT: one [`FlowRecord`] per slot, addressed by a direct FID
+//! index (lookups are wait-free — no hashing, no generation clone), a
+//! per-shard timer wheel driven by the deterministic packet clock for idle
+//! expiry, and a configurable capacity with LRU eviction or admission
+//! rejection when full (see [`PacketClass::Rejected`]). A classification
+//! carries the flow's record on to the fast path, which reads the flow's
+//! rule from it without a second lookup.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use speedybox_packet::{Fid, FiveTuple, Packet};
+use speedybox_packet::{Fid, FiveTuple, Packet, PacketError};
 use speedybox_telemetry::{CounterShard, Telemetry};
 
-use crate::flow_table::{AdmissionPolicy, FlowTable, Opened, FID_SPACE};
+use crate::flow_table::{AdmissionPolicy, FlowTable, Opened, Pinned, FID_SPACE};
 use crate::ops::OpCounter;
+use crate::record::{FlowRecord, FlowRecords};
 
 /// How the classifier steers a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,48 +54,25 @@ pub enum PacketClass {
     Rejected,
 }
 
-/// Per-flow classifier bookkeeping.
-///
-/// Held by the flow table as an `Arc`, with every mutable field an atomic:
-/// steering an *existing* flow only updates these atomics and is therefore
-/// wait-free — no lock, no table mutation. Structural changes (first
-/// packet of a flow, teardown, expiry) go through the table's writer path
-/// instead. Recency lives in the flow-table slot (`touch`), not here.
-#[derive(Debug)]
-struct FlowEntry {
-    /// The 5-tuple that claimed this FID (collision detection). Fixed at
-    /// creation — a FID slot is never re-owned without a remove + reopen.
-    owner: FiveTuple,
-    packets: AtomicU64,
-    /// In handshake-aware mode: the flow's rule has been recorded (its
-    /// post-handshake initial packet already went down the slow path).
-    recorded: AtomicBool,
-}
-
-impl FlowEntry {
-    fn new(owner: FiveTuple) -> Self {
-        Self { owner, packets: AtomicU64::new(0), recorded: AtomicBool::new(false) }
-    }
-}
-
 /// Default shard count for the flow table. Power of two so the shard index
 /// is a mask of the (uniformly hashed) 20-bit FID.
 pub const DEFAULT_CLASSIFIER_SHARDS: usize = 16;
 
 /// Teardown hook invoked (outside all table locks) with each flow the
-/// classifier evicts under capacity pressure, so the owner can remove the
-/// flow's Global-MAT rule and notify NFs.
+/// classifier evicts under capacity pressure, so the owner can tear down
+/// the flow's Local MATs and Event Table entries and notify NFs.
 pub type EvictHook = Arc<dyn Fn(Fid) + Send + Sync>;
 
 /// The SpeedyBox Packet Classifier.
 ///
-/// Flow state is a bounded [`FlowTable`] keyed by FID: steering an
-/// already-tracked flow is wait-free — one direct-index lookup plus atomic
-/// per-flow counter updates, no lock — while structural changes (flow open
-/// / teardown / expiry) serialize on per-shard writer mutexes that readers
-/// never touch. Capacity and the when-full policy come from
-/// [`PacketClassifier::with_limits`]; evictions fire the
-/// [`EvictHook`] so MAT rules are torn down with the flow state.
+/// Flow state is the bounded flow table of [`FlowRecord`]s keyed by FID:
+/// steering an already-tracked flow is wait-free — one direct-index
+/// lookup, a recency stamp and a flag load, no lock and no locked
+/// instruction — while structural changes (flow open / teardown / expiry)
+/// serialize on per-shard writer mutexes that readers never touch.
+/// Capacity and the when-full policy come from
+/// [`PacketClassifier::with_limits`]; evictions fire the [`EvictHook`] so
+/// Local MATs and Event Table entries are torn down with the record.
 ///
 /// ```
 /// use speedybox_mat::{OpCounter, PacketClass, PacketClassifier};
@@ -110,10 +91,11 @@ pub type EvictHook = Arc<dyn Fn(Fid) + Send + Sync>;
 /// # Ok::<(), speedybox_packet::PacketError>(())
 /// ```
 pub struct PacketClassifier {
-    table: FlowTable<FlowEntry>,
-    /// Monotonic packet clock: incremented per classified packet. Used as
-    /// the timebase for idle-flow expiry (deterministic, no wall clock).
-    clock: AtomicU64,
+    /// The flow table, shared with the Global MAT when both belong to one
+    /// chain. Its clock is the classifier's packet clock: one tick per
+    /// classified packet, the deterministic timebase for recency and idle
+    /// expiry.
+    flows: Arc<FlowRecords>,
     /// Implement the paper's §III initial-packet definition: TCP SYN
     /// packets of unestablished flows are steered as
     /// [`PacketClass::Handshake`] and recording starts with the first
@@ -122,7 +104,8 @@ pub struct PacketClassifier {
     handshake_aware: bool,
     /// Optional telemetry sink: flow lifecycle counters (opens, closes,
     /// expiries, evictions, rejections, FID collisions, handshake
-    /// packets). Relaxed atomics; no effect on steering.
+    /// packets) and the rules that leave with their records. Relaxed
+    /// atomics; no effect on steering.
     sink: Option<Arc<Telemetry>>,
     /// Capacity-eviction teardown hook (see [`EvictHook`]).
     evictor: Option<EvictHook>,
@@ -131,8 +114,7 @@ pub struct PacketClassifier {
 impl std::fmt::Debug for PacketClassifier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PacketClassifier")
-            .field("table", &self.table)
-            .field("clock", &self.clock)
+            .field("flows", &self.flows)
             .field("handshake_aware", &self.handshake_aware)
             .field("evictor", &self.evictor.is_some())
             .finish()
@@ -146,7 +128,7 @@ impl Default for PacketClassifier {
 }
 
 /// Classifier verdict for one packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Classification {
     /// Assigned flow ID (also attached to the packet).
     pub fid: Fid,
@@ -155,13 +137,16 @@ pub struct Classification {
     /// True if this packet closes the flow (FIN/RST): the caller must tear
     /// down the flow's rules after processing it.
     pub closes_flow: bool,
+    /// The FID's record as steering found it (`None` for a rejected
+    /// flow). The fast path reads the flow's rule and armed events from
+    /// here; for a collision it is the owning flow's record.
+    pub record: Option<Pinned<FlowRecord>>,
 }
 
-/// One not-yet-steered packet of a batch (parse succeeded; awaiting its
-/// clock tick).
-#[derive(Debug)]
-struct Pending {
-    idx: usize,
+/// A parsed packet awaiting steering: its flow, its clock tick and the
+/// TCP flags steering reads (parsed once).
+#[derive(Debug, Clone, Copy)]
+pub struct Pending {
     fid: Fid,
     tuple: FiveTuple,
     now: u64,
@@ -169,13 +154,25 @@ struct Pending {
     closes: bool,
 }
 
+/// One packet of a batch, as [`PacketClassifier::classify_batch_into`]
+/// leaves it.
+#[derive(Debug)]
+pub enum Batched {
+    /// Steered up front.
+    Now(Classification),
+    /// Steered at its turn by [`PacketClassifier::steer_pending`]: an
+    /// earlier packet of the batch closes a flow, and this packet belongs
+    /// to that flow or would open a record the teardown may make room for.
+    Deferred(Pending),
+}
+
 /// Reusable intermediate storage for
 /// [`PacketClassifier::classify_batch_into`]; hold one per worker and the
 /// classifier allocates nothing per batch once the vectors are warm.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
-    slots: Vec<Option<Result<Classification, speedybox_packet::PacketError>>>,
-    pending: Vec<Pending>,
+    pending: Vec<(usize, Pending)>,
+    closing: Vec<Fid>,
 }
 
 impl PacketClassifier {
@@ -199,25 +196,26 @@ impl PacketClassifier {
     /// `policy`.
     #[must_use]
     pub fn with_limits(shards: usize, max_flows: usize, policy: AdmissionPolicy) -> Self {
-        Self {
-            table: FlowTable::new(shards, max_flows, policy),
-            clock: AtomicU64::new(0),
-            handshake_aware: false,
-            sink: None,
-            evictor: None,
-        }
+        Self::sharing(Arc::new(FlowTable::new(shards, max_flows, policy)))
+    }
+
+    /// A classifier over `flows`, the table it shares with a Global MAT
+    /// ([`crate::GlobalMat::sharing`]).
+    #[must_use]
+    pub fn sharing(flows: Arc<FlowRecords>) -> Self {
+        Self { flows, handshake_aware: false, sink: None, evictor: None }
     }
 
     /// Number of flow-table shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.table.shard_count()
+        self.flows.shard_count()
     }
 
     /// The flow-table capacity (live-flow bound).
     #[must_use]
     pub fn max_flows(&self) -> usize {
-        self.table.capacity()
+        self.flows.capacity()
     }
 
     /// Enables the paper's §III handshake-aware initial-packet definition.
@@ -257,7 +255,8 @@ impl PacketClassifier {
     }
 
     /// Classifies a packet: computes and attaches the FID, decides
-    /// initial vs. subsequent, and flags flow teardown.
+    /// initial vs. subsequent, flags flow teardown, and hands back the
+    /// flow's record.
     ///
     /// The FID is derived from the packet's 5-tuple *at chain entry*; NFs
     /// downstream may rewrite headers but the metadata FID stays put.
@@ -268,73 +267,119 @@ impl PacketClassifier {
         &self,
         packet: &mut Packet,
         ops: &mut OpCounter,
-    ) -> Result<Classification, speedybox_packet::PacketError> {
+    ) -> Result<Classification, PacketError> {
+        let mut pending = Self::parse(packet, ops)?;
+        pending.now = self.flows.tick(1);
+        Ok(self.steer_pending(&pending))
+    }
+
+    /// Parses the 5-tuple and TCP flags once, attaches the FID and counts
+    /// the classification op (it covers the parse + hash + table probe +
+    /// FID attach, priced as a unit by the cycle model). The clock tick is
+    /// left for the caller to draw.
+    fn parse(packet: &mut Packet, ops: &mut OpCounter) -> Result<Pending, PacketError> {
         let tuple = packet.five_tuple()?;
         let fid = tuple.fid();
-        // One classification op covers the parse + hash + table probe +
-        // FID attach (priced as a unit by the cycle model).
         ops.classifications += 1;
         packet.set_fid(fid);
-        let now = self.clock.fetch_add(1, Relaxed);
-        let is_syn = packet.tcp_flags().syn();
-        let class = self.steer(fid, tuple, now, is_syn);
-        let closes_flow = packet.tcp_flags().closes_flow();
-        Ok(Classification { fid, class, closes_flow })
+        let flags = packet.tcp_flags();
+        Ok(Pending { fid, tuple, now: 0, is_syn: flags.syn(), closes: flags.closes_flow() })
+    }
+
+    /// Steers a parsed packet at the clock tick it drew: every packet of
+    /// the per-packet path, and a batch packet left [`Batched::Deferred`]
+    /// once its turn comes.
+    #[must_use]
+    pub fn steer_pending(&self, packet: &Pending) -> Classification {
+        self.steer(packet, false).expect("steering that may open a record always resolves")
     }
 
     /// The steering decision proper. Wait-free for already-tracked flows
-    /// (one direct-index lookup + atomic field updates); only a flow's
-    /// *first* packet takes the table's writer path to open its slot.
-    fn steer(&self, fid: Fid, tuple: FiveTuple, now: u64, is_syn: bool) -> PacketClass {
+    /// (one direct-index lookup, a relaxed recency stamp and a flag load;
+    /// the compare-and-swap runs only for a flow's first packet); a
+    /// flow's first packet takes the table's writer path to open its
+    /// record, or to claim one the control plane installed. With
+    /// `defer_open`, a packet that would open a record is left unsteered
+    /// (`None`).
+    fn steer(&self, p: &Pending, defer_open: bool) -> Option<Classification> {
+        let Pending { fid, tuple, now, is_syn, closes } = *p;
         let cell = self.cell(fid);
-        let entry = match self.table.lookup(fid) {
-            Some((handle, entry)) => {
-                self.table.touch(handle, now);
-                entry
+        let record = loop {
+            let record = match self.flows.lookup(fid) {
+                Some((handle, record)) => {
+                    self.flows.touch(handle, now);
+                    record
+                }
+                None if defer_open => return None,
+                None => match self
+                    .flows
+                    .open_with(fid, now, || FlowRecord::new(Some(tuple), false, None))
+                {
+                    Opened::Existing(value) => value,
+                    Opened::Created(value, evicted) => {
+                        if let Some(cell) = cell {
+                            cell.add_flows_opened(1);
+                        }
+                        if let Some(victim) = evicted {
+                            // Capacity pressure displaced the table-wide
+                            // LRU flow, rule and all: count it and let the
+                            // owner tear down its Local MATs and events
+                            // (the hook runs outside table locks).
+                            let vcell = self.cell(victim.fid);
+                            victim.value.count_departure(vcell, CounterShard::add_flows_evicted);
+                            if let Some(hook) = &self.evictor {
+                                hook(victim.fid);
+                            }
+                        }
+                        value
+                    }
+                    Opened::Rejected => {
+                        if let Some(cell) = cell {
+                            cell.add_flows_rejected(1);
+                        }
+                        let class = PacketClass::Rejected;
+                        return Some(Classification {
+                            fid,
+                            class,
+                            closes_flow: closes,
+                            record: None,
+                        });
+                    }
+                },
+            };
+            if record.owner.is_some() {
+                break record;
             }
-            None => match self.table.open_with(fid, now, || Arc::new(FlowEntry::new(tuple))) {
-                Opened::Existing { value, .. } => value,
-                Opened::Created { value, evicted, .. } => {
-                    if let Some(cell) = cell {
-                        cell.add_flows_opened(1);
-                    }
-                    if let Some(victim) = evicted {
-                        // Capacity pressure displaced the table-wide LRU
-                        // flow: count it and let the owner tear down its
-                        // MAT rules (the hook runs outside table locks).
-                        if let Some(vcell) = self.cell(victim.fid) {
-                            vcell.add_flows_evicted(1);
-                        }
-                        if let Some(hook) = &self.evictor {
-                            hook(victim.fid);
-                        }
-                    }
-                    value
+            // The control plane installed this record before any packet
+            // arrived: the flow's first packet claims it, as if opening it.
+            let claim = |r: &FlowRecord| {
+                r.owner.is_none().then(|| FlowRecord::new(Some(tuple), false, r.rule.clone()))
+            };
+            if let Some(claimed) = self.flows.republish(fid, claim) {
+                if let Some(cell) = cell {
+                    cell.add_flows_opened(1);
                 }
-                Opened::Rejected => {
-                    if let Some(cell) = cell {
-                        cell.add_flows_rejected(1);
-                    }
-                    return PacketClass::Rejected;
-                }
-            },
+                break claimed;
+            }
         };
-        let class = if entry.owner != tuple {
+        let recorded = record.recorded.load(Relaxed);
+        let class = if record.owner != Some(tuple) {
             PacketClass::Collision
-        } else if self.handshake_aware && is_syn && !entry.recorded.load(Relaxed) {
+        } else if self.handshake_aware && is_syn && !recorded {
             // §III: handshake packets precede the "initial packet";
             // they ride the original chain without recording.
             PacketClass::Handshake
-        } else if entry.recorded.compare_exchange(false, true, Relaxed, Relaxed).is_ok() {
+        } else if !recorded
+            && record.recorded.compare_exchange(false, true, Relaxed, Relaxed).is_ok()
+        {
             // The CAS guarantees exactly one packet is steered Initial per
-            // flow slot even under concurrent classification.
+            // flow record even under concurrent classification; the load
+            // before it keeps every later packet off the locked
+            // instruction.
             PacketClass::Initial
         } else {
             PacketClass::Subsequent
         };
-        if class != PacketClass::Collision {
-            entry.packets.fetch_add(1, Relaxed);
-        }
         if let Some(cell) = cell {
             match class {
                 PacketClass::Collision => cell.add_fid_collisions(1),
@@ -342,24 +387,22 @@ impl PacketClassifier {
                 _ => {}
             }
         }
-        class
+        Some(Classification { fid, class, closes_flow: closes, record: Some(record) })
     }
 
     /// Classifies a batch of packets, drawing one clock advance for the
-    /// whole batch. Steering itself is the wait-free [`Self::steer`] path;
-    /// there is no lock left to amortize.
+    /// whole batch and steering every packet up front, so the batch's
+    /// record lookups overlap their cache misses.
     ///
     /// Equivalent to calling [`PacketClassifier::classify`] on each packet
-    /// in slice order — same clock values, same steering, same per-packet
-    /// op counts — with one deliberate difference: a packet that closes its
-    /// flow (FIN/RST, non-colliding) has its classifier entry removed
-    /// *here*, before any later packet in the batch is steered, exactly
-    /// where the sequential caller would have called
-    /// [`PacketClassifier::remove_flow`] between packets. Batch callers
-    /// must therefore NOT call `remove_flow` on the classifier again for
-    /// those packets (tearing down the Global MAT side stays the caller's
-    /// job); a second removal could delete the state of a later in-batch
-    /// packet that re-claimed the FID.
+    /// in slice order, with the caller tearing a closing flow down before
+    /// the next packet — same clock values, same steering, same per-packet
+    /// op counts — because steering that the teardown could change waits
+    /// for it: once a packet closes its flow (FIN/RST, non-colliding), a
+    /// later packet of that flow, or one that would open a new record, is
+    /// returned as [`Batched::Deferred`] and steered at its turn with
+    /// [`PacketClassifier::steer_pending`], after the caller has torn the
+    /// closing flow down. Without a closing packet nothing is deferred.
     ///
     /// Per-flow packet order is preserved: same flow → same FID → same
     /// shard, and each shard processes its packets in slice order.
@@ -370,7 +413,7 @@ impl PacketClassifier {
         &self,
         packets: &mut [Packet],
         ops: &mut [OpCounter],
-    ) -> Vec<Result<Classification, speedybox_packet::PacketError>> {
+    ) -> Vec<Result<Batched, PacketError>> {
         let mut out = Vec::with_capacity(packets.len());
         self.classify_batch_into(packets, ops, &mut out, &mut ClassifyScratch::default());
         out
@@ -387,134 +430,112 @@ impl PacketClassifier {
         &self,
         packets: &mut [Packet],
         ops: &mut [OpCounter],
-        out: &mut Vec<Result<Classification, speedybox_packet::PacketError>>,
+        out: &mut Vec<Result<Batched, PacketError>>,
         scratch: &mut ClassifyScratch,
     ) {
         assert_eq!(packets.len(), ops.len(), "one OpCounter per packet");
-        let ClassifyScratch { slots, pending } = scratch;
-        slots.clear();
-        slots.resize_with(packets.len(), || None);
+        let ClassifyScratch { pending, closing } = scratch;
         pending.clear();
+        closing.clear();
+        out.clear();
         for (idx, packet) in packets.iter_mut().enumerate() {
-            match packet.five_tuple() {
-                Err(e) => slots[idx] = Some(Err(e)),
-                Ok(tuple) => {
-                    let fid = tuple.fid();
-                    ops[idx].classifications += 1;
-                    packet.set_fid(fid);
-                    pending.push(Pending {
-                        idx,
-                        fid,
-                        tuple,
-                        now: 0,
-                        is_syn: packet.tcp_flags().syn(),
-                        closes: packet.tcp_flags().closes_flow(),
-                    });
+            match Self::parse(packet, &mut ops[idx]) {
+                Err(e) => out.push(Err(e)),
+                Ok(p) => {
+                    pending.push((idx, p));
+                    out.push(Ok(Batched::Deferred(p)));
                 }
             }
         }
         // One clock advance for the whole batch; packet i gets the tick it
         // would have drawn classifying sequentially (parse failures draw
         // none, as in the per-packet path).
-        let base = self.clock.fetch_add(pending.len() as u64, Relaxed);
-        for (j, p) in pending.iter_mut().enumerate() {
+        let base = self.flows.tick(pending.len() as u64);
+        for (j, (idx, p)) in pending.iter_mut().enumerate() {
             p.now = base + j as u64;
-        }
-        for p in pending.iter() {
-            let class = self.steer(p.fid, p.tuple, p.now, p.is_syn);
-            if p.closes && class != PacketClass::Collision {
-                // Sequential teardown point: the per-packet caller removes
-                // the flow before classifying the next packet, so a later
-                // in-batch packet with this FID sees a fresh slot. A
-                // Rejected packet's FID has no entry, so this no-ops.
-                if self.table.remove(p.fid).is_some() {
-                    if let Some(cell) = self.cell(p.fid) {
-                        cell.add_flows_closed(1);
-                    }
-                }
+            let steered =
+                if closing.contains(&p.fid) { None } else { self.steer(p, !closing.is_empty()) };
+            if p.closes && steered.as_ref().is_none_or(|c| c.class != PacketClass::Collision) {
+                closing.push(p.fid);
             }
-            slots[p.idx] = Some(Ok(Classification { fid: p.fid, class, closes_flow: p.closes }));
+            out[*idx] = Ok(steered.map_or(Batched::Deferred(*p), Batched::Now));
         }
-        out.clear();
-        out.extend(slots.drain(..).map(|s| s.expect("every packet classified")));
     }
 
     /// Classifies by 5-tuple only (no packet mutation) — used by tests and
     /// by workload planners that need to predict steering.
     #[must_use]
     pub fn peek(&self, tuple: &FiveTuple) -> PacketClass {
-        let fid = tuple.fid();
-        match self.table.get(fid) {
-            Some(s) if s.owner == *tuple && s.recorded.load(Relaxed) => PacketClass::Subsequent,
-            Some(s) if s.owner == *tuple => PacketClass::Initial,
-            Some(_) => PacketClass::Collision,
-            None => PacketClass::Initial,
+        match self.flows.get(tuple.fid()) {
+            Some(r) if r.owner == Some(*tuple) && r.recorded.load(Relaxed) => {
+                PacketClass::Subsequent
+            }
+            Some(r) if r.owner.is_some_and(|owner| owner != *tuple) => PacketClass::Collision,
+            _ => PacketClass::Initial,
         }
+    }
+
+    /// The FID's record, if any.
+    #[must_use]
+    pub fn record(&self, fid: Fid) -> Option<Pinned<FlowRecord>> {
+        self.flows.get(fid)
     }
 
     /// Force-evicts the `k` least-recently-seen flows — the same
     /// wheel-driven LRU path capacity pressure takes — returning the
-    /// victims' FIDs. Unlike automatic capacity eviction, the evictor
-    /// hook does **not** fire: the caller owns the rest of the teardown
-    /// (Global MAT, Local MATs, Event Table).
+    /// victims' FIDs. Their records go, rules included; unlike automatic
+    /// capacity eviction, the evictor hook does **not** fire: the caller
+    /// owns the rest of the teardown (Local MATs, Event Table).
     pub fn evict_oldest(&self, k: usize) -> Vec<Fid> {
-        let mut out = Vec::new();
-        for victim in self.table.evict_oldest(k) {
-            if let Some(cell) = self.cell(victim.fid) {
-                cell.add_flows_evicted(1);
-            }
-            out.push(victim.fid);
-        }
-        out
+        self.flows
+            .evict_oldest(k)
+            .into_iter()
+            .map(|victim| {
+                let cell = self.cell(victim.fid);
+                victim.value.count_departure(cell, CounterShard::add_flows_evicted);
+                victim.fid
+            })
+            .collect()
     }
 
-    /// Forgets a flow (called together with `GlobalMat::remove_flow` when a
-    /// FIN/RST packet has finished processing). The next packet with this
-    /// FID is treated as initial again.
+    /// Forgets a flow: its record goes, and its rule with it. The next
+    /// packet with this FID is treated as initial again.
     pub fn remove_flow(&self, fid: Fid) {
-        if self.table.remove(fid).is_some() {
-            if let Some(cell) = self.cell(fid) {
-                cell.add_flows_closed(1);
-            }
+        if let Some(record) = self.flows.remove(fid) {
+            record.count_departure(self.cell(fid), CounterShard::add_flows_closed);
         }
     }
 
     /// Number of tracked flows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.flows.len()
     }
 
     /// True if no flows are tracked.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.flows.is_empty()
     }
 
-    /// Packets seen so far for a flow.
-    #[must_use]
-    pub fn packets_seen(&self, fid: Fid) -> u64 {
-        self.table.get(fid).map_or(0, |s| s.packets.load(Relaxed))
-    }
-
-    /// Retired flow-slot values not yet reclaimed (removed, evicted or
-    /// replaced entries awaiting RCU collection).
+    /// Retired flow records not yet reclaimed (removed, evicted or
+    /// republished records awaiting RCU collection).
     #[must_use]
     pub fn pending_generations(&self) -> usize {
-        self.table.pending_generations()
+        self.flows.pending_generations()
     }
 
-    /// Attempts to reclaim retired flow-slot values; returns how many
-    /// were freed.
+    /// Attempts to reclaim retired flow records; returns how many were
+    /// freed.
     pub fn collect_generations(&self) -> usize {
-        self.table.collect_generations()
+        self.flows.collect_generations()
     }
 
     /// The classifier's monotonic packet clock (one tick per classified
     /// packet).
     #[must_use]
     pub fn clock(&self) -> u64 {
-        self.clock.load(Relaxed)
+        self.flows.clock()
     }
 
     /// A conservative lower bound on the earliest clock tick any flow
@@ -523,11 +544,12 @@ impl PacketClassifier {
     /// can be due.
     #[must_use]
     pub fn next_expiry_due(&self) -> u64 {
-        self.table.next_due()
+        self.flows.next_due()
     }
 
     /// Expires flows idle for more than `max_idle` clock ticks, returning
-    /// the expired FIDs so the caller can tear down their MAT rules.
+    /// the expired FIDs so the caller can tear down their Local MATs and
+    /// Event Table entries (their records and rules are already gone).
     ///
     /// TCP flows are normally garbage-collected on FIN/RST (§VI-B of the
     /// paper); this extension reclaims UDP flows and half-dead TCP flows
@@ -535,15 +557,15 @@ impl PacketClassifier {
     /// so tests and the simulators stay reproducible; the scan is the flow
     /// table's timer wheel — amortized O(1) per tick, not O(flows).
     pub fn expire_idle(&self, max_idle: u64) -> Vec<Fid> {
-        let now = self.clock();
-        let mut expired = Vec::new();
-        for victim in self.table.expire_idle(now, max_idle) {
-            if let Some(cell) = self.cell(victim.fid) {
-                cell.add_flows_expired(1);
-            }
-            expired.push(victim.fid);
-        }
-        expired
+        self.flows
+            .expire_idle(self.clock(), max_idle)
+            .into_iter()
+            .map(|victim| {
+                let cell = self.cell(victim.fid);
+                victim.value.count_departure(cell, CounterShard::add_flows_expired);
+                victim.fid
+            })
+            .collect()
     }
 }
 
@@ -574,7 +596,6 @@ mod tests {
         let c2 = cl.classify(&mut p2, &mut ops).unwrap();
         assert_eq!(c2.class, PacketClass::Subsequent);
         assert_eq!(c1.fid, c2.fid);
-        assert_eq!(cl.packets_seen(c1.fid), 2);
     }
 
     #[test]
@@ -771,7 +792,6 @@ mod tests {
         let c = cl.classify(&mut p, &mut ops).unwrap();
         assert_eq!(c.class, PacketClass::Rejected);
         assert_eq!(cl.len(), 2, "rejected flow leaves no state");
-        assert_eq!(cl.packets_seen(c.fid), 0);
         // Tracked flows keep normal service at capacity.
         let mut p2 = pkt(1000, TcpFlags::ACK);
         assert_eq!(cl.classify(&mut p2, &mut ops).unwrap().class, PacketClass::Subsequent);

@@ -6,6 +6,12 @@
 //! register events through `register_event` (Fig 2); the Global MAT checks
 //! the registered conditions and, when one fires, patches the flow's rule
 //! and re-consolidates — Fig 3's workflow.
+//!
+//! The table is the registration store. Installing a flow's rule arms its
+//! events in the rule as shared handles, so the fast path evaluates them
+//! from the flow record with no lock; only a triggered condition comes
+//! back here, to [`EventTable::fire`], which re-checks under the write
+//! lock so a one-shot event fires once.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -16,7 +22,7 @@ use speedybox_packet::Fid;
 
 use crate::action::HeaderAction;
 use crate::local::NfId;
-use crate::ops::OpCounter;
+use crate::record::FlowRecords;
 use crate::state_fn::StateFunction;
 
 /// The rule update an event applies to the registering NF's per-flow rule.
@@ -142,14 +148,14 @@ impl fmt::Debug for Event {
     }
 }
 
-/// The Event Table: per-flow registered events, checked by the Global MAT
-/// before each fast-path rule application.
+/// The Event Table: per-flow registered events, armed in each flow's
+/// rule and fired through here.
 ///
 /// ```
 /// use std::sync::atomic::{AtomicBool, Ordering};
 /// use std::sync::Arc;
 ///
-/// use speedybox_mat::{Event, EventTable, HeaderAction, NfId, OpCounter, RulePatch};
+/// use speedybox_mat::{Event, EventTable, HeaderAction, NfId, RulePatch};
 /// use speedybox_packet::Fid;
 ///
 /// let table = EventTable::new();
@@ -162,15 +168,19 @@ impl fmt::Debug for Event {
 ///     move |_| t.load(Ordering::Relaxed),
 ///     |_| RulePatch::set_action(HeaderAction::Drop),
 /// ));
-/// let mut ops = OpCounter::default();
-/// assert!(table.check(Fid::new(7), &mut ops).is_empty());
+/// assert!(table.fire(Fid::new(7)).is_empty());
 /// tripped.store(true, Ordering::Relaxed);
-/// let fired = table.check(Fid::new(7), &mut ops);
+/// let fired = table.fire(Fid::new(7));
 /// assert_eq!(fired.len(), 1);
+/// assert!(table.is_empty(), "a one-shot event fires once");
 /// ```
 #[derive(Debug, Default)]
 pub struct EventTable {
-    events: RwLock<HashMap<Fid, Vec<Event>>>,
+    events: RwLock<HashMap<Fid, Vec<Arc<Event>>>>,
+    /// The flow table whose installed rules arm these events; a
+    /// registration on a flow with a rule re-arms it. `None` for a
+    /// stand-alone table.
+    flows: Option<Arc<FlowRecords>>,
     /// Optional telemetry sink (events-fired counter). Set once, after
     /// construction, because the table is created inside `GlobalMat` and
     /// shared as an `Arc`.
@@ -178,10 +188,15 @@ pub struct EventTable {
 }
 
 impl EventTable {
-    /// Creates an empty table.
+    /// Creates an empty, stand-alone table.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty table arming its events in `flows`' rules.
+    pub(crate) fn arming(flows: Arc<FlowRecords>) -> Self {
+        Self { flows: Some(flows), ..Self::default() }
     }
 
     /// Attaches a telemetry sink. Later calls on an already-sinked table
@@ -190,41 +205,49 @@ impl EventTable {
         let _ = self.sink.set(sink);
     }
 
-    /// Registers an event (the `register_event` API of Fig 2).
+    /// Registers an event (the `register_event` API of Fig 2). If the
+    /// flow's rule is already installed, the rule is re-armed, so the
+    /// event is checked from the flow's next packet.
     pub fn register(&self, event: Event) {
-        self.events.write().entry(event.fid).or_default().push(event);
+        let fid = event.fid;
+        let mut events = self.events.write();
+        let list = events.entry(fid).or_default();
+        list.push(Arc::new(event));
+        if let Some(flows) = &self.flows {
+            // Under the write lock, so a concurrent install (which arms
+            // under the read lock) cannot publish a rule missing it.
+            flows.republish(fid, |record| {
+                let rule = record.rule.as_ref()?;
+                Some(record.with_rule(Some(Arc::new(rule.rearmed(list.clone())))))
+            });
+        }
     }
 
-    /// Checks all events registered for `fid`; returns the `(nf, patch)`
-    /// pairs of triggered events, in registration order. Triggered one-shot
-    /// events are deregistered.
-    pub fn check(&self, fid: Fid, ops: &mut OpCounter) -> Vec<(NfId, RulePatch)> {
-        // Fast path: most packets have no triggered events; take the read
-        // lock and bail before paying for the write lock.
-        let any_triggered = {
-            let events = self.events.read();
-            let Some(list) = events.get(&fid) else { return Vec::new() };
-            ops.event_checks += list.len() as u64;
-            list.iter().any(Event::is_triggered)
-        };
-        if !any_triggered {
-            return Vec::new();
-        }
+    /// Runs `f` on the events registered for `fid`, in registration
+    /// order, holding the read lock so no registration can slip between
+    /// arming a rule and publishing it.
+    pub(crate) fn with_armed<R>(&self, fid: Fid, f: impl FnOnce(&[Arc<Event>]) -> R) -> R {
+        let events = self.events.read();
+        f(events.get(&fid).map_or(&[], Vec::as_slice))
+    }
+
+    /// Fires the events registered for `fid` whose conditions hold,
+    /// returning their `(nf, patch)` pairs in registration order. The
+    /// fast path calls this once an armed condition triggered; the
+    /// re-check here, under the write lock, deregisters a triggered
+    /// one-shot event, so it fires once however many packets saw it
+    /// trigger.
+    pub fn fire(&self, fid: Fid) -> Vec<(NfId, RulePatch)> {
         let mut events = self.events.write();
         let Some(list) = events.get_mut(&fid) else { return Vec::new() };
         let mut fired = Vec::new();
-        let mut keep = Vec::with_capacity(list.len());
-        for event in list.drain(..) {
-            if event.is_triggered() {
-                fired.push((event.nf, event.compute_patch()));
-                if !event.one_shot {
-                    keep.push(event);
-                }
-            } else {
-                keep.push(event);
+        list.retain(|event| {
+            if !event.is_triggered() {
+                return true;
             }
-        }
-        *list = keep;
+            fired.push((event.nf, event.compute_patch()));
+            !event.one_shot
+        });
         if list.is_empty() {
             events.remove(&fid);
         }
@@ -259,7 +282,10 @@ impl EventTable {
     /// before any condition ever fires.
     #[must_use]
     pub fn events_for(&self, fid: Fid) -> Vec<Event> {
-        self.events.read().get(&fid).cloned().unwrap_or_default()
+        self.events
+            .read()
+            .get(&fid)
+            .map_or_else(Vec::new, |list| list.iter().map(|event| Event::clone(event)).collect())
     }
 }
 
@@ -283,10 +309,8 @@ mod tests {
             |_| false,
             |_| RulePatch::default(),
         ));
-        let mut ops = OpCounter::default();
-        assert!(table.check(fid(1), &mut ops).is_empty());
+        assert!(table.fire(fid(1)).is_empty());
         assert_eq!(table.len(), 1);
-        assert_eq!(ops.event_checks, 1);
     }
 
     #[test]
@@ -301,14 +325,13 @@ mod tests {
             move |_| a.load(Ordering::Relaxed),
             |_| RulePatch::set_action(HeaderAction::Drop),
         ));
-        let mut ops = OpCounter::default();
-        let fired = table.check(fid(1), &mut ops);
+        let fired = table.fire(fid(1));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].0, NfId::new(2));
         assert_eq!(fired[0].1.header_actions, Some(vec![HeaderAction::Drop]));
         // Deregistered after firing.
         assert!(table.is_empty());
-        assert!(table.check(fid(1), &mut ops).is_empty());
+        assert!(table.fire(fid(1)).is_empty());
     }
 
     #[test]
@@ -318,9 +341,8 @@ mod tests {
             Event::new(fid(1), NfId::new(0), "always", |_| true, |_| RulePatch::default())
                 .recurring(),
         );
-        let mut ops = OpCounter::default();
-        assert_eq!(table.check(fid(1), &mut ops).len(), 1);
-        assert_eq!(table.check(fid(1), &mut ops).len(), 1);
+        assert_eq!(table.fire(fid(1)).len(), 1);
+        assert_eq!(table.fire(fid(1)).len(), 1);
         assert_eq!(table.len(), 1);
     }
 
@@ -328,9 +350,8 @@ mod tests {
     fn events_keyed_by_flow() {
         let table = EventTable::new();
         table.register(Event::new(fid(1), NfId::new(0), "e1", |_| true, |_| RulePatch::default()));
-        let mut ops = OpCounter::default();
-        assert!(table.check(fid(2), &mut ops).is_empty());
-        assert_eq!(ops.event_checks, 0);
+        assert!(table.fire(fid(2)).is_empty());
+        assert_eq!(table.len(), 1);
     }
 
     #[test]
@@ -338,8 +359,7 @@ mod tests {
         let table = EventTable::new();
         table.register(Event::new(fid(1), NfId::new(0), "a", |_| true, |_| RulePatch::default()));
         table.register(Event::new(fid(1), NfId::new(1), "b", |_| true, |_| RulePatch::default()));
-        let mut ops = OpCounter::default();
-        let fired = table.check(fid(1), &mut ops);
+        let fired = table.fire(fid(1));
         assert_eq!(fired.iter().map(|(nf, _)| nf.index()).collect::<Vec<_>>(), vec![0, 1]);
     }
 
@@ -361,8 +381,7 @@ mod tests {
             },
         ));
         value.store(7, Ordering::Relaxed);
-        let mut ops = OpCounter::default();
-        assert_eq!(table.check(fid(1), &mut ops).len(), 1);
+        assert_eq!(table.fire(fid(1)).len(), 1);
     }
 
     #[test]

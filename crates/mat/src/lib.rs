@@ -15,9 +15,11 @@
 //! * the **Global MAT** holding the consolidated fast-path rules
 //!   ([`global`]),
 //! * the **Event Table** that keeps stateful NF behaviour correct on the
-//!   fast path ([`event`]), and
+//!   fast path ([`event`]),
 //! * the **Packet Classifier** that assigns 20-bit FIDs and steers
-//!   initial vs. subsequent packets ([`classifier`]).
+//!   initial vs. subsequent packets ([`classifier`]), and
+//! * the **flow record** the classifier and the Global MAT share, one per
+//!   flow-table slot ([`record`], [`flow_table`]).
 //!
 //! Execution environments (BESS-style and OpenNetVM-style) live in
 //! `speedybox-platform`; concrete NFs live in `speedybox-nf`.
@@ -64,24 +66,28 @@ pub mod local;
 pub mod model;
 pub mod ops;
 pub mod parallel;
+pub mod record;
 pub mod state_fn;
 pub mod timer_wheel;
 pub mod track;
 
 pub use action::{EncapSpec, HeaderAction};
 pub use api::NfInstrument;
-pub use classifier::{Classification, ClassifyScratch, PacketClass, PacketClassifier};
+pub use classifier::{
+    Batched, Classification, ClassifyScratch, PacketClass, PacketClassifier, Pending,
+};
 pub use compiled::{compile, Anchor, CompiledProgram, MicroOp};
 pub use consolidate::{consolidate, ConsolidatedAction};
 pub use error::MatError;
 pub use event::{Event, EventTable, RulePatch};
 pub use flow_table::{
-    Admission, AdmissionPolicy, Evicted, FlowHandle, FlowTable, Opened, FID_SPACE,
+    Admission, AdmissionPolicy, Evicted, FlowHandle, FlowTable, Opened, Pinned, FID_SPACE,
 };
 pub use global::{FastPathOutcome, GlobalMat, GlobalRule};
 pub use local::{LocalMat, LocalRule, NfId};
 pub use ops::OpCounter;
 pub use parallel::{can_parallelize, schedule_batches};
+pub use record::{FlowRecord, FlowRecords};
 pub use state_fn::{PayloadAccess, SfContext, StateFunction};
 pub use timer_wheel::{TimerWheel, WheelItem};
 pub use track::AccessViolation;

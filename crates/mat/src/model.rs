@@ -1,5 +1,5 @@
-//! Model-checkable ports of the two concurrency-critical MAT protocols,
-//! built on `speedybox-check`'s virtual primitives so the checker can
+//! Model-checkable ports of the concurrency-critical MAT protocols, built
+//! on `speedybox-check`'s virtual primitives so the checker can
 //! exhaustively enumerate interleavings within a preemption bound.
 //!
 //! Three protocols are distilled here:
@@ -12,16 +12,16 @@
 //!   retires cleared values, the free-list recycle, and the writer mutex
 //!   that serializes all structural changes. The proved invariants are the
 //!   eviction-vs-rewrite atomicity of
-//!   [`crate::flow_table::FlowTable::replace_if_present`] (a rewrite that
-//!   loses to an eviction must not resurrect the entry) and index/slot
-//!   agreement across slab recycling under a concurrent wait-free reader.
-//! * [`ClassifierModel`] — the rule-generation publication protocol of
-//!   [`crate::global::GlobalMat::process_batch`]'s flow-affinity memo: a
-//!   batch reader resolves a flow's rule once and serves same-flow
-//!   packets from the memo while the control plane republishes. The
-//!   proved invariants are memo-run generation consistency and liveness
-//!   of the memoized handle (the memo holds a strong clone, so a
-//!   republication plus drain cannot free it).
+//!   [`crate::flow_table::FlowTable::republish`] (a rewrite that loses to
+//!   an eviction must not resurrect the entry) and index/slot agreement
+//!   across slab recycling under a concurrent wait-free reader.
+//! * [`FireModel`] — the event-fire path of the merged flow record
+//!   ([`crate::record::FlowRecord`]): readers evaluate the conditions
+//!   armed in the record they hold without a lock, and a triggered one
+//!   fires through the Event Table's serialized re-check
+//!   ([`crate::event::EventTable::fire`]) before the rewrite republishes
+//!   the record. The proved invariant is that a one-shot event fires once
+//!   however many readers of one record see it trigger.
 //! * [`QuarantineModel`] — the NF-recovery quarantine/republish
 //!   handshake of [`crate::global::GlobalMat::quarantine_nf`] and the
 //!   platform supervisor's kill path: quarantine → sweep → restore →
@@ -30,7 +30,7 @@
 //!   serves a rule consolidated from restored-but-not-replayed NF state.
 //!
 //! Each model carries seeded-bug mutations ([`FtMutation`],
-//! [`ClMutation`], [`QMutation`]) that weaken the protocol the way a plausible
+//! [`FireMutation`], [`QMutation`]) that weaken the protocol the way a plausible
 //! refactoring would; the checker must catch every one, which is the
 //! evidence a clean run means something. The correspondence argument
 //! between these distillations and the real code is written out in
@@ -39,7 +39,7 @@
 use std::sync::Arc as StdArc;
 
 use arcswap::model::{ArcSwapModel, Mutation as CellMutation};
-use speedybox_check::{fact, raw_read, ModelArc, ModelAtomicUsize, ModelMutex, Ordering};
+use speedybox_check::{fact, ModelArc, ModelAtomicUsize, ModelMutex, Ordering};
 
 /// FIDs used by the distilled flow-table model.
 const FIDS: usize = 2;
@@ -55,8 +55,8 @@ type SlotVal = Option<(usize, u64)>;
 pub enum FtMutation {
     /// Faithful port of the shipped protocol.
     None,
-    /// `replace_if_present` releases the writer lock between its index
-    /// check and its store — the TOCTOU a "shorten the critical section"
+    /// `republish` releases the writer lock between its index check and
+    /// its store — the TOCTOU a "shorten the critical section"
     /// refactoring would introduce. A rewrite can then lose to an
     /// eviction yet still publish, resurrecting the entry into a freed
     /// (and recyclable) slot.
@@ -180,11 +180,11 @@ impl FlowTableModel {
         w.live -= 1;
     }
 
-    /// Mirror of `FlowTable::replace_if_present`: replace the entry only
-    /// if the flow is still present, atomically with respect to evictions
-    /// — the primitive that keeps a lost rewrite from resurrecting a rule
-    /// whose Local MATs were already torn down.
-    pub fn replace_if_present(&self, fid: usize, value: u64) -> bool {
+    /// Mirror of `FlowTable::republish`: replace the entry only if the
+    /// flow is still present, atomically with respect to evictions — the
+    /// primitive that keeps a lost rewrite from resurrecting a rule whose
+    /// Local MATs were already torn down.
+    pub fn republish(&self, fid: usize, value: u64) -> bool {
         if self.mutation == FtMutation::ToctouReplace {
             // Seeded bug: check and store in separate critical sections.
             let slot = {
@@ -251,84 +251,72 @@ impl FlowTableModel {
     }
 }
 
-/// Seeded bugs for the classifier/batch affinity-memo protocol.
+/// Seeded bugs for the flow record's event-fire path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClMutation {
-    /// Faithful port: the memo holds a strong clone of the rule handle.
+pub enum FireMutation {
+    /// Faithful port: a reader whose armed condition triggered fires
+    /// through the Event Table's serialized re-check.
     None,
-    /// The memo caches the raw allocation handle instead of a clone —
-    /// the "avoid the refcount bump per packet" optimization. A
-    /// republication plus drain between two same-flow packets then frees
-    /// the memoized rule under the batch.
-    MemoRawHandle,
+    /// The reader fires from its own record snapshot and skips the
+    /// re-check — the "the condition already held, why look again"
+    /// shortcut. Two readers of one record then both fire a one-shot
+    /// event.
+    SnapshotFire,
 }
 
-/// Distilled rule-publication cell for one flow: the model twin of the
-/// Global MAT's per-flow rule slot as seen by
-/// [`crate::global::GlobalMat::process_batch`]'s affinity memo.
-pub struct ClassifierModel {
-    rule: ArcSwapModel<u64>,
+/// Distilled flow record for one flow with one armed one-shot event whose
+/// condition holds: the model twin of the record's RCU slot (the rule's
+/// generation and whether the event is armed in it) plus the Event
+/// Table's registration behind its lock.
+pub struct FireModel {
+    record: ArcSwapModel<(u64, bool)>,
+    /// Whether the one-shot event is still registered.
+    registered: ModelMutex<bool>,
+    /// Patches applied: one per firing.
+    fired: ModelAtomicUsize,
+    mutation: FireMutation,
 }
 
-impl std::fmt::Debug for ClassifierModel {
+impl std::fmt::Debug for FireModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClassifierModel").finish_non_exhaustive()
+        f.debug_struct("FireModel").field("mutation", &self.mutation).finish_non_exhaustive()
     }
 }
 
-impl ClassifierModel {
-    /// Creates the cell publishing generation 0 (must run inside a
-    /// checker execution).
-    pub fn new() -> Self {
-        ClassifierModel { rule: ArcSwapModel::new("rule-g0", 0, CellMutation::None) }
-    }
-
-    /// Mirror of the batch fast path for a two-packet same-flow run: the
-    /// first packet resolves the rule through the cell, the memo serves
-    /// the second. Returns `(first, second)` generation observations.
-    pub fn batch_of_two(&self, mutation: ClMutation) -> (u64, u64) {
-        let resolved = self.rule.load();
-        let first = *resolved.value();
-        match mutation {
-            ClMutation::None => {
-                // The memo is a strong clone (`Arc::clone` in
-                // `process_batch`); the resolved guard itself is dropped,
-                // as the real code drops its temporaries.
-                let memo = resolved.clone();
-                drop(resolved);
-                let second = *memo.value();
-                (first, second)
-            }
-            ClMutation::MemoRawHandle => {
-                // Seeded bug: cache the raw handle, drop the strong
-                // reference, dereference later.
-                let raw = resolved.raw_id();
-                drop(resolved);
-                let second = raw_read::<u64>(raw);
-                (first, second)
-            }
+impl FireModel {
+    /// Creates the record with generation 0 and the event armed and
+    /// registered (must run inside a checker execution).
+    pub fn new(mutation: FireMutation) -> Self {
+        FireModel {
+            record: ArcSwapModel::new("rec.armed", (0, true), CellMutation::None),
+            registered: ModelMutex::new("events", true),
+            fired: ModelAtomicUsize::new("fired", 0),
+            mutation,
         }
     }
 
-    /// Control-plane republication: publish generation `gen`.
-    pub fn republish(&self, gen: u64) {
-        self.rule.store(ModelArc::new("rule-g1", gen));
-    }
-
-    /// Retired rule generations not yet reclaimed.
-    pub fn pending(&self) -> usize {
-        self.rule.pending()
-    }
-
-    /// Attempts to reclaim retired generations; returns how many freed.
-    pub fn collect(&self) -> usize {
-        self.rule.collect()
-    }
-}
-
-impl Default for ClassifierModel {
-    fn default() -> Self {
-        Self::new()
+    /// Mirror of `GlobalMat::serve` for one packet: load the record,
+    /// evaluate the armed condition lock-free, and on a trigger fire
+    /// through the re-check — deregistering the one-shot event — then
+    /// republish the rewritten record with the event disarmed.
+    pub fn serve(&self) {
+        let (generation, armed) = *self.record.load().value();
+        if !armed {
+            fact("reader held the rewritten record");
+            return;
+        }
+        let fire = match self.mutation {
+            FireMutation::None => std::mem::replace(&mut *self.registered.lock(), false),
+            // Seeded bug: the snapshot's armed condition decides alone.
+            FireMutation::SnapshotFire => true,
+        };
+        if fire {
+            self.fired.fetch_add(1, Ordering::SeqCst);
+            self.record.store(ModelArc::new("rec.rewritten", (generation + 1, false)));
+            fact("reader fired the event");
+        } else {
+            fact("re-check found the event already fired");
+        }
     }
 }
 
@@ -459,7 +447,7 @@ impl QuarantineModel {
 }
 
 /// Checker scenarios over the MAT models, shared by the `cargo test`
-/// exhaustive tier (tests/model_flow_table.rs, tests/model_classifier.rs,
+/// exhaustive tier (tests/model_flow_table.rs, tests/model_record.rs,
 /// tests/model_quarantine.rs) and the `speedybox-check` binary.
 pub mod scenarios {
     use super::*;
@@ -482,7 +470,7 @@ pub mod scenarios {
             });
             let t = table.clone();
             let rewriter = speedybox_check::spawn(move || {
-                if t.replace_if_present(0, 11) {
+                if t.republish(0, 11) {
                     fact("rewrite found the flow present");
                 }
             });
@@ -530,32 +518,26 @@ pub mod scenarios {
         }
     }
 
-    /// A batch's two-packet same-flow memo run racing a rule
-    /// republication. Invariants: the memo run observes one consistent
-    /// generation, and the memoized handle stays alive across the
-    /// republication and its drain. [`ClMutation::MemoRawHandle`] must be
-    /// caught as a use-after-free.
-    pub fn cl_memo_vs_republish(mutation: ClMutation) -> impl Fn() + Send + Sync + 'static {
+    /// Two readers holding the same flow record, whose armed one-shot
+    /// condition holds, serve a packet each. In every schedule the event
+    /// fires exactly once, and the record ends rewritten.
+    /// [`FireMutation::SnapshotFire`] must be caught firing it twice.
+    pub fn rec_fire_once(mutation: FireMutation) -> impl Fn() + Send + Sync + 'static {
         move || {
-            let cl = StdArc::new(ClassifierModel::new());
-            let c = cl.clone();
-            let batch = speedybox_check::spawn(move || {
-                let (first, second) = c.batch_of_two(mutation);
-                assert_eq!(first, second, "memo run saw two generations");
-                if first == 0 {
-                    fact("memo pinned the pre-publication rule");
-                } else {
-                    fact("batch began after republication");
-                }
-            });
-            let c = cl.clone();
-            let publisher = speedybox_check::spawn(move || {
-                c.republish(1);
-            });
-            batch.join();
-            publisher.join();
-            cl.collect();
-            assert_eq!(cl.pending(), 0, "retired rule generation not drained");
+            let model = StdArc::new(FireModel::new(mutation));
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let m = model.clone();
+                    speedybox_check::spawn(move || m.serve())
+                })
+                .collect();
+            for reader in readers {
+                reader.join();
+            }
+            let fired = model.fired.load(Ordering::SeqCst);
+            assert_eq!(fired, 1, "one-shot event fired {fired} times");
+            model.record.collect();
+            assert_eq!(model.record.pending(), 0, "retired records not drained");
         }
     }
 

@@ -20,7 +20,7 @@ const FLOWS: u32 = 64;
 fn filled_table() -> Arc<FlowTable<u64>> {
     let table = Arc::new(FlowTable::new(4, 4096, AdmissionPolicy::EvictOldest));
     for n in 0..FLOWS {
-        table.insert(Fid::new(n), Arc::new(u64::from(n)), 0);
+        table.insert(Fid::new(n), u64::from(n), 0);
     }
     table
 }
@@ -63,7 +63,7 @@ fn drain_completes_after_reader_quiescence() {
     for round in 1..=ROUNDS {
         for n in 0..FLOWS {
             let v = round * u64::from(FLOWS) + u64::from(n);
-            assert!(table.replace_if_present(Fid::new(n), Arc::new(v), round), "flow {n} present");
+            assert!(table.republish(Fid::new(n), |_| Some(v)).is_some(), "flow {n} present");
         }
     }
     stop.store(true, Ordering::Relaxed);
@@ -109,11 +109,11 @@ fn recycling_slots_drains_fully() {
         }
         for n in (0..FLOWS).step_by(2) {
             let fid = FLOWS + n; // different flow, recycled slot
-            table.insert(Fid::new(fid), Arc::new(u64::from(fid)), round);
+            table.insert(Fid::new(fid), u64::from(fid), round);
         }
         for n in (0..FLOWS).step_by(2) {
             table.remove(Fid::new(FLOWS + n));
-            table.insert(Fid::new(n), Arc::new(u64::from(n)), round);
+            table.insert(Fid::new(n), u64::from(n), round);
         }
     }
     stop.store(true, Ordering::Relaxed);

@@ -1,0 +1,43 @@
+//! Exhaustive model-check tier for the flow record's event-fire path
+//! (runs under plain `cargo test`; CI's `model-check` job runs exactly
+//! this).
+//!
+//! The clean run proves that a one-shot event armed in a flow record fires
+//! once when two readers of the record see its condition trigger; the
+//! mutation twin proves that firing from the reader's snapshot, without
+//! the Event Table's serialized re-check, is caught with a
+//! deterministically replayable schedule.
+#![cfg(feature = "model")]
+
+use speedybox_check::{BugKind, Checker, Config};
+use speedybox_mat::model::{scenarios, FireMutation};
+
+const BOUND: usize = 2;
+
+#[test]
+fn fire_once_is_clean() {
+    let out = Checker::new(Config::exhaustive(BOUND))
+        .check("rec-fire-once", scenarios::rec_fire_once(FireMutation::None));
+    out.assert_clean();
+    // Both outcomes of the race are reachable: the second reader's
+    // re-check finding the event gone, and the second reader holding the
+    // already rewritten record.
+    out.assert_fact("reader fired the event");
+    out.assert_fact("re-check found the event already fired");
+    out.assert_fact("reader held the rewritten record");
+}
+
+#[test]
+fn mutation_snapshot_fire_is_caught() {
+    let out = Checker::new(Config::exhaustive(BOUND))
+        .check("rec-snapshot-fire", scenarios::rec_fire_once(FireMutation::SnapshotFire));
+    let bug = out.expect_bug(BugKind::Panic).clone();
+    assert!(bug.message.contains("fired 2 times"), "expected a double fire, got: {}", bug.message);
+    let replayed = Checker::new(Config::replay(bug.schedule.parse().expect("schedule parses")))
+        .check("replay", scenarios::rec_fire_once(FireMutation::SnapshotFire));
+    assert!(
+        replayed.bugs.iter().any(|b| b.kind == BugKind::Panic),
+        "schedule `{}` did not replay to the double fire",
+        bug.schedule
+    );
+}

@@ -227,7 +227,7 @@ mod tests {
         }
         let fid = p.fid().unwrap();
         // Below threshold: silent.
-        assert!(events.check(fid, &mut ops).is_empty());
+        assert!(events.fire(fid).is_empty());
         // Drive the SYN count over the threshold via the recorded SF.
         let rule = inst.local_mat().rule(fid).unwrap();
         for _ in 0..3 {
@@ -240,7 +240,7 @@ mod tests {
             };
             rule.state_functions[0].invoke(&mut sfctx);
         }
-        let fired = events.check(fid, &mut ops);
+        let fired = events.fire(fid);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].1.header_actions, Some(vec![HeaderAction::Drop]));
     }

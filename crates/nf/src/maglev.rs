@@ -554,15 +554,15 @@ mod tests {
         for i in 0..4 {
             lb.fail_backend(&format!("backend-{i}"));
         }
-        let fired = events.check(fid, &mut ops);
+        let fired = events.fire(fid);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].1.header_actions, Some(vec![HeaderAction::Drop]));
         // While the outage lasts the recurring event is quiescent.
-        assert!(events.check(fid, &mut ops).is_empty());
+        assert!(events.fire(fid).is_empty());
         // First recovery: the rule must come back as a modify — exactly the
         // backend the original path would pick.
         lb.recover_backend("backend-2");
-        let fired = events.check(fid, &mut ops);
+        let fired = events.fire(fid);
         assert_eq!(fired.len(), 1, "recovery after a total outage must re-fire");
         match &fired[0].1.header_actions.as_ref().unwrap()[0] {
             HeaderAction::Modify(writes) => {
@@ -594,9 +594,9 @@ mod tests {
         }
         let fid = p.fid().unwrap();
         // The load-shedding drop was recorded — and so was the event.
-        assert!(events.check(fid, &mut ops).is_empty(), "quiescent while dead");
+        assert!(events.fire(fid).is_empty(), "quiescent while dead");
         lb.recover_backend("backend-1");
-        let fired = events.check(fid, &mut ops);
+        let fired = events.fire(fid);
         assert_eq!(fired.len(), 1, "the shed flow must be rewritten to a live backend");
         match &fired[0].1.header_actions.as_ref().unwrap()[0] {
             HeaderAction::Modify(_) => {}
@@ -621,7 +621,7 @@ mod tests {
         }
         let fid = p.fid().unwrap();
         // Healthy: no trigger.
-        assert!(events.check(fid, &mut ops).is_empty());
+        assert!(events.fire(fid).is_empty());
         // Fail the assigned backend: the event fires with a new modify.
         let original = lb.assigned_backend(fid).unwrap();
         let name = {
@@ -629,7 +629,7 @@ mod tests {
             st.backends.iter().find(|b| b.addr == original).unwrap().name.clone()
         };
         lb.fail_backend(&name);
-        let fired = events.check(fid, &mut ops);
+        let fired = events.fire(fid);
         assert_eq!(fired.len(), 1);
         let patch = &fired[0].1;
         let actions = patch.header_actions.as_ref().unwrap();
@@ -642,7 +642,7 @@ mod tests {
             other => panic!("expected modify, got {other}"),
         }
         // Recurring event: still registered, but quiescent after reroute.
-        assert!(events.check(fid, &mut ops).is_empty());
+        assert!(events.fire(fid).is_empty());
     }
 
     #[test]

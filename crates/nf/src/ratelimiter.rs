@@ -203,7 +203,7 @@ mod tests {
             limiter.process(&mut initial, &mut ctx);
         }
         let fid = initial.fid().unwrap();
-        assert!(events.check(fid, &mut ops).is_empty(), "quota not yet exhausted");
+        assert!(events.fire(fid).is_empty(), "quota not yet exhausted");
         // Burn the quota through the recorded state function (fast path).
         let rule = inst.local_mat().rule(fid).unwrap();
         for _ in 0..2 {
@@ -211,7 +211,7 @@ mod tests {
             let mut sfctx = SfContext { packet: &mut sub, fid, ops: &mut ops, len_adjust: 0 };
             rule.state_functions[0].invoke(&mut sfctx);
         }
-        let fired = events.check(fid, &mut ops);
+        let fired = events.fire(fid);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].1.header_actions, Some(vec![HeaderAction::Drop]));
     }

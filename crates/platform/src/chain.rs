@@ -18,10 +18,9 @@
 //! [`crate::workers`] threads run the same step over one shared runtime;
 //! [`crate::threaded`] is a real thread-per-NF OpenNetVM runtime.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use speedybox_mat::{Classification, ClassifyScratch, GlobalRule, OpCounter, PacketClass};
+use speedybox_mat::{Batched, Classification, ClassifyScratch, FlowRecord, OpCounter, PacketClass};
 use speedybox_nf::Nf;
 use speedybox_packet::{Fid, Magazine, Packet, PacketError, PacketPool, PoolStats};
 use speedybox_telemetry::Telemetry;
@@ -29,8 +28,8 @@ use speedybox_telemetry::Telemetry;
 use crate::cycles::CycleModel;
 use crate::metrics::{observe, sync_pool, PathKind, ProcessedPacket, RunStats};
 use crate::runtime::{
-    classify, fast_path, fast_path_cached, notify_flow_closed, tag_ingress, traverse_chain,
-    FastPathScratch, SboxConfig, SpeedyBox,
+    fast_path, notify_flow_closed, tag_ingress, traverse_chain, FastPathScratch, SboxConfig,
+    SpeedyBox,
 };
 use crate::supervisor::{default_log_bound, Supervisor};
 
@@ -89,39 +88,6 @@ impl Platform {
             Platform::Bess => stats.run_to_completion_rate_mpps(model),
             Platform::Onvm => stats.pipelined_rate_mpps(model),
         }
-    }
-}
-
-/// Per-batch fast-path state: rule handles prefetched with one read-lock
-/// acquisition per shard, plus the FIDs whose cached handle went stale
-/// (rule installed, patched or removed mid-batch — those fall back to the
-/// locked lookup for the rest of the batch).
-#[derive(Debug, Default)]
-struct BatchState {
-    cache: HashMap<Fid, Arc<GlobalRule>>,
-    stale: HashSet<Fid>,
-    /// Flow-affinity memo: the last fast-path FID and its rule handle.
-    /// Same-flow packet runs skip the `cache` HashMap probe entirely. Only
-    /// ever substitutes for the probe — event checks still run per packet —
-    /// and is cleared whenever the flow's rule is rewritten or removed.
-    last: Option<(Fid, Arc<GlobalRule>)>,
-}
-
-impl BatchState {
-    /// Marks `fid`'s cached handle stale (rule installed, rewritten or
-    /// removed) and drops the memo if it holds `fid`.
-    fn invalidate(&mut self, fid: Fid) {
-        self.stale.insert(fid);
-        if self.last.as_ref().is_some_and(|(lf, _)| *lf == fid) {
-            self.last = None;
-        }
-    }
-
-    /// Forgets every cached handle.
-    fn clear(&mut self) {
-        self.cache.clear();
-        self.stale.clear();
-        self.last = None;
     }
 }
 
@@ -230,11 +196,9 @@ impl Lane {
     /// A SpeedyBox packet: classification, then [`Lane::step`].
     pub(crate) fn process(&mut self, sbox: &SpeedyBox, mut packet: Packet) -> ProcessedPacket {
         let mut cls_ops = OpCounter::default();
-        match classify(sbox, &mut packet, &mut cls_ops) {
+        match sbox.classifier.classify(&mut packet, &mut cls_ops) {
             Err(_) => self.drop_unparsed(&sbox.telemetry, packet, cls_ops),
-            Ok((fid, class, closes_flow)) => {
-                self.step(sbox, packet, Classification { fid, class, closes_flow }, cls_ops, None)
-            }
+            Ok(cls) => self.step(sbox, packet, cls, cls_ops, None),
         }
     }
 
@@ -258,20 +222,20 @@ impl Lane {
     /// The packet step after classification, shared by every platform,
     /// the per-packet and batched paths, and the worker threads. One of
     /// three arms prices the packet — the uninstrumented walk, the
-    /// instrumented walk plus rule install, or the fast path — then
-    /// teardown, `observe` and worker attribution follow once. With
-    /// `batch`, fast-path lookups are served from the batch's prefetched
-    /// rule cache, and teardown skips the classifier side, which
-    /// `classify_batch_into` already removed inline.
+    /// instrumented walk plus rule install, or the fast path on the
+    /// classified record — then teardown, `observe` and worker
+    /// attribution follow once. In a batch, `touched` collects the FIDs
+    /// whose record this step republished or removed, so later packets of
+    /// the batch look their record up again.
     fn step(
         &mut self,
         sbox: &SpeedyBox,
         mut packet: Packet,
         cls: Classification,
         cls_ops: OpCounter,
-        mut batch: Option<&mut BatchState>,
+        touched: Option<&mut Vec<Fid>>,
     ) -> ProcessedPacket {
-        let Classification { fid, class, closes_flow } = cls;
+        let Classification { fid, class, closes_flow, record } = cls;
         let hint = fid.index() as u64;
         // FIN/RST teardown — but never on behalf of a colliding flow,
         // whose FID slot belongs to another connection.
@@ -299,12 +263,16 @@ impl Lane {
 
         let mut ops = cls_ops;
         let fast = if class == PacketClass::Subsequent {
-            self.fast(sbox, fid, &mut packet, batch.as_deref_mut(), &mut ops)
+            self.fast(sbox, fid, record.as_deref(), &mut packet, &mut ops)
         } else {
             None
         };
+        let mut republished = teardown;
         let priced = match (class, fast) {
-            (_, Some(priced)) => priced,
+            (_, Some((priced, relooked))) => {
+                republished |= relooked;
+                priced
+            }
             // Collision: a different flow owns this FID's rule slot, so
             // its rule must not be corrupted. Handshake (§III): the
             // connection is not established yet. Rejected: the flow table
@@ -316,26 +284,17 @@ impl Lane {
             // evicted (e.g. by FID collision cleanup): record, then
             // consolidate into the Global MAT.
             (PacketClass::Initial | PacketClass::Subsequent, None) => {
-                let priced = self.walk(&mut packet, Some((sbox, fid)), &mut ops);
-                if let Some(bs) = batch.as_deref_mut() {
-                    bs.invalidate(fid);
-                }
-                priced
+                republished = true;
+                self.walk(&mut packet, Some((sbox, fid)), &mut ops)
             }
         };
 
         if teardown {
-            match batch {
-                None => sbox.remove_flow(fid),
-                Some(bs) => {
-                    // The classifier entry was already removed inline by
-                    // `classify_batch_into`; removing it again could delete
-                    // a later in-batch packet's re-claimed flow state.
-                    sbox.global.remove_flow(fid);
-                    bs.invalidate(fid);
-                }
-            }
+            sbox.remove_flow(fid);
             notify_flow_closed(&mut self.nfs, fid);
+        }
+        if let Some(touched) = touched.filter(|_| republished) {
+            touched.push(fid);
         }
         self.finish(&sbox.telemetry, hint, packet, priced.after(cls_cycles), ops)
     }
@@ -392,34 +351,18 @@ impl Lane {
         Priced { survived: res.survived, work, latency, path }
     }
 
-    /// The fast-path arm: the flow's consolidated rule, from the batch's
-    /// prefetched handles when batching. `None` if the rule is gone.
+    /// The fast-path arm: the flow's consolidated rule, read from the
+    /// record the classifier found. `None` if the rule is gone; the flag
+    /// is [`FastPathResult::relooked`](crate::runtime::FastPathResult).
     fn fast(
         &mut self,
         sbox: &SpeedyBox,
         fid: Fid,
+        record: Option<&FlowRecord>,
         packet: &mut Packet,
-        batch: Option<&mut BatchState>,
         ops: &mut OpCounter,
-    ) -> Option<Priced> {
-        let res = match batch {
-            Some(bs) if !bs.stale.contains(&fid) => {
-                let memo_hit = bs.last.as_ref().is_some_and(|(lf, _)| *lf == fid);
-                let handle =
-                    if memo_hit { bs.last.as_ref().map(|(_, r)| r) } else { bs.cache.get(&fid) };
-                let (res, fired) =
-                    fast_path_cached(sbox, packet, fid, &self.model, handle, &mut self.fp_scratch);
-                if fired {
-                    bs.invalidate(fid);
-                } else if !memo_hit {
-                    if let Some(r) = bs.cache.get(&fid) {
-                        bs.last = Some((fid, Arc::clone(r)));
-                    }
-                }
-                res
-            }
-            _ => fast_path(sbox, packet, fid, &self.model, &mut self.fp_scratch),
-        }?;
+    ) -> Option<(Priced, bool)> {
+        let res = fast_path(sbox, packet, fid, record, &self.model, &mut self.fp_scratch)?;
         if self.platform == Platform::Onvm {
             // The control part runs on the manager core with no data-path
             // ring hops (the R4 saving); state-function batches are
@@ -436,12 +379,13 @@ impl Lane {
             self.stage_cycles[0] += manager;
         }
         ops.merge(&res.ops);
-        Some(Priced {
+        let priced = Priced {
             survived: res.survived,
             work: res.work_cycles,
             latency: res.latency_cycles,
             path: PathKind::Subsequent,
-        })
+        };
+        Some((priced, res.relooked))
     }
 
     /// Hands the packet back if it survived (recycling its buffer
@@ -500,11 +444,12 @@ pub struct Chain {
     /// Persistent batch scratch, reused across batches so the
     /// steady-state batch path performs no heap allocation.
     cls_scratch: ClassifyScratch,
-    classified: Vec<Result<Classification, PacketError>>,
-    fast_fids: Vec<Fid>,
+    classified: Vec<Result<Batched, PacketError>>,
     ops_scratch: Vec<OpCounter>,
     before_cycles: Vec<u64>,
-    batch: BatchState,
+    /// FIDs whose record an earlier step of the batch republished or
+    /// removed; empty in steady state.
+    touched: Vec<Fid>,
 }
 
 /// [`Chain`] under its older name. perfbench, the wall-clock benchmark of
@@ -534,10 +479,9 @@ impl Chain {
             pool_seen: PoolStats::default(),
             cls_scratch: ClassifyScratch::default(),
             classified: Vec::new(),
-            fast_fids: Vec::new(),
             ops_scratch: Vec::new(),
             before_cycles: Vec::new(),
-            batch: BatchState::default(),
+            touched: Vec::new(),
         }
     }
 
@@ -677,8 +621,6 @@ impl Chain {
             sbox.global.quarantine_nf(nf);
             sbox.force_evict_flows(usize::MAX);
         }
-        // The prefetched rule cache may hold pre-crash handles.
-        self.batch.clear();
         let depth = sup.kill(&mut self.lane.nfs, replay);
         let shard = self.telemetry.shard(0);
         shard.add_nf_kills(1);
@@ -735,10 +677,11 @@ impl Chain {
         outcome
     }
 
-    /// Processes a batch of packets, classifying them with one generation
-    /// load per touched shard and serving fast-path lookups from a
-    /// prefetched rule cache. Per-packet results (bytes, paths, op counts,
-    /// cycles) are identical to calling [`Chain::process`] in order.
+    /// Processes a batch of packets, classifying them all up front (their
+    /// record lookups overlap) and serving each fast-path packet from the
+    /// record its classification found. Per-packet results (bytes, paths,
+    /// op counts, cycles) are identical to calling [`Chain::process`] in
+    /// order.
     /// Each packet's work is attributed to the worker owning its FID
     /// slice; the batch's modeled wall time is the busiest worker's share.
     pub fn process_batch(&mut self, packets: Vec<Packet>) -> Vec<ProcessedPacket> {
@@ -750,8 +693,8 @@ impl Chain {
 
     /// Allocation-free variant of [`Chain::process_batch`]: drains
     /// `packets`, appends each outcome to `out` (cleared first), and keeps
-    /// every piece of per-batch scratch — classifier slots, prefetched
-    /// rule cache, op counters — alive inside the chain between calls. In
+    /// every piece of per-batch scratch — classifications, op counters,
+    /// the touched-FID list — alive inside the chain between calls. In
     /// the steady state (all capacities warmed, pool populated) a call
     /// touches the heap zero times; `tests/zero_alloc.rs` enforces this.
     /// Every call, an empty one included, folds pool counters into
@@ -777,25 +720,27 @@ impl Chain {
             &mut self.classified,
             &mut self.cls_scratch,
         );
-        self.fast_fids.clear();
-        self.fast_fids.extend(
-            self.classified
-                .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .filter(|c| c.class == PacketClass::Subsequent)
-                .map(|c| c.fid),
-        );
-        sbox.global.prefetch_into(&self.fast_fids, &mut self.batch.cache);
-        self.batch.stale.clear();
-        self.batch.last = None;
+        self.touched.clear();
         self.before_cycles.clear();
         self.before_cycles.extend_from_slice(&self.lane.worker_cycles);
-        for ((pkt, cls), &cls_ops) in packets.drain(..).zip(&self.classified).zip(&self.ops_scratch)
-        {
-            out.push(match cls {
-                Err(_) => self.lane.drop_unparsed(&sbox.telemetry, pkt, cls_ops),
-                Ok(c) => self.lane.step(sbox, pkt, *c, cls_ops, Some(&mut self.batch)),
-            });
+        let batch = packets.drain(..).zip(self.classified.drain(..)).zip(&self.ops_scratch);
+        for ((pkt, cls), &cls_ops) in batch {
+            let cls = match cls {
+                Err(_) => {
+                    out.push(self.lane.drop_unparsed(&sbox.telemetry, pkt, cls_ops));
+                    continue;
+                }
+                Ok(Batched::Deferred(pending)) => sbox.classifier.steer_pending(&pending),
+                Ok(Batched::Now(mut c)) => {
+                    // An earlier step republished or removed this flow's
+                    // record: the classified one is stale.
+                    if self.touched.contains(&c.fid) {
+                        c.record = sbox.global.record(c.fid);
+                    }
+                    c
+                }
+            };
+            out.push(self.lane.step(sbox, pkt, cls, cls_ops, Some(&mut self.touched)));
         }
         // Symmetric workers drain their slices of the batch concurrently;
         // the busiest worker bounds the batch's wall time.
@@ -832,7 +777,7 @@ impl Chain {
 
     /// Runs a sequence of packets in batches of `batch_size`, collecting
     /// statistics. Results are identical to [`Chain::run`] — batching
-    /// only amortizes table-lock acquisitions.
+    /// only overlaps the batch's record lookups.
     pub fn run_batched(
         &mut self,
         packets: impl IntoIterator<Item = Packet>,

@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use arcswap::model::{scenarios as rcu, Mutation};
 use speedybox_check::{BugKind, Checker, Config, Outcome};
-use speedybox_mat::model::{scenarios as mat, ClMutation, FtMutation, QMutation};
+use speedybox_mat::model::{scenarios as mat, FireMutation, FtMutation, QMutation};
 
 /// A boxed scenario, callable many times by the explorer.
 type Scenario = Box<dyn Fn() + Send + Sync + 'static>;
@@ -101,13 +101,13 @@ const MODELS: &[Model] = &[
         }],
     },
     Model {
-        name: "cl-memo-vs-republish",
-        bound: 3,
-        clean: || Box::new(mat::cl_memo_vs_republish(ClMutation::None)),
+        name: "rec-fire-once",
+        bound: 2,
+        clean: || Box::new(mat::rec_fire_once(FireMutation::None)),
         twins: &[Twin {
-            name: "cl-memo-raw-handle",
-            expected: BugKind::UseAfterFree,
-            build: || Box::new(mat::cl_memo_vs_republish(ClMutation::MemoRawHandle)),
+            name: "rec-snapshot-fire",
+            expected: BugKind::Panic,
+            build: || Box::new(mat::rec_fire_once(FireMutation::SnapshotFire)),
         }],
     },
     Model {

@@ -796,6 +796,63 @@ fn concurrent_expire_idle_expires_each_flow_once() {
     assert_eq!(all.len(), tracked, "all idle flows expired exactly once");
     assert_eq!(classifier.len(), 1, "only the clock-advancing flow remains");
     for fid in all {
-        assert_eq!(classifier.packets_seen(fid), 0, "expired flow fully forgotten");
+        assert!(classifier.record(fid).is_none(), "expired flow fully forgotten");
     }
+}
+
+/// Two readers hold the same flow's record while its one-shot event's
+/// condition is already true, and a barrier releases them together: both
+/// see the armed condition trigger without a lock, and the Event Table's
+/// serialized re-check must let exactly one of them fire it — one event
+/// fired, one rule rewrite, one patch applied.
+#[test]
+fn one_shot_event_fires_once_for_racing_readers_of_one_record() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Barrier;
+
+    use speedybox::mat::{Event, RulePatch};
+    use speedybox::telemetry::Telemetry;
+
+    let flow = Fid::new(4242);
+    let local = Arc::new(LocalMat::new(NfId::new(0)));
+    local.set_header_actions(flow, vec![HeaderAction::Forward]);
+    let telemetry = Arc::new(Telemetry::new(1));
+    let gm = GlobalMat::with_shards(vec![local], 8).with_telemetry(Arc::clone(&telemetry));
+    let patches = Arc::new(AtomicU64::new(0));
+    let p = Arc::clone(&patches);
+    gm.events().register(Event::new(
+        flow,
+        NfId::new(0),
+        "drop-once",
+        |_| true,
+        move |_| {
+            p.fetch_add(1, Ordering::Relaxed);
+            RulePatch::set_action(HeaderAction::Drop)
+        },
+    ));
+    let mut ops = OpCounter::default();
+    gm.install(flow, &mut ops);
+    let record = gm.record(flow).expect("rule installed");
+    assert_eq!(record.rule().expect("rule installed").armed().len(), 1);
+
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            let (gm, record, barrier) = (&gm, &record, &barrier);
+            s.spawn(move || {
+                let mut ops = OpCounter::default();
+                barrier.wait();
+                assert!(gm.serve(flow, Some(record), &mut ops).is_some(), "the flow keeps a rule");
+                assert_eq!(ops.event_checks, 1, "the armed event was checked");
+            });
+        }
+    });
+
+    let snap = telemetry.snapshot();
+    assert_eq!(snap.events_fired, 1, "a one-shot event fires once");
+    assert_eq!(snap.rule_rewrites, 1);
+    assert_eq!(patches.load(Ordering::Relaxed), 1, "the patch was computed once");
+    assert!(gm.events().is_empty(), "the fired event is deregistered");
+    let rule = gm.rule(flow).expect("rewritten rule installed");
+    assert!(rule.consolidated.is_drop() && rule.armed().is_empty());
 }

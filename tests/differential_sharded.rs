@@ -184,3 +184,45 @@ fn batch_size_sweep_is_invariant() {
         assert_eq!(logs2, logs, "chain2 logs batch {batch}");
     }
 }
+
+/// A flow's FIN, then a SYN and data on the same 5-tuple, all inside one
+/// batch: the FIN rides the flow's rule before its teardown, the SYN
+/// re-opens the flow as initial and the data rides the new rule — the
+/// per-packet sequence, in paths, bytes, op counts and telemetry counters,
+/// on both platforms.
+#[test]
+fn fin_then_reopen_inside_one_batch_matches_per_packet() {
+    use speedybox::packet::{PacketBuilder, TcpFlags};
+
+    let packet = |flags: u8, seq: u32| {
+        PacketBuilder::tcp()
+            .src("10.3.0.1:4000".parse().unwrap())
+            .dst("10.3.0.2:80".parse().unwrap())
+            .flags(flags)
+            .seq(seq)
+            .payload(b"abc")
+            .build()
+    };
+    let (syn, ack, fin) = (TcpFlags::SYN, TcpFlags::ACK, TcpFlags::FIN | TcpFlags::ACK);
+    let trace: Vec<Packet> = [syn, ack, ack, fin, syn, ack, ack]
+        .into_iter()
+        .zip(0..)
+        .map(|(flags, seq)| packet(flags, seq))
+        .collect();
+    for platform in Platform::ALL {
+        let run = |batch: usize| {
+            let (nfs, _) = chain1(4);
+            let mut chain =
+                Chain::speedybox_with(nfs, sbox_config(batch, 16)).with_platform(platform);
+            let stats = chain.run(trace.iter().cloned());
+            let outputs: Vec<Vec<u8>> =
+                stats.outputs.iter().map(|p| p.as_bytes().to_vec()).collect();
+            (outputs, stats.path_counts, stats.ops, chain.telemetry().snapshot().scalars())
+        };
+        let per_packet = run(1);
+        assert_eq!(per_packet.1, [0, 2, 5], "{platform:?}: two initial packets, five fast");
+        for batch in [trace.len(), 32] {
+            assert_eq!(run(batch), per_packet, "{platform:?} batch {batch}");
+        }
+    }
+}
