@@ -1,6 +1,7 @@
 //! Batched fast-path throughput: single-packet processing vs the batched
-//! entry points (`classify_batch` + `process_batch`), plus the shard-count
-//! ablation for the classifier/Global-MAT lock tables.
+//! entry point (`Chain::process_batch_into`, which classifies a whole batch
+//! up front), plus the shard-count ablation for the classifier/Global-MAT
+//! lock tables.
 //!
 //! The claim under test: at batch 32 the batched fast path is at least as
 //! fast as per-packet processing (it amortizes one lock acquisition per

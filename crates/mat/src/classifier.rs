@@ -407,20 +407,7 @@ impl PacketClassifier {
     /// Per-flow packet order is preserved: same flow → same FID → same
     /// shard, and each shard processes its packets in slice order.
     ///
-    /// # Panics
-    /// Panics if `ops.len() != packets.len()`.
-    pub fn classify_batch(
-        &self,
-        packets: &mut [Packet],
-        ops: &mut [OpCounter],
-    ) -> Vec<Result<Batched, PacketError>> {
-        let mut out = Vec::with_capacity(packets.len());
-        self.classify_batch_into(packets, ops, &mut out, &mut ClassifyScratch::default());
-        out
-    }
-
-    /// [`PacketClassifier::classify_batch`] into caller-owned storage:
-    /// results are appended to `out` (cleared first) and all intermediate
+    /// Results are appended to `out` (cleared first) and all intermediate
     /// state lives in `scratch`, so a warm caller reclassifies batch after
     /// batch without touching the allocator.
     ///

@@ -583,26 +583,6 @@ impl GlobalMat {
         self.serve(fid, record.as_deref(), ops).map(Cow::into_owned)
     }
 
-    /// Processes a batch of subsequent packets on the fast path, one
-    /// [`GlobalMat::process`] per packet in slice order — same outcomes,
-    /// same per-packet op counts, same Event Table firings.
-    ///
-    /// # Errors
-    /// Returns [`MatError::Packet`] if header surgery fails, and
-    /// [`MatError::InvalidActionSequence`] if a packet carries no FID; the
-    /// error aborts the remainder of the batch.
-    ///
-    /// # Panics
-    /// Panics if `ops.len() != packets.len()`.
-    pub fn process_batch(
-        &self,
-        packets: &mut [Packet],
-        ops: &mut [OpCounter],
-    ) -> Result<Vec<FastPathOutcome>> {
-        assert_eq!(packets.len(), ops.len(), "one OpCounter per packet");
-        packets.iter_mut().zip(ops).map(|(packet, ops)| self.process(packet, ops)).collect()
-    }
-
     /// A human-readable dump of every installed rule — the operator's view
     /// of the fast path (flow, consolidated action, batches, schedule,
     /// hits).

@@ -1,9 +1,9 @@
 //! Hierarchical timer wheel for idle-flow eviction.
 //!
 //! Deadlines are ticks of the deterministic classifier packet clock — the
-//! wheel is advanced from batch boundaries (`process_batch`), never from a
-//! background thread, so the deterministic model and the thread pool stay
-//! bit-identical.
+//! wheel is advanced at batch boundaries (the runtimes' idle-eviction
+//! tick), never from a background thread, so the deterministic model and
+//! the thread pool stay bit-identical.
 //!
 //! The wheel is *lazy*: items are scheduled once at their insertion
 //! deadline and are **not** moved when the flow is touched again. Instead,

@@ -189,6 +189,15 @@ fn batch_of(n: usize) -> Vec<Packet> {
     (0..n).map(|_| fid_packet().0).collect()
 }
 
+/// One fast-path [`GlobalMat::process`] per packet, in order.
+fn process_each(
+    gm: &GlobalMat,
+    packets: &mut [Packet],
+    ops: &mut [OpCounter],
+) -> Vec<FastPathOutcome> {
+    packets.iter_mut().zip(ops).map(|(p, ops)| gm.process(p, ops).unwrap()).collect()
+}
+
 /// The within-batch affinity memo must be invalidated the moment an event
 /// rewrites the rule: batched processing stays byte-identical to one-at-a-
 /// time processing even when the rewrite lands mid-batch.
@@ -217,7 +226,7 @@ fn affinity_memo_invalidated_by_mid_batch_rewrite() {
     let (batched_gm, _) = build();
     let mut batched = batch_of(8);
     let mut bops = vec![OpCounter::default(); batched.len()];
-    let batched_out = batched_gm.process_batch(&mut batched, &mut bops).unwrap();
+    let batched_out = process_each(&batched_gm, &mut batched, &mut bops);
 
     let (single_gm, _) = build();
     let mut singles = batch_of(8);
@@ -253,13 +262,13 @@ fn affinity_memo_does_not_survive_rule_removal() {
 
     let mut warm = batch_of(4);
     let mut wops = vec![OpCounter::default(); warm.len()];
-    let out = gm.process_batch(&mut warm, &mut wops).unwrap();
+    let out = process_each(&gm, &mut warm, &mut wops);
     assert!(out.iter().all(|o| *o == FastPathOutcome::Forwarded));
 
     gm.remove_flow(fid);
     let mut cold = batch_of(4);
     let mut cops = vec![OpCounter::default(); cold.len()];
-    let out = gm.process_batch(&mut cold, &mut cops).unwrap();
+    let out = process_each(&gm, &mut cold, &mut cops);
     assert!(out.iter().all(|o| *o == FastPathOutcome::NoRule), "{out:?}");
 }
 
@@ -276,7 +285,7 @@ fn reinstalled_rule_takes_effect_next_batch() {
 
     let mut first = batch_of(3);
     let mut fops = vec![OpCounter::default(); first.len()];
-    gm.process_batch(&mut first, &mut fops).unwrap();
+    process_each(&gm, &mut first, &mut fops);
     assert!(first.iter().all(|p| p.get_field(HeaderField::DstPort).unwrap().as_port() == 8080));
 
     // Expire and re-learn the flow with a different rewrite.
@@ -286,6 +295,6 @@ fn reinstalled_rule_takes_effect_next_batch() {
 
     let mut second = batch_of(3);
     let mut sops = vec![OpCounter::default(); second.len()];
-    gm.process_batch(&mut second, &mut sops).unwrap();
+    process_each(&gm, &mut second, &mut sops);
     assert!(second.iter().all(|p| p.get_field(HeaderField::DstPort).unwrap().as_port() == 4433));
 }

@@ -15,12 +15,14 @@
 //!   hop per Local MAT on consolidation, and a rate set by the slowest
 //!   stage (manager or NF core).
 //!
-//! [`crate::workers`] threads run the same step over one shared runtime;
-//! [`crate::threaded`] is a real thread-per-NF OpenNetVM runtime.
+//! [`crate::workers`] threads run the same step over one shared runtime,
+//! and [`crate::threaded`] runs it over real NF threads and rings.
 
 use std::sync::Arc;
 
-use speedybox_mat::{Batched, Classification, ClassifyScratch, FlowRecord, OpCounter, PacketClass};
+use speedybox_mat::{
+    Batched, Classification, ClassifyScratch, FlowRecord, NfInstrument, OpCounter, PacketClass,
+};
 use speedybox_nf::Nf;
 use speedybox_packet::{Fid, Magazine, Packet, PacketError, PacketPool, PoolStats};
 use speedybox_telemetry::Telemetry;
@@ -29,9 +31,10 @@ use crate::cycles::CycleModel;
 use crate::metrics::{observe, sync_pool, PathKind, ProcessedPacket, RunStats};
 use crate::runtime::{
     fast_path, notify_flow_closed, tag_ingress, traverse_chain, FastPathScratch, SboxConfig,
-    SpeedyBox,
+    SlowPathResult, SpeedyBox,
 };
 use crate::supervisor::{default_log_bound, Supervisor};
+use crate::threaded::Rings;
 
 /// The NFV platform a [`Chain`] models. It owns only the costs that
 /// differ between the two; everything else about a packet's step is
@@ -102,21 +105,75 @@ struct Priced {
 }
 
 impl Priced {
-    /// Adds the cycles of the entry step (classification or ingress tag)
-    /// that preceded the arm.
-    fn after(self, entry_cycles: u64) -> Self {
-        Self { work: self.work + entry_cycles, latency: self.latency + entry_cycles, ..self }
+    /// Adds the cycles of the classification that preceded the arm.
+    fn after(self, cls_cycles: u64) -> Self {
+        Self { work: self.work + cls_cycles, latency: self.latency + cls_cycles, ..self }
+    }
+}
+
+/// Where a lane's NFs run. Of the packet step, only the walk and the FIN
+/// notification depend on it.
+#[derive(Debug)]
+pub(crate) enum Nfs {
+    /// In the lane's own thread (chains, workers).
+    InProcess(Vec<Box<dyn Nf>>),
+    /// On the threaded runtime's NF threads, behind its rings.
+    Rings(Rings),
+}
+
+impl Nfs {
+    fn len(&self) -> usize {
+        match self {
+            Nfs::InProcess(nfs) => nfs.len(),
+            Nfs::Rings(rings) => rings.len(),
+        }
+    }
+
+    /// Runs `packet` through the NFs — recording with `instruments` — and
+    /// returns it once it has left the chain or been dropped. In-process
+    /// NFs are priced under `model`; NF threads hold their own copy of the
+    /// default model, the only one a threaded lane uses.
+    fn walk(
+        &mut self,
+        mut packet: Packet,
+        instruments: Option<&[NfInstrument]>,
+        model: &CycleModel,
+    ) -> (Packet, SlowPathResult) {
+        match self {
+            Nfs::InProcess(nfs) => {
+                let res = traverse_chain(nfs, instruments, &mut packet, model);
+                (packet, res)
+            }
+            Nfs::Rings(rings) => rings.walk(packet, instruments.is_some()),
+        }
+    }
+
+    /// Tells every NF that `fid`'s flow closed.
+    fn flow_closed(&mut self, fid: Fid) {
+        match self {
+            Nfs::InProcess(nfs) => notify_flow_closed(nfs, fid),
+            Nfs::Rings(rings) => rings.flow_closed(fid),
+        }
+    }
+
+    /// The in-process NFs. Only a [`Chain`] supervises or hands out its
+    /// NFs, and its lane is always in-process.
+    fn in_process(&mut self) -> &mut Vec<Box<dyn Nf>> {
+        match self {
+            Nfs::InProcess(nfs) => nfs,
+            Nfs::Rings(_) => unreachable!("a chain's NFs run in-process"),
+        }
     }
 }
 
 /// Everything one packet step mutates besides the shared SpeedyBox
-/// runtime: the NFs, the cost model, the buffer magazine, fast-path
-/// scratch, the supervisor, and the stage and worker cycle ledgers.
+/// runtime: the NFs, the cost model, the buffer magazine, fast-path and
+/// batch scratch, the supervisor, and the stage and worker cycle ledgers.
 /// Borrowing it separately from the runtime lets [`crate::workers`]
 /// threads share one runtime while each owns a lane.
 #[derive(Debug)]
 pub(crate) struct Lane {
-    nfs: Vec<Box<dyn Nf>>,
+    nfs: Nfs,
     platform: Platform,
     model: CycleModel,
     mag: Magazine,
@@ -129,13 +186,22 @@ pub(crate) struct Lane {
     /// Per-worker work cycles under FID-slice steering
     /// (`fid & (workers - 1)`); one slot when running single-worker.
     worker_cycles: Vec<u64>,
+    /// Batch scratch, reused across batches so the steady-state batch
+    /// path performs no heap allocation.
+    cls_scratch: ClassifyScratch,
+    classified: Vec<Result<Batched, PacketError>>,
+    ops_scratch: Vec<OpCounter>,
+    before_cycles: Vec<u64>,
+    /// FIDs whose record an earlier step of the batch republished or
+    /// removed; empty in steady state.
+    touched: Vec<Fid>,
 }
 
 impl Lane {
     /// A lane over `nfs` drawing buffers from `pool`, attributing work
     /// across `workers` (a power of two) FID slices.
     pub(crate) fn new(
-        nfs: Vec<Box<dyn Nf>>,
+        nfs: Nfs,
         platform: Platform,
         pool: &Arc<PacketPool>,
         workers: usize,
@@ -150,6 +216,11 @@ impl Lane {
             supervisor,
             stage_cycles: Vec::new(),
             worker_cycles: vec![0; workers],
+            cls_scratch: ClassifyScratch::default(),
+            classified: Vec::new(),
+            ops_scratch: Vec::new(),
+            before_cycles: Vec::new(),
+            touched: Vec::new(),
         };
         lane.set_platform(platform);
         lane
@@ -161,6 +232,15 @@ impl Lane {
             Platform::Bess => Vec::new(),
             Platform::Onvm => vec![0; self.nfs.len() + 1],
         };
+    }
+
+    /// The threaded runtime's rings, for its pipelined original-chain
+    /// loop.
+    pub(crate) fn rings(&self) -> &Rings {
+        match &self.nfs {
+            Nfs::Rings(rings) => rings,
+            Nfs::InProcess(_) => unreachable!("only the threaded runtime pipelines"),
+        }
     }
 
     /// Total work attributed to this lane's worker slots.
@@ -179,18 +259,31 @@ impl Lane {
     /// The original chain's packet: the ingress FID tag, then the
     /// uninstrumented walk.
     fn baseline(&mut self, telemetry: &Telemetry, mut packet: Packet) -> ProcessedPacket {
-        let mut ops = OpCounter::default();
-        tag_ingress(&mut packet, &mut ops);
-        let entry_cycles = self.model.cycles(&ops);
-        self.charge(0, entry_cycles);
-        let priced = self.walk(&mut packet, None, &mut ops);
+        // Harness bookkeeping: the tag records no operations.
+        tag_ingress(&mut packet, &mut OpCounter::default());
+        let (packet, res) = self.nfs.walk(packet, None, &self.model);
         if packet.tcp_flags().closes_flow() {
             if let Some(fid) = packet.fid() {
-                notify_flow_closed(&mut self.nfs, fid);
+                self.nfs.flow_closed(fid);
             }
         }
+        self.complete(telemetry, packet, &res)
+    }
+
+    /// An original-chain packet back from its walk `res`: the walk is
+    /// priced, then the packet is finished. The threaded runtime's
+    /// pipelined original-chain loop completes each packet here as it
+    /// leaves the rings.
+    pub(crate) fn complete(
+        &mut self,
+        telemetry: &Telemetry,
+        packet: Packet,
+        res: &SlowPathResult,
+    ) -> ProcessedPacket {
+        let mut ops = OpCounter::default();
+        let priced = self.price(res, None, &mut ops);
         let hint = packet.fid().map_or(0, |f| f.index() as u64);
-        self.finish(telemetry, hint, packet, priced.after(entry_cycles), ops)
+        self.finish(telemetry, hint, packet, priced, ops)
     }
 
     /// A SpeedyBox packet: classification, then [`Lane::step`].
@@ -198,8 +291,64 @@ impl Lane {
         let mut cls_ops = OpCounter::default();
         match sbox.classifier.classify(&mut packet, &mut cls_ops) {
             Err(_) => self.drop_unparsed(&sbox.telemetry, packet, cls_ops),
-            Ok(cls) => self.step(sbox, packet, cls, cls_ops, None),
+            Ok(cls) => self.step(sbox, packet, cls, cls_ops, false),
         }
+    }
+
+    /// A batch of SpeedyBox packets: all classified up front (their record
+    /// lookups overlap), then each packet's [`Lane::step`] in order, then
+    /// one idle-eviction tick. Drains `packets` into `out` (cleared
+    /// first); warm, it allocates nothing. Returns the batch's modeled
+    /// wall time: the busiest worker's share of its work.
+    pub(crate) fn batch(
+        &mut self,
+        sbox: &SpeedyBox,
+        packets: &mut Vec<Packet>,
+        out: &mut Vec<ProcessedPacket>,
+    ) -> u64 {
+        out.clear();
+        self.ops_scratch.clear();
+        self.ops_scratch.resize(packets.len(), OpCounter::default());
+        sbox.classifier.classify_batch_into(
+            packets,
+            &mut self.ops_scratch,
+            &mut self.classified,
+            &mut self.cls_scratch,
+        );
+        self.touched.clear();
+        self.before_cycles.clear();
+        self.before_cycles.extend_from_slice(&self.worker_cycles);
+        let mut classified = std::mem::take(&mut self.classified);
+        for (i, (pkt, cls)) in packets.drain(..).zip(classified.drain(..)).enumerate() {
+            let cls_ops = self.ops_scratch[i];
+            let cls = match cls {
+                Err(_) => {
+                    out.push(self.drop_unparsed(&sbox.telemetry, pkt, cls_ops));
+                    continue;
+                }
+                Ok(Batched::Deferred(pending)) => sbox.classifier.steer_pending(&pending),
+                Ok(Batched::Now(mut c)) => {
+                    // An earlier step republished or removed this flow's
+                    // record: the classified one is stale.
+                    if self.touched.contains(&c.fid) {
+                        c.record = sbox.global.record(c.fid);
+                    }
+                    c
+                }
+            };
+            out.push(self.step(sbox, pkt, cls, cls_ops, true));
+        }
+        self.classified = classified;
+        // Batch-boundary idle eviction (control plane, not packet work).
+        sbox.tick_idle_eviction();
+        // Symmetric workers drain their slices of the batch concurrently;
+        // the busiest worker bounds the batch's wall time.
+        self.worker_cycles
+            .iter()
+            .zip(&self.before_cycles)
+            .map(|(after, before)| after - before)
+            .max()
+            .unwrap_or(0)
     }
 
     /// An unparseable packet: dropped at the classifier. It carries no
@@ -224,16 +373,16 @@ impl Lane {
     /// three arms prices the packet — the uninstrumented walk, the
     /// instrumented walk plus rule install, or the fast path on the
     /// classified record — then teardown, `observe` and worker
-    /// attribution follow once. In a batch, `touched` collects the FIDs
-    /// whose record this step republished or removed, so later packets of
-    /// the batch look their record up again.
+    /// attribution follow once. In a batch, the lane's `touched` list
+    /// collects the FIDs whose record this step republished or removed,
+    /// so later packets of the batch look their record up again.
     fn step(
         &mut self,
         sbox: &SpeedyBox,
         mut packet: Packet,
         cls: Classification,
         cls_ops: OpCounter,
-        touched: Option<&mut Vec<Fid>>,
+        batched: bool,
     ) -> ProcessedPacket {
         let Classification { fid, class, closes_flow, record } = cls;
         let hint = fid.index() as u64;
@@ -243,7 +392,7 @@ impl Lane {
         // Supervision first (NF state has not mutated yet): log the frame
         // and its teardown decision for crash replay.
         if let Some(sup) = self.supervisor.as_mut() {
-            if sup.note_packet(packet.as_bytes(), teardown, &self.nfs) {
+            if sup.note_packet(packet.as_bytes(), teardown, self.nfs.in_process()) {
                 sbox.telemetry.shard(0).add_snapshots_taken(1);
             }
         }
@@ -268,59 +417,72 @@ impl Lane {
             None
         };
         let mut republished = teardown;
-        let priced = match (class, fast) {
+        let (packet, priced) = match (class, fast) {
             (_, Some((priced, relooked))) => {
                 republished |= relooked;
-                priced
+                (packet, priced)
             }
             // Collision: a different flow owns this FID's rule slot, so
             // its rule must not be corrupted. Handshake (§III): the
             // connection is not established yet. Rejected: the flow table
             // is full under the Reject admission policy. None records.
             (PacketClass::Collision | PacketClass::Handshake | PacketClass::Rejected, None) => {
-                self.walk(&mut packet, None, &mut ops)
+                self.walk(packet, None, &mut ops)
             }
             // Initial packets, and subsequent packets whose rule was
             // evicted (e.g. by FID collision cleanup): record, then
             // consolidate into the Global MAT.
             (PacketClass::Initial | PacketClass::Subsequent, None) => {
                 republished = true;
-                self.walk(&mut packet, Some((sbox, fid)), &mut ops)
+                self.walk(packet, Some((sbox, fid)), &mut ops)
             }
         };
 
         if teardown {
             sbox.remove_flow(fid);
-            notify_flow_closed(&mut self.nfs, fid);
+            self.nfs.flow_closed(fid);
         }
-        if let Some(touched) = touched.filter(|_| republished) {
-            touched.push(fid);
+        if batched && republished {
+            self.touched.push(fid);
         }
         self.finish(&sbox.telemetry, hint, packet, priced.after(cls_cycles), ops)
     }
 
     /// The walk arms: the packet runs through the original chain,
     /// uninstrumented, or — with `record` — recording its flow's behaviour
-    /// and then installing the flow's consolidated rule. The platform
-    /// charges its hops per NF reached.
+    /// and then installing the flow's consolidated rule.
     fn walk(
         &mut self,
-        packet: &mut Packet,
+        packet: Packet,
         record: Option<(&SpeedyBox, Fid)>,
         ops: &mut OpCounter,
-    ) -> Priced {
+    ) -> (Packet, Priced) {
         let instruments = record.map(|(sbox, _)| sbox.instruments.as_slice());
-        let res = traverse_chain(&mut self.nfs, instruments, packet, &self.model);
+        let (packet, res) = self.nfs.walk(packet, instruments, &self.model);
+        let install = record.map(|(sbox, fid)| {
+            let mut install_ops = OpCounter::default();
+            sbox.global.install(fid, &mut install_ops);
+            install_ops
+        });
+        (packet, self.price(&res, install, ops))
+    }
+
+    /// A walk's price: each NF's cycles on its stage, the rule install's
+    /// (if any) on the manager's, and the platform's hops per NF reached.
+    fn price(
+        &mut self,
+        res: &SlowPathResult,
+        install: Option<OpCounter>,
+        ops: &mut OpCounter,
+    ) -> Priced {
         for (i, &c) in res.per_nf_cycles.iter().enumerate() {
             self.charge(i + 1, c);
         }
         let mut work = res.per_nf_cycles.iter().sum::<u64>();
         ops.merge(&res.ops);
-        let path = match record {
+        let path = match install {
             None => PathKind::Baseline,
-            Some((sbox, fid)) => {
-                let mut install_ops = OpCounter::default();
-                sbox.global.install(fid, &mut install_ops);
+            Some(mut install_ops) => {
                 if self.platform == Platform::Onvm {
                     // Consolidation "involves inter-core communication":
                     // one message hop per Local MAT back to the manager.
@@ -441,15 +603,6 @@ pub struct Chain {
     /// Pool counters as of the last telemetry sync; deltas land in
     /// `telemetry` at batch/run boundaries.
     pool_seen: PoolStats,
-    /// Persistent batch scratch, reused across batches so the
-    /// steady-state batch path performs no heap allocation.
-    cls_scratch: ClassifyScratch,
-    classified: Vec<Result<Batched, PacketError>>,
-    ops_scratch: Vec<OpCounter>,
-    before_cycles: Vec<u64>,
-    /// FIDs whose record an earlier step of the batch republished or
-    /// removed; empty in steady state.
-    touched: Vec<Fid>,
 }
 
 /// [`Chain`] under its older name. perfbench, the wall-clock benchmark of
@@ -471,17 +624,12 @@ impl Chain {
             }
         };
         Self {
-            lane: Lane::new(nfs, Platform::Bess, &pool, workers, supervisor),
+            lane: Lane::new(Nfs::InProcess(nfs), Platform::Bess, &pool, workers, supervisor),
             sbox,
             telemetry,
             worker_wall: 0,
             pool,
             pool_seen: PoolStats::default(),
-            cls_scratch: ClassifyScratch::default(),
-            classified: Vec::new(),
-            ops_scratch: Vec::new(),
-            before_cycles: Vec::new(),
-            touched: Vec::new(),
         }
     }
 
@@ -557,7 +705,7 @@ impl Chain {
     /// True if the chain has no NFs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lane.nfs.is_empty()
+        self.lane.nfs.len() == 0
     }
 
     /// The SpeedyBox runtime, if enabled (tests poke at the Global MAT).
@@ -585,7 +733,8 @@ impl Chain {
     /// immediate chain-consistent checkpoint and starts the bounded
     /// in-flight log. Idempotent; `interval`/`log_bound` of 0 clamp to 1.
     pub fn enable_supervision(&mut self, interval: u64, log_bound: usize) {
-        self.lane.supervisor = Some(Supervisor::new(&self.lane.nfs, interval, log_bound));
+        self.lane.supervisor =
+            Some(Supervisor::new(self.lane.nfs.in_process(), interval, log_bound));
     }
 
     /// Whether NF crash/restart supervision is active.
@@ -598,7 +747,7 @@ impl Chain {
     /// `snap@N` fault). No-op without supervision.
     pub fn checkpoint_now(&mut self) {
         if let Some(sup) = self.lane.supervisor.as_mut() {
-            sup.checkpoint(&self.lane.nfs);
+            sup.checkpoint(self.lane.nfs.in_process());
             self.telemetry.shard(0).add_snapshots_taken(1);
         }
     }
@@ -621,7 +770,7 @@ impl Chain {
             sbox.global.quarantine_nf(nf);
             sbox.force_evict_flows(usize::MAX);
         }
-        let depth = sup.kill(&mut self.lane.nfs, replay);
+        let depth = sup.kill(self.lane.nfs.in_process(), replay);
         let shard = self.telemetry.shard(0);
         shard.add_nf_kills(1);
         shard.add_replay_depth(depth as u64);
@@ -677,25 +826,15 @@ impl Chain {
         outcome
     }
 
-    /// Processes a batch of packets, classifying them all up front (their
-    /// record lookups overlap) and serving each fast-path packet from the
-    /// record its classification found. Per-packet results (bytes, paths,
-    /// op counts, cycles) are identical to calling [`Chain::process`] in
-    /// order.
-    /// Each packet's work is attributed to the worker owning its FID
-    /// slice; the batch's modeled wall time is the busiest worker's share.
-    pub fn process_batch(&mut self, packets: Vec<Packet>) -> Vec<ProcessedPacket> {
-        let mut packets = packets;
-        let mut out = Vec::with_capacity(packets.len());
-        self.process_batch_into(&mut packets, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Chain::process_batch`]: drains
-    /// `packets`, appends each outcome to `out` (cleared first), and keeps
-    /// every piece of per-batch scratch — classifications, op counters,
-    /// the touched-FID list — alive inside the chain between calls. In
-    /// the steady state (all capacities warmed, pool populated) a call
+    /// Processes a batch of packets: drains `packets` and appends each
+    /// outcome to `out` (cleared first). SpeedyBox classifies the batch
+    /// up front (its record lookups overlap) and serves each fast-path
+    /// packet from the record its classification found; per-packet
+    /// results (bytes, paths, op counts, cycles) are identical to calling
+    /// [`Chain::process`] in order. Each packet's work is attributed to
+    /// the worker owning its FID slice; the batch's modeled wall time is
+    /// the busiest worker's share. All batch scratch lives in the chain,
+    /// so in the steady state (capacities warmed, pool populated) a call
     /// touches the heap zero times; `tests/zero_alloc.rs` enforces this.
     /// Every call, an empty one included, folds pool counters into
     /// telemetry.
@@ -704,56 +843,15 @@ impl Chain {
         packets: &mut Vec<Packet>,
         out: &mut Vec<ProcessedPacket>,
     ) {
-        out.clear();
-        let Some(sbox) = self.sbox.as_ref() else {
-            for p in packets.drain(..) {
-                out.push(self.process(p));
+        match &self.sbox {
+            None => {
+                out.clear();
+                for p in packets.drain(..) {
+                    out.push(self.process(p));
+                }
             }
-            self.sync_pool_telemetry();
-            return;
-        };
-        self.ops_scratch.clear();
-        self.ops_scratch.resize(packets.len(), OpCounter::default());
-        sbox.classifier.classify_batch_into(
-            packets,
-            &mut self.ops_scratch,
-            &mut self.classified,
-            &mut self.cls_scratch,
-        );
-        self.touched.clear();
-        self.before_cycles.clear();
-        self.before_cycles.extend_from_slice(&self.lane.worker_cycles);
-        let batch = packets.drain(..).zip(self.classified.drain(..)).zip(&self.ops_scratch);
-        for ((pkt, cls), &cls_ops) in batch {
-            let cls = match cls {
-                Err(_) => {
-                    out.push(self.lane.drop_unparsed(&sbox.telemetry, pkt, cls_ops));
-                    continue;
-                }
-                Ok(Batched::Deferred(pending)) => sbox.classifier.steer_pending(&pending),
-                Ok(Batched::Now(mut c)) => {
-                    // An earlier step republished or removed this flow's
-                    // record: the classified one is stale.
-                    if self.touched.contains(&c.fid) {
-                        c.record = sbox.global.record(c.fid);
-                    }
-                    c
-                }
-            };
-            out.push(self.lane.step(sbox, pkt, cls, cls_ops, Some(&mut self.touched)));
+            Some(sbox) => self.worker_wall += self.lane.batch(sbox, packets, out),
         }
-        // Symmetric workers drain their slices of the batch concurrently;
-        // the busiest worker bounds the batch's wall time.
-        self.worker_wall += self
-            .lane
-            .worker_cycles
-            .iter()
-            .zip(&self.before_cycles)
-            .map(|(after, before)| after - before)
-            .max()
-            .unwrap_or(0);
-        // Batch-boundary idle eviction (control plane, not packet work).
-        sbox.tick_idle_eviction();
         self.sync_pool_telemetry();
     }
 
@@ -761,7 +859,7 @@ impl Chain {
     /// totals on ONVM, covering only this run so warmup runs don't skew
     /// the pipelined rate). Processes in batches of the configured
     /// [`SboxConfig::batch_size`] (per-packet when 1 or when SpeedyBox is
-    /// off).
+    /// off); results are identical at any batch size.
     pub fn run(&mut self, packets: impl IntoIterator<Item = Packet>) -> RunStats {
         let batch_size = self.sbox.as_ref().map_or(1, |s| s.config.batch_size);
         if batch_size > 1 {
@@ -775,15 +873,12 @@ impl Chain {
         })
     }
 
-    /// Runs a sequence of packets in batches of `batch_size`, collecting
-    /// statistics. Results are identical to [`Chain::run`] — batching
-    /// only overlaps the batch's record lookups.
-    pub fn run_batched(
+    /// [`Chain::run`] in batches of `batch_size`.
+    fn run_batched(
         &mut self,
         packets: impl IntoIterator<Item = Packet>,
         batch_size: usize,
     ) -> RunStats {
-        let batch_size = batch_size.max(1);
         self.measure(|chain, stats| {
             // One input buffer and one outcome buffer for the whole run:
             // `process_batch_into` drains the former and refills the

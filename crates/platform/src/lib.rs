@@ -12,8 +12,9 @@
 //! * [`workers`] — N symmetric run-to-completion worker threads sharing
 //!   one classifier + Global MAT via wait-free generation loads, each
 //!   owning a FID slice (RSS-style steering) and running the same step;
-//! * [`threaded`] — a real thread-per-NF OpenNetVM runtime over crossbeam
-//!   rings, for wall-clock measurements and concurrency tests;
+//! * [`threaded`] — a real thread-per-NF OpenNetVM runtime whose manager
+//!   runs the same step, walking packets over crossbeam rings, for
+//!   wall-clock measurements and concurrency tests;
 //! * [`runtime::SpeedyBox`] — the classifier + Global MAT + instrumentation
 //!   bundle every runtime shares, with the Fig 7 ablation knobs
 //!   ([`runtime::SboxConfig`]);

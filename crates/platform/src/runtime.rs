@@ -259,10 +259,17 @@ pub struct SlowPathResult {
     /// Whether the packet survived the chain.
     pub survived: bool,
     /// Model cycles spent inside each NF (instrumentation included), in
-    /// chain order; NFs after a drop have zero.
+    /// chain order, up to the NF that dropped the packet.
     pub per_nf_cycles: Vec<u64>,
     /// Total operations performed.
     pub ops: OpCounter,
+}
+
+impl SlowPathResult {
+    /// A walk over `len` NFs that has not reached any yet.
+    pub(crate) fn new(len: usize) -> Self {
+        Self { survived: true, per_nf_cycles: Vec::with_capacity(len), ops: OpCounter::default() }
+    }
 }
 
 /// Runs a packet through the original chain. With `instruments` present the
@@ -274,30 +281,38 @@ pub fn traverse_chain(
     packet: &mut Packet,
     model: &CycleModel,
 ) -> SlowPathResult {
-    let mut per_nf_cycles = Vec::with_capacity(nfs.len());
-    let mut total_ops = OpCounter::default();
-    let mut survived = true;
+    let mut res = SlowPathResult::new(nfs.len());
     for (i, nf) in nfs.iter_mut().enumerate() {
-        if !survived {
-            per_nf_cycles.push(0);
-            continue;
+        let instrument = instruments.map(|insts| &insts[i]);
+        if !nf_step(nf.as_mut(), instrument, packet, model, &mut res) {
+            break;
         }
-        let mut ops = OpCounter::default();
-        let verdict = match instruments {
-            Some(insts) => {
-                let mut ctx = NfContext::instrumented(&insts[i], &mut ops);
-                nf.process(packet, &mut ctx)
-            }
-            None => {
-                let mut ctx = NfContext::baseline(&mut ops);
-                nf.process(packet, &mut ctx)
-            }
-        };
-        per_nf_cycles.push(model.cycles(&ops));
-        total_ops.merge(&ops);
-        survived = verdict.survives();
     }
-    SlowPathResult { survived, per_nf_cycles, ops: total_ops }
+    res
+}
+
+/// One NF of a walk: runs `nf` on `packet` — recording through
+/// `instrument` if given — and adds its cycles and operations to `res`.
+/// Returns whether the packet survived it. [`traverse_chain`] takes a
+/// packet through a whole chain with it, and each of the threaded
+/// runtime's NF threads through its own NF.
+#[inline]
+pub(crate) fn nf_step(
+    nf: &mut dyn Nf,
+    instrument: Option<&NfInstrument>,
+    packet: &mut Packet,
+    model: &CycleModel,
+    res: &mut SlowPathResult,
+) -> bool {
+    let mut ops = OpCounter::default();
+    let verdict = match instrument {
+        Some(inst) => nf.process(packet, &mut NfContext::instrumented(inst, &mut ops)),
+        None => nf.process(packet, &mut NfContext::baseline(&mut ops)),
+    };
+    res.per_nf_cycles.push(model.cycles(&ops));
+    res.ops.merge(&ops);
+    res.survived = verdict.survives();
+    res.survived
 }
 
 /// Result of a fast-path execution. Per-batch cycle attribution lives in

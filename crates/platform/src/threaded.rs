@@ -1,27 +1,31 @@
 //! A real thread-per-NF OpenNetVM-style runtime.
 //!
-//! [`Chain`](crate::Chain) on [`Platform::Onvm`](crate::Platform::Onvm)
-//! models the pipeline deterministically for the figure harness; this
-//! module actually builds it: one OS thread per NF, bounded crossbeam
-//! channels as the RX/TX rings, and a manager that hosts the classifier
-//! and the Global MAT — the §VI-A architecture. Integration tests use it
-//! to show the consolidated fast path produces byte-identical output under
-//! true concurrency; wall-clock benches use it for real latency numbers.
+//! [`Chain`](crate::Chain) on [`Platform::Onvm`] models the pipeline
+//! deterministically for the figure harness; this module builds it: one OS
+//! thread per NF, bounded crossbeam channels as the RX/TX rings, and a
+//! manager that hosts the classifier and the Global MAT — the §VI-A
+//! architecture. The manager runs the modeled chain's packet step, priced
+//! as ONVM, with each walk a trip over the rings, so outputs and telemetry
+//! (in model cycles) equal the modeled chain's; the wall clock is kept in
+//! [`ThreadedReport::latencies_ns`].
 
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use speedybox_mat::{Batched, FastPathOutcome, OpCounter, PacketClass};
-use speedybox_nf::{Nf, NfContext};
-use speedybox_packet::{Fid, Magazine, Packet, PacketPool, PoolStats};
-use speedybox_telemetry::{PathClass, Telemetry, TelemetrySnapshot};
+use speedybox_mat::{NfInstrument, OpCounter};
+use speedybox_nf::Nf;
+use speedybox_packet::{Fid, Packet, PacketPool, PoolStats};
+use speedybox_telemetry::{Telemetry, TelemetrySnapshot};
 
-use crate::metrics::sync_pool;
-use crate::runtime::{SboxConfig, SpeedyBox};
+use crate::chain::{Lane, Nfs, Platform};
+use crate::cycles::CycleModel;
+use crate::metrics::{sync_pool, ProcessedPacket};
+use crate::runtime::{nf_step, tag_ingress, SboxConfig, SlowPathResult, SpeedyBox};
 
-/// Descriptor slots per NF ring.
+/// Descriptor slots per ring, and the most packets the pipelined original
+/// chain keeps in flight (so completions always fit the TX ring).
 const RING_CAPACITY: usize = 256;
 
 /// Nanoseconds of a wall-clock interval as `u64` (584 years of headroom).
@@ -30,22 +34,161 @@ fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
 }
 
-/// Message on an NF ring.
-enum Msg {
-    /// A packet in flight, with its injection order, send timestamp, and
-    /// whether NFs should record its flow's behaviour (false for packets
-    /// whose FID collides with another flow's).
-    Packet { pkt: Packet, seq: usize, sent_at: Instant, record: bool },
-    /// Tear down per-flow state.
-    FlowClosed(Fid),
-    /// Drain and exit.
-    Shutdown,
+/// A packet on the rings and what the NFs did to it so far.
+#[derive(Debug)]
+struct Walk {
+    pkt: Packet,
+    /// NFs record the flow's behaviour (a SpeedyBox flow-initial packet).
+    instrumented: bool,
+    /// The walk as [`traverse_chain`](crate::runtime::traverse_chain)
+    /// reports it, filled in NF by NF.
+    res: SlowPathResult,
+    /// The pipelined original chain's bookkeeping, carried through.
+    ticket: Option<Ticket>,
 }
 
-/// Completion record returned to the manager.
-enum Done {
-    Delivered { pkt: Packet, seq: usize, sent_at: Instant },
-    Dropped { seq: usize, sent_at: Instant },
+/// A pipelined packet's injection order and send time.
+#[derive(Debug)]
+struct Ticket {
+    seq: usize,
+    sent_at: Instant,
+}
+
+/// Message on an NF ring.
+#[derive(Debug)]
+// Walks are the rings' traffic; boxing them to shrink the rare teardown
+// message would allocate per packet.
+#[allow(clippy::large_enum_variant)]
+enum Msg {
+    Walk(Walk),
+    /// Tear down per-flow state.
+    FlowClosed(Fid),
+}
+
+/// Where the manager puts walks on the rings.
+#[derive(Debug)]
+enum Entry {
+    /// The first NF's RX ring.
+    FirstNf(Sender<Msg>),
+    /// A chain without NFs loops its walks straight back to the TX ring.
+    /// With NFs, only the NF threads hold sending ends of the TX ring, so
+    /// their exit — after a panic in the first NF, say — closes it rather
+    /// than leaving the manager blocked on it.
+    Loopback(Sender<Walk>),
+}
+
+/// The manager's ends of the NF rings: the entry and the TX ring every NF
+/// completes into. Dropping them shuts the NF threads down.
+#[derive(Debug)]
+pub(crate) struct Rings {
+    entry: Entry,
+    done: Receiver<Walk>,
+    len: usize,
+}
+
+impl Rings {
+    /// One thread per NF, chained by rings, each pricing its NF's work
+    /// under `model`. With `instruments`, NF `i` records through
+    /// `instruments[i]` when a walk asks it to.
+    fn spawn(
+        nfs: Vec<Box<dyn Nf>>,
+        instruments: Option<&[NfInstrument]>,
+        model: CycleModel,
+    ) -> (Self, Vec<JoinHandle<()>>) {
+        let len = nfs.len();
+        let (done_tx, done) = bounded(RING_CAPACITY);
+        let mut first: Option<Sender<Msg>> = None;
+        let mut handles = Vec::with_capacity(len);
+        for (i, nf) in nfs.into_iter().enumerate().rev() {
+            let (tx, rx) = bounded(RING_CAPACITY);
+            let instrument = instruments.map(|insts| insts[i].clone());
+            let (next, done) = (first.take(), done_tx.clone());
+            handles.push(thread::spawn(move || {
+                nf_thread(nf, instrument.as_ref(), &model, &rx, next.as_ref(), &done)
+            }));
+            first = Some(tx);
+        }
+        let entry = match first {
+            Some(first) => Entry::FirstNf(first),
+            None => Entry::Loopback(done_tx),
+        };
+        (Self { entry, done, len }, handles)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    fn send(&self, pkt: Packet, instrumented: bool, ticket: Option<Ticket>) {
+        let walk = Walk { pkt, instrumented, res: SlowPathResult::new(self.len), ticket };
+        match &self.entry {
+            Entry::FirstNf(first) => first.send(Msg::Walk(walk)).expect("NF threads alive"),
+            Entry::Loopback(tx) => tx.send(walk).expect("TX ring open"),
+        }
+    }
+
+    /// The next packet to leave the chain or be dropped.
+    fn done(&self) -> Walk {
+        self.done.recv().expect("NF threads alive")
+    }
+
+    /// A packet that has already left the chain or been dropped, if any.
+    fn try_done(&self) -> Option<Walk> {
+        self.done.try_recv().ok()
+    }
+
+    /// The walk arm over the rings: sends `pkt` through the NF threads and
+    /// blocks until it leaves the chain or is dropped. The step puts one
+    /// packet at a time on the rings, so the next completion is this one.
+    pub(crate) fn walk(&self, pkt: Packet, instrumented: bool) -> (Packet, SlowPathResult) {
+        self.send(pkt, instrumented, None);
+        let walk = self.done();
+        (walk.pkt, walk.res)
+    }
+
+    /// Sends a FIN/RST teardown down the rings, behind every packet
+    /// already on them.
+    pub(crate) fn flow_closed(&self, fid: Fid) {
+        if let Entry::FirstNf(first) = &self.entry {
+            first.send(Msg::FlowClosed(fid)).expect("NF threads alive");
+        }
+    }
+}
+
+/// One NF's thread: takes each walk that reaches it one [`nf_step`]
+/// further and passes it on, to the next NF or — once it leaves the chain
+/// or is dropped — to the TX ring. Exits when its RX ring closes.
+fn nf_thread(
+    mut nf: Box<dyn Nf>,
+    instrument: Option<&NfInstrument>,
+    model: &CycleModel,
+    rx: &Receiver<Msg>,
+    next: Option<&Sender<Msg>>,
+    done: &Sender<Walk>,
+) {
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            Msg::Walk(mut walk) => {
+                let instrument = instrument.filter(|_| walk.instrumented);
+                let survived =
+                    nf_step(nf.as_mut(), instrument, &mut walk.pkt, model, &mut walk.res);
+                match next.filter(|_| survived) {
+                    Some(next) => {
+                        let _ = next.send(Msg::Walk(walk));
+                    }
+                    None => {
+                        let _ = done.send(walk);
+                    }
+                }
+            }
+            Msg::FlowClosed(fid) => {
+                nf.flow_closed(fid);
+                if let Some(next) = next {
+                    let _ = next.send(Msg::FlowClosed(fid));
+                }
+            }
+        }
+    }
 }
 
 /// Result of a threaded run.
@@ -55,25 +198,59 @@ pub struct ThreadedReport {
     pub delivered: Vec<Packet>,
     /// Count of dropped packets.
     pub dropped: usize,
-    /// Wall latency per packet (nanoseconds), indexed by injection order;
-    /// dropped packets report the latency to the drop point.
+    /// Wall-clock latency per packet (nanoseconds), indexed by injection
+    /// order; dropped packets report the latency to the drop point. Under
+    /// SpeedyBox it is per batch: every packet of a batch reports the
+    /// batch's time.
     pub latencies_ns: Vec<u64>,
-    /// Final telemetry snapshot for the run (latencies in nanoseconds, not
-    /// model cycles). Merged across every shard, classifier and NF thread.
+    /// Final telemetry snapshot for the run, merged across every shard.
+    /// Latencies are model cycles, as in every runtime.
     pub snapshot: TelemetrySnapshot,
 }
 
+/// The report under construction, with the periodic snapshot schedule.
+struct Collected {
+    delivered: Vec<Option<Packet>>,
+    latencies_ns: Vec<u64>,
+    dropped: usize,
+    completed: usize,
+    snapshot_every: usize,
+    next_snap: usize,
+}
+
+impl Collected {
+    fn record(&mut self, seq: usize, outcome: ProcessedPacket, latency_ns: u64) {
+        self.latencies_ns[seq] = latency_ns;
+        match outcome.packet {
+            Some(pkt) => self.delivered[seq] = Some(pkt),
+            None => self.dropped += 1,
+        }
+        self.completed += 1;
+    }
+
+    fn snapshots(
+        &mut self,
+        telemetry: &Telemetry,
+        on_snapshot: &mut dyn FnMut(&TelemetrySnapshot),
+    ) {
+        while self.snapshot_every > 0 && self.completed >= self.next_snap {
+            on_snapshot(&telemetry.snapshot());
+            self.next_snap += self.snapshot_every;
+        }
+    }
+}
+
 /// Runs `packets` through `nfs`, each NF on its own thread connected by
-/// bounded rings of `RING_CAPACITY` (256) descriptors. With `speedybox` true
-/// the manager classifies, consolidates and fast-paths subsequent packets;
-/// the NF threads then only see flow-initial packets. The manager ingests
-/// packets in batches of `batch_size`: each batch is classified up front,
-/// and runs of consecutive fast-path packets go through
-/// `GlobalMat::process_batch`. Packet outcomes are identical at any batch
-/// size.
+/// bounded rings of `RING_CAPACITY` (256) descriptors. With `speedybox`
+/// true the manager classifies, consolidates and fast-paths subsequent
+/// packets in batches of `batch_size`; the NF threads then only see the
+/// packets the step walks. Packet outcomes and telemetry are identical at
+/// any batch size.
 ///
 /// # Panics
-/// Panics if an NF thread panics.
+/// Panics if the first NF's thread panics: the NF threads after it exit
+/// in turn and close the TX ring. A panic in a later NF's thread leaves
+/// the threads before it running, and the run then waits for good.
 #[must_use]
 pub fn run_threaded(
     nfs: Vec<Box<dyn Nf>>,
@@ -83,461 +260,125 @@ pub fn run_threaded(
 ) -> ThreadedReport {
     let sbox = speedybox
         .then(|| SpeedyBox::new(nfs.len(), SboxConfig { batch_size, ..SboxConfig::default() }));
-    run_threaded_on(sbox.as_ref(), nfs, packets, batch_size, 0, |_| {})
+    run_threaded_on(sbox.as_ref(), nfs, packets, 0, |_| {})
 }
 
-/// [`run_threaded`] over a caller-owned runtime (`None` for a baseline
-/// run), so rules, flow tables, telemetry — and a quarantine window opened
-/// by a crash handler — carry across runs. While the window is open,
-/// would-be fast-path packets ride the NF rings uninstrumented (no
-/// recording, no install), exactly like the deterministic chains'
-/// original-walk fallback.
+/// [`run_threaded`] over a caller-owned runtime (`None` for the original
+/// chain), so rules, flow tables, telemetry — and a quarantine window
+/// opened by a crash handler — carry across runs. SpeedyBox packets run
+/// the modeled chain's step in batches of `sbox.config.batch_size`, with
+/// one idle-eviction tick per batch; a walk blocks until its packet
+/// leaves the rings. The original chain pipelines: it keeps up to
+/// `RING_CAPACITY` packets on the rings and completes each as it leaves.
 ///
 /// Every `snapshot_every` completed packets the manager merges all
 /// counter shards and hands the snapshot to `on_snapshot` (pass `0` to
 /// disable periodic snapshots — the final one is always available via
-/// [`ThreadedReport::snapshot`]). Snapshots are taken from the manager
-/// thread while NF threads keep running, exercising the lock-free
-/// read-while-written path.
-///
-/// Closing the window takes two steps here: `unquarantine_nf` *and* a
-/// `force_evict_flows` sweep. Window-era flows hold classifier entries
-/// with no installed rule, and unlike the deterministic environments the
-/// threaded fast path has no slow-path fallback for that state — the
-/// sweep makes those flows re-record as flow-initial instead.
+/// [`ThreadedReport::snapshot`]).
 ///
 /// # Panics
-/// Panics if an NF thread panics.
+/// Panics if the first NF's thread panics: the NF threads after it exit
+/// in turn and close the TX ring. A panic in a later NF's thread leaves
+/// the threads before it running, and the run then waits for good.
 #[must_use]
 pub fn run_threaded_on(
     sbox: Option<&SpeedyBox>,
     nfs: Vec<Box<dyn Nf>>,
     packets: Vec<Packet>,
-    batch_size: usize,
     snapshot_every: usize,
     mut on_snapshot: impl FnMut(&TelemetrySnapshot),
 ) -> ThreadedReport {
     let total = packets.len();
-    // Speedybox runs share the runtime's hub so classifier/MAT/Event Table
-    // counters and per-packet records land in one place; baseline runs get
-    // a private single-shard hub.
-    let telemetry = match &sbox {
-        Some(s) => Arc::clone(&s.telemetry),
-        None => Arc::new(Telemetry::new(1)),
-    };
-    // One shared buffer pool; the manager and every NF thread front it
-    // with a private magazine and recycle dropped packets into it.
+    // SpeedyBox runs share the runtime's hub; original-chain runs get a
+    // private single-shard hub, as a modeled original chain does.
+    let telemetry = sbox.map_or_else(|| Arc::new(Telemetry::new(1)), |s| Arc::clone(&s.telemetry));
     let pool = Arc::new(PacketPool::default());
-    let mut mgr_mag = Magazine::new(Arc::clone(&pool));
-
-    let (done_tx, done_rx) = bounded::<Done>(RING_CAPACITY.max(total));
-    // Build the ring chain back to front.
-    let mut next_tx: Option<Sender<Msg>> = None;
-    let mut handles = Vec::new();
-    for (i, mut nf) in nfs.into_iter().enumerate().rev() {
-        let (tx, rx): (Sender<Msg>, Receiver<Msg>) = bounded(RING_CAPACITY);
-        let downstream = next_tx.take();
-        let done = done_tx.clone();
-        let instrument = sbox.as_ref().map(|s| s.instruments[i].clone());
-        let telem = Arc::clone(&telemetry);
-        let mut mag = Magazine::new(Arc::clone(&pool));
-        let handle = thread::spawn(move || {
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    Msg::Packet { mut pkt, seq, sent_at, record } => {
-                        let mut ops = OpCounter::default();
-                        let verdict = match instrument.as_ref().filter(|_| record) {
-                            Some(inst) => {
-                                let mut ctx = NfContext::instrumented(inst, &mut ops);
-                                nf.process(&mut pkt, &mut ctx)
-                            }
-                            None => {
-                                let mut ctx = NfContext::baseline(&mut ops);
-                                nf.process(&mut pkt, &mut ctx)
-                            }
-                        };
-                        telem.shard(seq as u64).add_ops(&ops.telemetry_totals());
-                        if !verdict.survives() {
-                            mag.give_packet(pkt);
-                            let _ = done.send(Done::Dropped { seq, sent_at });
-                        } else {
-                            match &downstream {
-                                Some(next) => {
-                                    let _ = next.send(Msg::Packet { pkt, seq, sent_at, record });
-                                }
-                                None => {
-                                    let _ = done.send(Done::Delivered { pkt, seq, sent_at });
-                                }
-                            }
-                        }
-                    }
-                    Msg::FlowClosed(fid) => {
-                        nf.flow_closed(fid);
-                        if let Some(next) = &downstream {
-                            let _ = next.send(Msg::FlowClosed(fid));
-                        }
-                    }
-                    Msg::Shutdown => {
-                        if let Some(next) = &downstream {
-                            let _ = next.send(Msg::Shutdown);
-                        }
-                        break;
-                    }
-                }
-            }
-        });
-        handles.push(handle);
-        next_tx = Some(tx);
-    }
-    drop(done_tx);
-    let first_tx = next_tx;
-
-    // Manager loop.
-    let mut delivered: Vec<Option<Packet>> = (0..total).map(|_| None).collect();
-    let mut latencies_ns = vec![0u64; total];
-    let mut dropped = 0usize;
-    let mut completed = 0usize;
-    let mut in_flight = 0usize;
-    // Path class per injection order, fixed at classification time so the
-    // completion side knows which latency histogram to feed. Baseline runs
-    // (and Collision/Handshake packets, which traverse the original chain)
-    // stay at the default.
-    let mut path_class = vec![PathClass::Baseline; total];
-    let mut next_snap = if snapshot_every > 0 { snapshot_every } else { usize::MAX };
-
-    let drain_one = |done: Done,
-                     delivered: &mut Vec<Option<Packet>>,
-                     latencies: &mut Vec<u64>,
-                     dropped: &mut usize,
-                     paths: &[PathClass]| {
-        match done {
-            Done::Delivered { mut pkt, seq, sent_at } => {
-                let lat = elapsed_ns(sent_at);
-                latencies[seq] = lat;
-                telemetry.shard(seq as u64).record_packet(paths[seq], lat, true);
-                pkt.clear_fid();
-                delivered[seq] = Some(pkt);
-            }
-            Done::Dropped { seq, sent_at } => {
-                let lat = elapsed_ns(sent_at);
-                latencies[seq] = lat;
-                telemetry.shard(seq as u64).record_packet(paths[seq], lat, false);
-                *dropped += 1;
-            }
-        }
+    // NF threads price their work with the default model, as the lane does.
+    let instruments = sbox.map(|s| s.instruments.as_slice());
+    let (rings, handles) = Rings::spawn(nfs, instruments, CycleModel::new());
+    let mut lane = Lane::new(Nfs::Rings(rings), Platform::Onvm, &pool, 1, None);
+    let mut got = Collected {
+        delivered: (0..total).map(|_| None).collect(),
+        latencies_ns: vec![0; total],
+        dropped: 0,
+        completed: 0,
+        snapshot_every,
+        next_snap: snapshot_every,
     };
 
-    match &sbox {
-        None => {
-            for (seq, mut pkt) in packets.into_iter().enumerate() {
-                let start = Instant::now();
-                let mut ops = OpCounter::default();
-                crate::runtime::tag_ingress(&mut pkt, &mut ops);
-                telemetry.shard(seq as u64).add_ops(&ops.telemetry_totals());
-                let closes = pkt.tcp_flags().closes_flow();
-                let fid = pkt.fid();
-                if let Some(tx) = &first_tx {
-                    tx.send(Msg::Packet { pkt, seq, sent_at: start, record: false })
-                        .expect("ring closed");
-                    in_flight += 1;
-                    if closes {
-                        if let Some(fid) = fid {
-                            tx.send(Msg::FlowClosed(fid)).expect("ring closed");
-                        }
-                    }
-                } else {
-                    pkt.clear_fid();
-                    let lat = elapsed_ns(start);
-                    latencies_ns[seq] = lat;
-                    telemetry.shard(seq as u64).record_packet(PathClass::Baseline, lat, true);
-                    delivered[seq] = Some(pkt);
-                    completed += 1;
-                }
-                // Opportunistically drain completions to keep rings moving.
-                while let Ok(done) = done_rx.try_recv() {
-                    drain_one(done, &mut delivered, &mut latencies_ns, &mut dropped, &path_class);
-                    completed += 1;
-                    in_flight -= 1;
-                }
-                while completed >= next_snap {
-                    on_snapshot(&telemetry.snapshot());
-                    next_snap = next_snap.saturating_add(snapshot_every);
-                }
-            }
-        }
+    match sbox {
         Some(sbox) => {
-            let batch_size = batch_size.max(1);
-            // Flushes a run of consecutive fast-path packets through the
-            // Global MAT's batched entry point, then performs their FIN
-            // teardowns in order (record, Local MATs, Event Table).
-            let flush_fast = |run: &mut Vec<(usize, Packet, Fid, bool)>,
-                              start: Instant,
-                              delivered: &mut Vec<Option<Packet>>,
-                              latencies_ns: &mut Vec<u64>,
-                              dropped: &mut usize,
-                              completed: &mut usize,
-                              mag: &mut Magazine| {
-                if run.is_empty() {
-                    return;
-                }
-                let drained: Vec<(usize, Packet, Fid, bool)> = std::mem::take(run);
-                let mut meta = Vec::with_capacity(drained.len());
-                let mut pkts = Vec::with_capacity(drained.len());
-                for (seq, pkt, fid, closes) in drained {
-                    meta.push((seq, fid, closes));
-                    pkts.push(pkt);
-                }
-                let mut fp_ops = vec![OpCounter::default(); pkts.len()];
-                let result = sbox.global.process_batch(&mut pkts, &mut fp_ops);
-                for (&(seq, _, _), op) in meta.iter().zip(&fp_ops) {
-                    telemetry.shard(seq as u64).add_ops(&op.telemetry_totals());
-                }
-                match result {
-                    Ok(outcomes) => {
-                        for ((&(seq, _, _), mut pkt), outcome) in
-                            meta.iter().zip(pkts).zip(outcomes)
-                        {
-                            let cell = telemetry.shard(seq as u64);
-                            match outcome {
-                                FastPathOutcome::Forwarded => {
-                                    pkt.clear_fid();
-                                    let lat = elapsed_ns(start);
-                                    latencies_ns[seq] = lat;
-                                    cell.record_packet(PathClass::Subsequent, lat, true);
-                                    delivered[seq] = Some(pkt);
-                                }
-                                FastPathOutcome::Dropped => {
-                                    let lat = elapsed_ns(start);
-                                    latencies_ns[seq] = lat;
-                                    cell.record_packet(PathClass::Subsequent, lat, false);
-                                    mag.give_packet(pkt);
-                                    *dropped += 1;
-                                }
-                                // Rule missing: treat as drop (does not
-                                // occur with the blocking install below).
-                                FastPathOutcome::NoRule => {
-                                    cell.record_packet(PathClass::Subsequent, 0, false);
-                                    mag.give_packet(pkt);
-                                    *dropped += 1;
-                                }
-                            }
-                            *completed += 1;
-                        }
-                    }
-                    Err(_) => {
-                        for &(seq, _, _) in &meta {
-                            telemetry.shard(seq as u64).record_packet(
-                                PathClass::Subsequent,
-                                0,
-                                false,
-                            );
-                        }
-                        *dropped += meta.len();
-                        *completed += meta.len();
-                        for pkt in pkts {
-                            mag.give_packet(pkt);
-                        }
-                    }
-                }
-                for (_, fid, closes) in meta {
-                    if closes {
-                        sbox.remove_flow(fid);
-                        if let Some(tx) = &first_tx {
-                            tx.send(Msg::FlowClosed(fid)).expect("ring closed");
-                        }
-                    }
-                }
-            };
-
-            let mut iter = packets.into_iter().enumerate();
+            let batch_size = sbox.config.batch_size.max(1);
+            let (mut batch, mut out) = (Vec::with_capacity(batch_size), Vec::new());
+            let mut packets = packets.into_iter();
             loop {
-                let mut chunk: Vec<(usize, Packet)> = Vec::with_capacity(batch_size);
-                for _ in 0..batch_size {
-                    match iter.next() {
-                        Some(item) => chunk.push(item),
-                        None => break,
-                    }
-                }
-                if chunk.is_empty() {
+                batch.extend(packets.by_ref().take(batch_size));
+                if batch.is_empty() {
                     break;
                 }
                 let start = Instant::now();
-                let (seqs, mut pkts): (Vec<usize>, Vec<Packet>) = chunk.into_iter().unzip();
-                let mut cls_ops = vec![OpCounter::default(); pkts.len()];
-                let classified = sbox.classifier.classify_batch(&mut pkts, &mut cls_ops);
-                for (&seq, op) in seqs.iter().zip(&cls_ops) {
-                    telemetry.shard(seq as u64).add_ops(&op.telemetry_totals());
+                lane.batch(sbox, &mut batch, &mut out);
+                let latency = elapsed_ns(start);
+                for outcome in out.drain(..) {
+                    got.record(got.completed, outcome, latency);
                 }
-                // Consecutive fast-path packets accumulate here and are
-                // flushed together; any slow-path packet flushes first so
-                // overall processing order is preserved.
-                let mut fast_run: Vec<(usize, Packet, Fid, bool)> = Vec::new();
-                for ((seq, mut pkt), cls) in seqs.into_iter().zip(pkts).zip(classified) {
-                    let c = match cls {
-                        Ok(Batched::Now(c)) => c,
-                        Ok(Batched::Deferred(pending)) => {
-                            // Steered once the teardown it waits for has
-                            // run: flush the fast run, which ends with its
-                            // FIN teardowns.
-                            flush_fast(
-                                &mut fast_run,
-                                start,
-                                &mut delivered,
-                                &mut latencies_ns,
-                                &mut dropped,
-                                &mut completed,
-                                &mut mgr_mag,
-                            );
-                            sbox.classifier.steer_pending(&pending)
-                        }
-                        Err(_) => {
-                            flush_fast(
-                                &mut fast_run,
-                                start,
-                                &mut delivered,
-                                &mut latencies_ns,
-                                &mut dropped,
-                                &mut completed,
-                                &mut mgr_mag,
-                            );
-                            path_class[seq] = PathClass::Initial;
-                            telemetry.shard(seq as u64).record_packet(PathClass::Initial, 0, false);
-                            mgr_mag.give_packet(pkt);
-                            dropped += 1;
-                            completed += 1;
-                            continue;
-                        }
-                    };
-                    // Open quarantine window: consolidated state is
-                    // untrusted, so would-be fast-path packets ride the NF
-                    // rings uninstrumented instead (no recording, no
-                    // install — flushing a quarantined Subsequent through
-                    // the swept MAT would hit `NoRule` and drop it).
-                    let quarantined = sbox.global.is_quarantined()
-                        && matches!(c.class, PacketClass::Initial | PacketClass::Subsequent);
-                    if quarantined {
-                        telemetry.shard(seq as u64).add_quarantine_packets(1);
-                    }
-                    if c.class == PacketClass::Subsequent && !quarantined {
-                        path_class[seq] = PathClass::Subsequent;
-                        fast_run.push((seq, pkt, c.fid, c.closes_flow));
-                        continue;
-                    }
-                    flush_fast(
-                        &mut fast_run,
-                        start,
-                        &mut delivered,
-                        &mut latencies_ns,
-                        &mut dropped,
-                        &mut completed,
-                        &mut mgr_mag,
-                    );
-                    let record = c.class == PacketClass::Initial && !quarantined;
-                    // Collision/Handshake packets traverse the original
-                    // chain without recording, mirroring the deterministic
-                    // environments' `Baseline` attribution.
-                    path_class[seq] = if record { PathClass::Initial } else { PathClass::Baseline };
-                    match &first_tx {
-                        Some(tx) => {
-                            tx.send(Msg::Packet { pkt, seq, sent_at: start, record })
-                                .expect("ring closed");
-                            // Block until THIS packet completes so the
-                            // rule is installed before any subsequent
-                            // packet of the flow is fast-pathed.
-                            loop {
-                                let done = done_rx.recv().expect("NF threads alive");
-                                let done_seq = match &done {
-                                    Done::Delivered { seq, .. } | Done::Dropped { seq, .. } => *seq,
-                                };
-                                drain_one(
-                                    done,
-                                    &mut delivered,
-                                    &mut latencies_ns,
-                                    &mut dropped,
-                                    &path_class,
-                                );
-                                completed += 1;
-                                if done_seq == seq {
-                                    break;
-                                }
-                                in_flight -= 1;
-                            }
-                        }
-                        None => {
-                            pkt.clear_fid();
-                            let lat = elapsed_ns(start);
-                            latencies_ns[seq] = lat;
-                            telemetry.shard(seq as u64).record_packet(path_class[seq], lat, true);
-                            delivered[seq] = Some(pkt);
-                            completed += 1;
-                        }
-                    }
-                    if record {
-                        let mut install_ops = OpCounter::default();
-                        sbox.global.install(c.fid, &mut install_ops);
-                        telemetry.shard(seq as u64).add_ops(&install_ops.telemetry_totals());
-                    }
-                    if c.closes_flow && c.class != PacketClass::Collision {
-                        sbox.remove_flow(c.fid);
-                        if let Some(tx) = &first_tx {
-                            tx.send(Msg::FlowClosed(c.fid)).expect("ring closed");
-                        }
-                    }
+                got.snapshots(&telemetry, &mut on_snapshot);
+            }
+        }
+        None => {
+            let mut in_flight = 0;
+            for (seq, mut pkt) in packets.into_iter().enumerate() {
+                if in_flight == RING_CAPACITY {
+                    let walk = lane.rings().done();
+                    complete(&mut lane, &telemetry, &mut got, walk);
+                    in_flight -= 1;
                 }
-                flush_fast(
-                    &mut fast_run,
-                    start,
-                    &mut delivered,
-                    &mut latencies_ns,
-                    &mut dropped,
-                    &mut completed,
-                    &mut mgr_mag,
-                );
-                while completed >= next_snap {
-                    on_snapshot(&telemetry.snapshot());
-                    next_snap = next_snap.saturating_add(snapshot_every);
+                let sent_at = Instant::now();
+                tag_ingress(&mut pkt, &mut OpCounter::default());
+                let closes = pkt.fid().filter(|_| pkt.tcp_flags().closes_flow());
+                let rings = lane.rings();
+                rings.send(pkt, false, Some(Ticket { seq, sent_at }));
+                if let Some(fid) = closes {
+                    rings.flow_closed(fid);
                 }
+                in_flight += 1;
+                // Collect what has already left, to keep the rings moving.
+                while let Some(walk) = lane.rings().try_done() {
+                    complete(&mut lane, &telemetry, &mut got, walk);
+                    in_flight -= 1;
+                }
+                got.snapshots(&telemetry, &mut on_snapshot);
+            }
+            for _ in 0..in_flight {
+                let walk = lane.rings().done();
+                complete(&mut lane, &telemetry, &mut got, walk);
+                got.snapshots(&telemetry, &mut on_snapshot);
             }
         }
     }
 
-    // Drain remaining in-flight packets and shut down.
-    while in_flight > 0 {
-        let done = done_rx.recv().expect("NF threads alive");
-        drain_one(done, &mut delivered, &mut latencies_ns, &mut dropped, &path_class);
-        completed += 1;
-        in_flight -= 1;
-        while completed >= next_snap {
-            on_snapshot(&telemetry.snapshot());
-            next_snap = next_snap.saturating_add(snapshot_every);
-        }
+    // Closing the manager's ends of the rings stops the NF threads once
+    // they have drained; dropping the lane also flushes its magazine, so
+    // the pool's depth gauge reflects every idle buffer.
+    drop(lane);
+    for handle in handles {
+        handle.join().expect("NF thread panicked");
     }
-    let _ = completed;
-    if let Some(tx) = first_tx {
-        let _ = tx.send(Msg::Shutdown);
-        drop(tx);
-    }
-    for h in handles {
-        h.join().expect("NF thread panicked");
-    }
-    // Collect any completions that raced with shutdown.
-    while let Ok(done) = done_rx.try_recv() {
-        drain_one(done, &mut delivered, &mut latencies_ns, &mut dropped, &path_class);
-    }
-
-    // Fold pool counters into the hub before the final snapshot. NF-thread
-    // magazines have already flushed on drop; release the manager's too so
-    // the depth gauge reflects every idle buffer.
-    mgr_mag.flush();
     sync_pool(&telemetry, &pool, &mut PoolStats::default());
-
-    let snapshot = telemetry.snapshot();
     ThreadedReport {
-        delivered: delivered.into_iter().flatten().collect(),
-        dropped,
-        latencies_ns,
-        snapshot,
+        delivered: got.delivered.into_iter().flatten().collect(),
+        dropped: got.dropped,
+        latencies_ns: got.latencies_ns,
+        snapshot: telemetry.snapshot(),
     }
+}
+
+/// Prices, observes and collects an original-chain packet back from the
+/// rings.
+fn complete(lane: &mut Lane, telemetry: &Telemetry, got: &mut Collected, walk: Walk) {
+    let ticket = walk.ticket.expect("pipelined packets carry a ticket");
+    let outcome = lane.complete(telemetry, walk.pkt, &walk.res);
+    got.record(ticket.seq, outcome, elapsed_ns(ticket.sent_at));
 }
 
 #[cfg(test)]
@@ -545,9 +386,13 @@ mod tests {
     #![allow(clippy::cast_possible_truncation)] // test data built from loop indices
     use speedybox_nf::ipfilter::{AclRule, IpFilter};
     use speedybox_nf::monitor::Monitor;
+    use speedybox_nf::{NfContext, NfVerdict};
     use speedybox_packet::{PacketBuilder, TcpFlags};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
 
     use super::*;
+    use crate::Chain;
 
     fn packets(n: usize, flows: u16) -> Vec<Packet> {
         (0..n)
@@ -660,6 +505,13 @@ mod tests {
         for speedybox in [false, true] {
             let pkts = packets(40, 4);
             let expect_lat: usize = pkts.len();
+            let mut modeled = if speedybox {
+                Chain::speedybox(fw_chain(2))
+            } else {
+                Chain::original(fw_chain(2))
+            }
+            .with_platform(Platform::Onvm);
+            modeled.run(pkts.clone());
             let report = run_threaded(fw_chain(2), pkts, speedybox, 1);
             let s = &report.snapshot;
             assert_eq!(s.packets, 40, "speedybox={speedybox}");
@@ -667,7 +519,7 @@ mod tests {
             assert_eq!(s.dropped as usize, report.dropped);
             let lat = s.latency_total();
             assert_eq!(lat.count as usize, expect_lat);
-            assert_eq!(lat.sum, report.latencies_ns.iter().sum::<u64>());
+            assert_eq!(lat.sum, modeled.telemetry().snapshot().latency_total().sum);
             if speedybox {
                 // Every fast-pathed packet is exactly one Global MAT hit.
                 assert_eq!(s.fastpath_hits, s.paths[2]);
@@ -683,9 +535,8 @@ mod tests {
     fn observed_hook_fires_and_grows_monotonically() {
         let mut seen: Vec<u64> = Vec::new();
         let sbox = SpeedyBox::new(2, SboxConfig { batch_size: 8, ..SboxConfig::default() });
-        let report = run_threaded_on(Some(&sbox), fw_chain(2), packets(50, 5), 8, 10, |s| {
-            seen.push(s.packets)
-        });
+        let report =
+            run_threaded_on(Some(&sbox), fw_chain(2), packets(50, 5), 10, |s| seen.push(s.packets));
         assert!(!seen.is_empty(), "periodic hook never fired");
         assert!(seen.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(report.snapshot.packets, 50);
@@ -698,29 +549,61 @@ mod tests {
         let chain = || vec![Box::new(mon.clone()) as Box<dyn Nf>];
 
         // Warm run: flows record and ride the consolidated fast path.
-        let warm = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 1, 0, |_| {});
+        let warm = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 0, |_| {});
         assert_eq!(warm.delivered.len(), 12);
         assert!(warm.snapshot.paths[2] > 0, "expected fast-path traffic");
 
         // Crash handling: mask first, then sweep (same order as kill_nf).
         sbox.global.quarantine_nf(0);
         sbox.force_evict_flows(usize::MAX);
-        let q = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 1, 0, |_| {});
+        let q = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 0, |_| {});
         assert_eq!(q.delivered.len(), 12, "window must be loss-free");
         assert_eq!(q.snapshot.paths[2], warm.snapshot.paths[2], "no fast path in the window");
         assert_eq!(q.snapshot.paths[1], warm.snapshot.paths[1], "no recording in the window");
         assert_eq!(q.snapshot.quarantine_packets - warm.snapshot.quarantine_packets, 12);
 
-        // Close the window: unquarantine AND sweep (window-era flows hold
-        // classifier entries with no rule — see `run_threaded_on`).
+        // Close the window. `unquarantine_nf` alone is enough; the sweep a
+        // crash handler may add only means the window-era flows re-record
+        // as newly classified flows rather than through the evicted-rule
+        // fallback.
         sbox.global.unquarantine_nf(0);
         sbox.force_evict_flows(usize::MAX);
-        let r = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 1, 0, |_| {});
+        let r = run_threaded_on(Some(&sbox), chain(), packets(12, 2), 0, |_| {});
         assert_eq!(r.delivered.len(), 12);
         assert_eq!(r.snapshot.paths[1] - q.snapshot.paths[1], 2, "flows re-record");
         assert_eq!(r.snapshot.paths[2] - q.snapshot.paths[2], 10);
         // The monitor saw every packet of all three runs exactly once.
         assert_eq!(mon.snapshot().values().map(|c| c.packets).sum::<u64>(), 36);
+    }
+
+    /// An NF that panics on every packet.
+    struct Crashing;
+
+    impl Nf for Crashing {
+        fn name(&self) -> &'static str {
+            "crashing"
+        }
+
+        fn process(&mut self, _: &mut Packet, _: &mut NfContext<'_>) -> NfVerdict {
+            panic!("NF crashed");
+        }
+    }
+
+    #[test]
+    fn first_nf_panic_reaches_the_manager() {
+        let (alive, gone) = mpsc::channel::<()>();
+        let manager = thread::spawn(move || {
+            let _alive = alive; // dropped when the manager returns or unwinds
+            let chain: Vec<Box<dyn Nf>> = vec![Box::new(Crashing), Box::new(Monitor::new())];
+            let _ = run_threaded(chain, packets(4, 1), true, 1);
+        });
+        // The NF threads' exit closes the TX ring; the manager must not
+        // wait on it for good.
+        let waited = gone.recv_timeout(Duration::from_secs(30));
+        assert_eq!(waited, Err(RecvTimeoutError::Disconnected), "manager still blocked");
+        let panic = manager.join().expect_err("the NF's panic reaches the manager");
+        let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("NF threads alive"), "{msg}");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use speedybox_nf::Nf;
 use speedybox_packet::{Packet, PacketPool, PoolStats};
 use speedybox_telemetry::TelemetrySnapshot;
 
-use crate::chain::{Lane, Platform};
+use crate::chain::{Lane, Nfs, Platform};
 use crate::metrics::sync_pool;
 use crate::runtime::{SboxConfig, SpeedyBox};
 
@@ -121,7 +121,7 @@ pub fn run_workers_on(
             .into_iter()
             .zip(slices)
             .map(|(nfs, slice)| {
-                let lane = Lane::new(nfs, Platform::Bess, &pool, 1, None);
+                let lane = Lane::new(Nfs::InProcess(nfs), Platform::Bess, &pool, 1, None);
                 scope.spawn(move || worker_loop(sbox, lane, slice))
             })
             .collect();

@@ -88,7 +88,7 @@ pub struct SimCase {
     pub env: Platform,
     /// Start in compiled (micro-op) or interpreted rule execution.
     pub compiled: bool,
-    /// Packets per `process_batch` call; 1 means the per-packet path.
+    /// Packets per `process_batch_into` call; 1 means the per-packet path.
     pub batch: usize,
     /// Symmetric run-to-completion workers (rounded up to a power of two
     /// by the runtime); 1 is the single-path default. Results must be
@@ -527,8 +527,10 @@ fn flush(
             sut_results.push(p.map(|p| sut.process(p)));
         }
     } else {
-        let live: Vec<Packet> = parsed.iter().flatten().cloned().collect();
-        let mut processed = sut.process_batch(live).into_iter();
+        let mut live: Vec<Packet> = parsed.iter().flatten().cloned().collect();
+        let mut processed = Vec::with_capacity(live.len());
+        sut.process_batch_into(&mut live, &mut processed);
+        let mut processed = processed.into_iter();
         for p in &parsed {
             sut_results.push(if p.is_some() { processed.next() } else { None });
         }

@@ -1,16 +1,15 @@
 //! Measurement utilities for the SpeedyBox reproduction: percentiles,
-//! CDFs, histograms and plain-text table rendering for the figure harness.
+//! CDFs and plain-text table rendering for the figure harness. Latency
+//! histograms are telemetry's (`speedybox_telemetry::HistogramSnapshot`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cdf;
-pub mod histogram;
 pub mod summary;
 pub mod table;
 
 pub use cdf::Cdf;
-pub use histogram::Histogram;
 pub use summary::Summary;
 pub use table::Table;

@@ -226,7 +226,7 @@ impl CounterShard {
     }
 
     /// Records a finished packet: path mix, delivery outcome and latency
-    /// (cycles in the modelled runtimes, nanoseconds in the threaded one).
+    /// (model cycles).
     #[inline]
     pub fn record_packet(&self, path: PathClass, latency: u64, delivered: bool) {
         self.packets.fetch_add(1, Relaxed);

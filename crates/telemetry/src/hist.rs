@@ -1,10 +1,10 @@
 //! Lock-free fixed-bucket log2 latency histograms.
 //!
-//! Mirrors the bucketing of `speedybox_stats::Histogram` (bucket `i`
-//! covers `[2^i, 2^(i+1))`, bucket 0 additionally holds zero) but every
-//! slot is a relaxed [`AtomicU64`], so the hot path records without
-//! taking a lock. Snapshots are plain-old-data and merge associatively,
-//! which is what lets per-shard histograms be combined across threads.
+//! Bucket `i` covers `[2^i, 2^(i+1))`, bucket 0 additionally holds zero,
+//! and every slot is a relaxed [`AtomicU64`], so the hot path records
+//! without taking a lock. Snapshots are plain-old-data and merge
+//! associatively, which is what lets per-shard histograms be combined
+//! across threads.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -144,8 +144,7 @@ impl HistogramSnapshot {
     }
 
     /// Approximate quantile: the upper bound of the bucket holding the
-    /// q-th observation, clamped to the observed max (same estimator as
-    /// `speedybox_stats::Histogram::quantile`).
+    /// q-th observation, clamped to the observed max.
     #[must_use]
     // `q` is clamped to [0, 1], so the product is in [0, count] and the
     // cast back to u64 cannot truncate.

@@ -20,8 +20,7 @@ pub struct TelemetrySnapshot {
     pub dropped: u64,
     /// Per-path packet counts, indexed by [`PathClass::index`].
     pub paths: [u64; 3],
-    /// Per-path latency histograms (cycles in the modelled runtimes,
-    /// nanoseconds in the threaded runtime).
+    /// Per-path latency histograms, in model cycles (every runtime).
     pub latency: [HistogramSnapshot; 3],
     /// Flows admitted by the classifier.
     pub flows_opened: u64,
@@ -201,7 +200,7 @@ impl TelemetrySnapshot {
         for (name, value) in self.ops.named() {
             let _ = writeln!(out, "speedybox_ops_total{{op=\"{name}\"}} {value}");
         }
-        let _ = writeln!(out, "# HELP speedybox_latency packet latency; cycles in the modelled runtimes, nanoseconds in the threaded runtime");
+        let _ = writeln!(out, "# HELP speedybox_latency packet latency in model cycles");
         let _ = writeln!(out, "# TYPE speedybox_latency histogram");
         for path in PathClass::ALL {
             let h = &self.latency[path.index()];

@@ -5,7 +5,6 @@
 
 use speedybox::platform::chains::chain2;
 use speedybox::platform::Chain;
-use speedybox::stats::Histogram;
 use speedybox::traffic::{ReplaySchedule, Workload, WorkloadConfig, WorkloadStats};
 
 fn main() {
@@ -32,20 +31,25 @@ fn main() {
 
     let (nfs, handles) = chain2();
     let mut chain = Chain::speedybox(nfs);
-    let mut latency = Histogram::new();
     for sched in schedule.iter() {
-        let out = chain.process(sched.packet.clone());
-        latency.record(out.latency_cycles);
+        chain.process(sched.packet.clone());
     }
 
     println!("=== per-packet latency (model cycles, log2 buckets) ===");
-    print!("{}", latency.render());
+    let latency = chain.telemetry().snapshot().latency_total();
+    let peak = latency.buckets.iter().copied().max().unwrap_or(0).max(1);
+    for (i, &n) in latency.buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
+        let lower = if i == 0 { 0 } else { 1u64 << i };
+        #[allow(clippy::cast_possible_truncation)] // bar length <= 40
+        let bar = "#".repeat((n * 40 / peak).max(1) as usize);
+        println!("{lower:>12} | {bar} {n}");
+    }
     println!(
         "mean {:.0} cycles, p50 ≈ {}, p99 ≈ {}, max {}\n",
         latency.mean(),
         latency.quantile(0.5),
         latency.quantile(0.99),
-        latency.max()
+        latency.max
     );
 
     let sbox = chain.sbox().expect("speedybox enabled");

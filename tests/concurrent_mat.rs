@@ -16,12 +16,22 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 
 use speedybox::mat::{
-    GlobalMat, HeaderAction, LocalMat, NfId, OpCounter, PacketClass, PacketClassifier,
+    FastPathOutcome, GlobalMat, HeaderAction, LocalMat, NfId, OpCounter, PacketClass,
+    PacketClassifier,
 };
 use speedybox::packet::{Fid, FiveTuple, Packet, PacketBuilder, Protocol};
 
 const THREADS: usize = 4;
 const FLOWS_PER_THREAD: u32 = 256;
+
+/// One fast-path `GlobalMat::process` per packet, in order.
+fn process_each(
+    gm: &GlobalMat,
+    packets: &mut [Packet],
+    ops: &mut [OpCounter],
+) -> Vec<FastPathOutcome> {
+    packets.iter_mut().zip(ops).map(|(p, ops)| gm.process(p, ops).unwrap()).collect()
+}
 
 /// A Global MAT over one Local MAT pre-seeded with a Forward rule for the
 /// first `flows` FIDs, so `install` consolidates real content.
@@ -233,7 +243,7 @@ fn affinity_memo_invalidated_by_event_under_churn() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     use speedybox::mat::state_fn::PayloadAccess;
-    use speedybox::mat::{Event, FastPathOutcome, RulePatch, StateFunction};
+    use speedybox::mat::{Event, RulePatch, StateFunction};
 
     const CHURN_FIDS: u32 = 256;
     const BATCH: usize = 64;
@@ -303,7 +313,7 @@ fn affinity_memo_invalidated_by_event_under_churn() {
             })
             .collect();
         let mut per_ops: Vec<OpCounter> = vec![OpCounter::default(); BATCH];
-        let outcomes = gm.process_batch(&mut packets, &mut per_ops).unwrap();
+        let outcomes = process_each(&gm, &mut packets, &mut per_ops);
         stop.store(true, Ordering::Relaxed);
         outcomes
     });
@@ -328,7 +338,7 @@ fn affinity_memo_invalidated_by_event_under_churn() {
 
 /// Publication-race stress for the wait-free generation swap: four
 /// installer/remover threads churn a disjoint FID range at full tilt while
-/// reader threads run `process_batch` over a stable rule set.
+/// reader threads run fast-path batches over a stable rule set.
 ///
 /// Two contracts are enforced:
 ///
@@ -345,8 +355,6 @@ fn affinity_memo_invalidated_by_event_under_churn() {
 fn publication_race_readers_never_block_or_tear() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::{Duration, Instant};
-
-    use speedybox::mat::FastPathOutcome;
 
     const STABLE: u32 = 64;
     const CHURN_FIDS: u32 = 512;
@@ -405,7 +413,7 @@ fn publication_race_readers_never_block_or_tear() {
                         })
                         .collect();
                     let mut per_ops = vec![OpCounter::default(); batch.len()];
-                    let outcomes = gm.process_batch(&mut batch, &mut per_ops).unwrap();
+                    let outcomes = process_each(gm, &mut batch, &mut per_ops);
                     for (i, o) in outcomes.iter().enumerate() {
                         assert_eq!(
                             *o,
@@ -641,8 +649,6 @@ fn evict_vs_install_vs_event_fire_settles_with_zero_leak() {
 fn quarantine_flip_vs_install_churn_leaks_nothing() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    use speedybox::mat::FastPathOutcome;
-
     const STABLE: u32 = 48;
     const CHURN_FIDS: u32 = 384;
     const STABLE_BASE: u32 = 20_000;
@@ -723,7 +729,7 @@ fn quarantine_flip_vs_install_churn_leaks_nothing() {
                         })
                         .collect();
                     let mut per_ops = vec![OpCounter::default(); batch.len()];
-                    let outcomes = gm.process_batch(&mut batch, &mut per_ops).unwrap();
+                    let outcomes = process_each(gm, &mut batch, &mut per_ops);
                     for (i, o) in outcomes.iter().enumerate() {
                         assert_eq!(
                             *o,

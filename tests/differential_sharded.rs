@@ -1,11 +1,12 @@
 //! Differential suite for the sharded/batched fast path.
 //!
-//! The sharded classifier + Global MAT and the batched entry points
-//! (`classify_batch` / `process_batch`) are pure lock-granularity
-//! optimizations: for any workload they must produce **byte-identical
-//! packet outputs**, identical per-NF counters (Monitor totals, Snort
-//! logs, NAT mappings), and identical Event Table firings compared to the
-//! per-packet path (`batch_size == 1`, which is the seed code path).
+//! The sharded classifier + Global MAT and the batched entry point
+//! (`Chain::process_batch_into`, which classifies a batch up front) are
+//! pure lock-granularity optimizations: for any workload they must
+//! produce **byte-identical packet outputs**, identical per-NF counters
+//! (Monitor totals, Snort logs, NAT mappings), and identical Event Table
+//! firings compared to the per-packet path (`batch_size == 1`, which is
+//! the seed code path).
 //! These properties are fuzzed here over the paper's two real-world
 //! chains with randomized flow mixes, batch sizes, and shard counts.
 

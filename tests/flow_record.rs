@@ -48,7 +48,9 @@ fn removed_rule_leaves_the_flow_record() {
                     assert!(record.rule().is_none(), "{label}: its rule is gone");
                 }
                 if batched {
-                    outcomes.extend(chain.process_batch(half.to_vec()));
+                    let mut out = Vec::new();
+                    chain.process_batch_into(&mut half.to_vec(), &mut out);
+                    outcomes.extend(out);
                 } else {
                     outcomes.extend(half.iter().cloned().map(|p| chain.process(p)));
                 }

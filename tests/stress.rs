@@ -153,10 +153,11 @@ fn large_flow_population_with_aging_stays_bounded() {
 #[test]
 fn telemetry_stays_consistent_under_threaded_churn() {
     // The heavy-churn workload from above, but on the real thread-per-NF
-    // runtime: NF threads record op counters concurrently with the
-    // manager's packet records, and the final merged snapshot must still
-    // account for every packet exactly once.
+    // runtime: NF threads walk packets concurrently with the manager's
+    // step, and the final merged snapshot must still account for every
+    // packet exactly once, priced as the modeled ONVM chain prices it.
     use speedybox::platform::threaded::run_threaded;
+    use speedybox::platform::{Platform, SboxConfig};
     let w = Workload::generate(&WorkloadConfig {
         flows: 300,
         median_packets: 4.0,
@@ -166,6 +167,12 @@ fn telemetry_stays_consistent_under_threaded_churn() {
     });
     let packets = w.packets();
     let total = packets.len();
+    let mut modeled = Chain::speedybox_with(
+        ipfilter_chain(4, 50),
+        SboxConfig { batch_size: 16, ..SboxConfig::default() },
+    )
+    .with_platform(Platform::Onvm);
+    modeled.run(packets.clone());
     let report = run_threaded(ipfilter_chain(4, 50), packets, true, 16);
     let s = &report.snapshot;
     assert_eq!(s.packets as usize, total, "every packet counted once");
@@ -174,7 +181,7 @@ fn telemetry_stays_consistent_under_threaded_churn() {
     assert_eq!(s.delivered + s.dropped, s.packets);
     let lat = s.latency_total();
     assert_eq!(lat.count as usize, total);
-    assert_eq!(lat.sum, report.latencies_ns.iter().sum::<u64>());
+    assert_eq!(lat.sum, modeled.telemetry().snapshot().latency_total().sum);
     assert_eq!(s.fastpath_hits, s.paths[2], "one MAT hit per fast-pathed packet");
     assert_eq!(s.flows_opened, 300);
     assert_eq!(s.rules_installed, 300, "one consolidation per flow");
@@ -182,9 +189,8 @@ fn telemetry_stays_consistent_under_threaded_churn() {
 
 #[test]
 fn concurrent_snapshots_are_monotone_and_exact_at_quiescence() {
-    // Periodic snapshots taken while NF threads are still writing their
-    // shards: totals may lag but can never go backwards, and the final
-    // quiescent snapshot is exact.
+    // Periodic snapshots taken mid-run: totals can never go backwards,
+    // and the final quiescent snapshot is exact.
     use speedybox::platform::run_threaded_on;
     use speedybox::platform::runtime::{SboxConfig, SpeedyBox};
     let w = Workload::generate(&WorkloadConfig {
@@ -199,7 +205,7 @@ fn concurrent_snapshots_are_monotone_and_exact_at_quiescence() {
     let mut last_ops = 0u64;
     let mut fired = 0usize;
     let sbox = SpeedyBox::new(3, SboxConfig { batch_size: 8, ..SboxConfig::default() });
-    let report = run_threaded_on(Some(&sbox), ipfilter_chain(3, 50), packets, 8, 40, |snap| {
+    let report = run_threaded_on(Some(&sbox), ipfilter_chain(3, 50), packets, 40, |snap| {
         fired += 1;
         assert!(snap.packets >= last_packets, "packet count went backwards");
         let ops_sum: u64 = snap.ops.0.iter().sum();
