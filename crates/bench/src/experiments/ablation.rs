@@ -13,7 +13,7 @@
 use std::fmt;
 
 use speedybox_mat::event::RulePatch;
-use speedybox_mat::{Event, HeaderAction, NfId};
+use speedybox_mat::{Event, HeaderAction, NfId, Signal};
 use speedybox_nf::synthetic::SyntheticNf;
 use speedybox_nf::Nf;
 use speedybox_packet::Packet;
@@ -101,6 +101,7 @@ fn a2() -> EventCheckCost {
                         fid,
                         NfId::new(0),
                         format!("quiescent-{i}"),
+                        Signal::new(),
                         |_| false,
                         |_| RulePatch::default(),
                     )

@@ -16,13 +16,18 @@
 //! initial packet — the calls *record* behaviour, they never change it
 //! (§IV-B: "the APIs seek to only record NF behaviors ... the modifications
 //! do not change the original processing logic").
+//!
+//! One deviation from Fig 2: `register_event` also takes the [`Signal`]
+//! the event watches. The fast path never runs a condition; the NF raises
+//! the signal when the condition's inputs change, and the event is
+//! re-checked then (DESIGN.md §18.3).
 
 use std::sync::Arc;
 
 use speedybox_packet::{Fid, Packet};
 
 use crate::action::HeaderAction;
-use crate::event::{Event, EventTable, RulePatch};
+use crate::event::{Event, EventTable, RulePatch, Signal};
 use crate::local::{LocalMat, NfId};
 use crate::ops::OpCounter;
 use crate::state_fn::{PayloadAccess, StateFunction};
@@ -85,18 +90,24 @@ impl NfInstrument {
         self.local.add_state_function(fid, func, ops);
     }
 
-    /// `register_event`: registers a condition and the rule patch to apply
-    /// when it fires. One-shot by default; call `.recurring()` on the
-    /// [`Event`] via [`NfInstrument::register_event_full`] for repeating
-    /// events.
+    /// `register_event`: registers a condition, the [`Signal`] the NF
+    /// raises when the condition's inputs change, and the rule patch to
+    /// apply when it fires. The condition is evaluated once when the
+    /// flow's rule is armed and again on each raise, never per packet, so
+    /// it must be a pure read of NF state. Call this without holding the
+    /// NF's own state lock: arming takes the Event Table lock, then the
+    /// NF's lock through the condition. One-shot by default; call
+    /// `.recurring()` on the [`Event`] via
+    /// [`NfInstrument::register_event_full`] for repeating events.
     pub fn register_event(
         &self,
         fid: Fid,
         name: impl Into<String>,
+        signal: Signal,
         condition: impl Fn(Fid) -> bool + Send + Sync + 'static,
         update: impl Fn(Fid) -> RulePatch + Send + Sync + 'static,
     ) {
-        self.events.register(Event::new(fid, self.local.nf(), name, condition, update));
+        self.events.register(Event::new(fid, self.local.nf(), name, signal, condition, update));
     }
 
     /// Registers a fully-built [`Event`] (must target this NF).
@@ -153,7 +164,7 @@ mod tests {
     fn register_event_targets_own_nf() {
         let events = Arc::new(EventTable::new());
         let inst = NfInstrument::new(Arc::new(LocalMat::new(NfId::new(3))), events.clone());
-        inst.register_event(Fid::new(1), "e", |_| true, |_| RulePatch::default());
+        inst.register_event(Fid::new(1), "e", Signal::new(), |_| true, |_| RulePatch::default());
         let fired = events.fire(Fid::new(1));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].0, NfId::new(3));
@@ -163,8 +174,14 @@ mod tests {
     #[should_panic(expected = "event must target the registering NF")]
     fn register_event_full_rejects_foreign_nf() {
         let inst = instrument();
-        let event =
-            Event::new(Fid::new(1), NfId::new(99), "bad", |_| true, |_| RulePatch::default());
+        let event = Event::new(
+            Fid::new(1),
+            NfId::new(99),
+            "bad",
+            Signal::new(),
+            |_| true,
+            |_| RulePatch::default(),
+        );
         inst.register_event_full(event);
     }
 }

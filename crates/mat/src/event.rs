@@ -3,18 +3,28 @@
 //! Observation 2 of the paper: some NFs change a flow's actions at runtime
 //! when internal state reaches a condition (Maglev re-routing on backend
 //! failure, a DoS guard flipping to drop past a SYN threshold). NFs
-//! register events through `register_event` (Fig 2); the Global MAT checks
-//! the registered conditions and, when one fires, patches the flow's rule
-//! and re-consolidates — Fig 3's workflow.
+//! register events through `register_event` (Fig 2); when one's condition
+//! holds, the Global MAT patches the flow's rule and re-consolidates —
+//! Fig 3's workflow.
 //!
-//! The table is the registration store. Installing a flow's rule arms its
-//! events in the rule as shared handles, so the fast path evaluates them
-//! from the flow record with no lock; only a triggered condition comes
-//! back here, to [`EventTable::fire`], which re-checks under the write
-//! lock so a one-shot event fires once.
+//! Conditions are not polled. Each event watches a [`Signal`], an epoch
+//! counter its NF raises after changing state the condition reads. Arming
+//! an event (rule install, rewrite, or a registration on an installed
+//! rule) reads the signal, then evaluates the condition once and
+//! remembers the value it read — or, if the condition already holds,
+//! arms the event raised. The fast path compares each armed event's
+//! signal with its remembered value, with no lock and no closure; only a
+//! mismatch comes back here, to [`EventTable::fire`], whose re-check
+//! under the write lock reads the signal, evaluates the condition, and
+//! either fires the event (once, for a one-shot event) or remembers the
+//! value it read. A spurious raise costs one re-check; a missed raise is
+//! the one bug left, which is why conditions must be pure reads of NF
+//! state and why debug builds log any armed condition that holds without
+//! a raise ([`crate::track`]).
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -82,8 +92,42 @@ pub type CondHandler = Arc<dyn Fn(Fid) -> bool + Send + Sync>;
 /// (computed at trigger time — e.g. Maglev picks the *new* backend then).
 pub type UpdateHandler = Arc<dyn Fn(Fid) -> RulePatch + Send + Sync>;
 
+/// A shared epoch counter an NF raises when a condition's inputs change.
+///
+/// An NF raises the signal after changing state that a registered
+/// condition reads, inside the same critical section, so a reader that
+/// finds the condition false after reading the signal is sure to see the
+/// signal move on the next change. Raising without a change is allowed
+/// (it costs the watching events one re-check); changing a condition's
+/// inputs without raising is a missed raise. Clones share the counter.
+#[derive(Debug, Clone, Default)]
+pub struct Signal(Arc<AtomicU64>);
+
+impl Signal {
+    /// A fresh signal at epoch 0.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Raises the signal: every event watching it re-checks its condition
+    /// on its flow's next fast-path packet.
+    pub fn raise(&self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+
+    /// The current epoch.
+    #[must_use]
+    pub fn value(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
+    }
+}
+
+/// The remembered value of an event that must be re-checked: a signal
+/// counts up from 0 and never reaches it.
+const RAISED: u64 = u64::MAX;
+
 /// A registered event: condition plus update, owned by one NF for one flow.
-#[derive(Clone)]
 pub struct Event {
     /// Flow the event watches.
     pub fid: Fid,
@@ -93,16 +137,39 @@ pub struct Event {
     pub name: String,
     /// If true the event is deregistered after it fires once.
     pub one_shot: bool,
+    signal: Signal,
+    /// The signal value read before the condition was last found false,
+    /// or [`RAISED`].
+    seen: AtomicU64,
     condition: CondHandler,
     update: UpdateHandler,
 }
 
+impl Clone for Event {
+    fn clone(&self) -> Self {
+        Self {
+            fid: self.fid,
+            nf: self.nf,
+            name: self.name.clone(),
+            one_shot: self.one_shot,
+            signal: self.signal.clone(),
+            seen: AtomicU64::new(self.seen.load(Ordering::Relaxed)),
+            condition: Arc::clone(&self.condition),
+            update: Arc::clone(&self.update),
+        }
+    }
+}
+
 impl Event {
-    /// Creates an event.
+    /// Creates an event whose condition is re-checked whenever `signal`
+    /// is raised. The condition must be a pure read of NF state, and the
+    /// NF must raise `signal` whenever that state changes so that the
+    /// condition may turn true.
     pub fn new(
         fid: Fid,
         nf: NfId,
         name: impl Into<String>,
+        signal: Signal,
         condition: impl Fn(Fid) -> bool + Send + Sync + 'static,
         update: impl Fn(Fid) -> RulePatch + Send + Sync + 'static,
     ) -> Self {
@@ -111,6 +178,8 @@ impl Event {
             nf,
             name: name.into(),
             one_shot: true,
+            signal,
+            seen: AtomicU64::new(RAISED),
             condition: Arc::new(condition),
             update: Arc::new(update),
         }
@@ -128,6 +197,48 @@ impl Event {
     #[must_use]
     pub fn is_triggered(&self) -> bool {
         (self.condition)(self.fid)
+    }
+
+    /// The signal this event watches.
+    #[must_use]
+    pub fn signal(&self) -> &Signal {
+        &self.signal
+    }
+
+    /// True if the signal moved since the event last found its condition
+    /// false (or the condition held then): the fast path's whole check,
+    /// two loads and a compare.
+    #[must_use]
+    pub fn is_raised(&self) -> bool {
+        self.signal.value() != self.seen()
+    }
+
+    /// The remembered signal value.
+    pub(crate) fn seen(&self) -> u64 {
+        self.seen.load(Ordering::Relaxed)
+    }
+
+    /// The arming check and the fire re-check: reads the signal, then
+    /// evaluates the condition, and remembers the value read — or, if the
+    /// condition holds, leaves the event raised. Reading the signal first
+    /// is what makes this safe: a change the condition did not see raises
+    /// the signal past the remembered value.
+    pub(crate) fn check(&self) -> bool {
+        let value = self.signal.value();
+        let holds = self.is_triggered();
+        self.seen.store(if holds { RAISED } else { value }, Ordering::Relaxed);
+        holds
+    }
+
+    /// Debug builds' missed-raise fence: logs this event if its condition
+    /// holds although its signal has not moved since the condition was
+    /// last found false. The second signal read keeps a raise that lands
+    /// while the condition runs from being mistaken for a missed one.
+    pub(crate) fn track_missed_raise(&self) {
+        let seen = self.seen.load(Ordering::Relaxed);
+        if self.signal.value() == seen && self.is_triggered() && self.signal.value() == seen {
+            crate::track::record_missed_raise(&self.name);
+        }
     }
 
     /// Computes the patch (call when triggered).
@@ -155,21 +266,24 @@ impl fmt::Debug for Event {
 /// use std::sync::atomic::{AtomicBool, Ordering};
 /// use std::sync::Arc;
 ///
-/// use speedybox_mat::{Event, EventTable, HeaderAction, NfId, RulePatch};
+/// use speedybox_mat::{Event, EventTable, HeaderAction, NfId, RulePatch, Signal};
 /// use speedybox_packet::Fid;
 ///
 /// let table = EventTable::new();
+/// let signal = Signal::new();
 /// let tripped = Arc::new(AtomicBool::new(false));
 /// let t = tripped.clone();
 /// table.register(Event::new(
 ///     Fid::new(7),
 ///     NfId::new(0),
 ///     "threshold",
+///     signal.clone(),
 ///     move |_| t.load(Ordering::Relaxed),
 ///     |_| RulePatch::set_action(HeaderAction::Drop),
 /// ));
 /// assert!(table.fire(Fid::new(7)).is_empty());
 /// tripped.store(true, Ordering::Relaxed);
+/// signal.raise();
 /// let fired = table.fire(Fid::new(7));
 /// assert_eq!(fired.len(), 1);
 /// assert!(table.is_empty(), "a one-shot event fires once");
@@ -206,43 +320,59 @@ impl EventTable {
     }
 
     /// Registers an event (the `register_event` API of Fig 2). If the
-    /// flow's rule is already installed, the rule is re-armed, so the
-    /// event is checked from the flow's next packet.
+    /// flow's rule is already installed, the event is armed and the rule
+    /// re-armed with it, so it is checked from the flow's next packet.
+    ///
+    /// Takes the write lock, then (arming) the NF's state lock through
+    /// the condition: an NF must not register while holding its own lock.
     pub fn register(&self, event: Event) {
         let fid = event.fid;
         let mut events = self.events.write();
         let list = events.entry(fid).or_default();
+        // Under the write lock, so a concurrent install (which arms under
+        // the read lock) cannot publish a rule missing it.
+        let installed = self
+            .flows
+            .as_ref()
+            .filter(|flows| flows.get(fid).is_some_and(|record| record.rule.is_some()));
+        if installed.is_some() {
+            event.check();
+        }
         list.push(Arc::new(event));
-        if let Some(flows) = &self.flows {
-            // Under the write lock, so a concurrent install (which arms
-            // under the read lock) cannot publish a rule missing it.
+        if let Some(flows) = installed {
             flows.republish(fid, |record| {
                 let rule = record.rule.as_ref()?;
-                Some(record.with_rule(Some(Arc::new(rule.rearmed(list.clone())))))
+                Some(record.with_rule(Some(Arc::new(rule.rearmed(list)))))
             });
         }
     }
 
-    /// Runs `f` on the events registered for `fid`, in registration
-    /// order, holding the read lock so no registration can slip between
-    /// arming a rule and publishing it.
+    /// Arms the events registered for `fid` (see [`Event::is_raised`]) and
+    /// runs `f` on them, in registration order, holding the read lock so
+    /// no registration or firing can slip between arming a rule and
+    /// publishing it.
     pub(crate) fn with_armed<R>(&self, fid: Fid, f: impl FnOnce(&[Arc<Event>]) -> R) -> R {
         let events = self.events.read();
-        f(events.get(&fid).map_or(&[], Vec::as_slice))
+        let armed = events.get(&fid).map_or(&[][..], Vec::as_slice);
+        for event in armed {
+            event.check();
+        }
+        f(armed)
     }
 
     /// Fires the events registered for `fid` whose conditions hold,
     /// returning their `(nf, patch)` pairs in registration order. The
-    /// fast path calls this once an armed condition triggered; the
-    /// re-check here, under the write lock, deregisters a triggered
-    /// one-shot event, so it fires once however many packets saw it
-    /// trigger.
+    /// fast path calls this once an armed event's signal moved; the
+    /// re-check here, under the write lock, reads each event's signal,
+    /// then evaluates its condition, and either fires the event —
+    /// deregistering a one-shot one, so it fires once however many
+    /// packets saw the raise — or remembers the value it read.
     pub fn fire(&self, fid: Fid) -> Vec<(NfId, RulePatch)> {
         let mut events = self.events.write();
         let Some(list) = events.get_mut(&fid) else { return Vec::new() };
         let mut fired = Vec::new();
         list.retain(|event| {
-            if !event.is_triggered() {
+            if !event.check() {
                 return true;
             }
             fired.push((event.nf, event.compute_patch()));
@@ -299,16 +429,16 @@ mod tests {
         Fid::new(n)
     }
 
+    /// An event of NF `nf` on flow 1 whose condition is always `holds`.
+    fn constant(nf: usize, name: &str, holds: bool) -> Event {
+        let patch = |_| RulePatch::default();
+        Event::new(fid(1), NfId::new(nf), name, Signal::new(), move |_| holds, patch)
+    }
+
     #[test]
     fn untriggered_event_stays() {
         let table = EventTable::new();
-        table.register(Event::new(
-            fid(1),
-            NfId::new(0),
-            "never",
-            |_| false,
-            |_| RulePatch::default(),
-        ));
+        table.register(constant(0, "never", false));
         assert!(table.fire(fid(1)).is_empty());
         assert_eq!(table.len(), 1);
     }
@@ -322,6 +452,7 @@ mod tests {
             fid(1),
             NfId::new(2),
             "flip",
+            Signal::new(),
             move |_| a.load(Ordering::Relaxed),
             |_| RulePatch::set_action(HeaderAction::Drop),
         ));
@@ -337,10 +468,7 @@ mod tests {
     #[test]
     fn recurring_event_keeps_firing() {
         let table = EventTable::new();
-        table.register(
-            Event::new(fid(1), NfId::new(0), "always", |_| true, |_| RulePatch::default())
-                .recurring(),
-        );
+        table.register(constant(0, "always", true).recurring());
         assert_eq!(table.fire(fid(1)).len(), 1);
         assert_eq!(table.fire(fid(1)).len(), 1);
         assert_eq!(table.len(), 1);
@@ -349,7 +477,7 @@ mod tests {
     #[test]
     fn events_keyed_by_flow() {
         let table = EventTable::new();
-        table.register(Event::new(fid(1), NfId::new(0), "e1", |_| true, |_| RulePatch::default()));
+        table.register(constant(0, "e1", true));
         assert!(table.fire(fid(2)).is_empty());
         assert_eq!(table.len(), 1);
     }
@@ -357,8 +485,8 @@ mod tests {
     #[test]
     fn multiple_events_fire_in_registration_order() {
         let table = EventTable::new();
-        table.register(Event::new(fid(1), NfId::new(0), "a", |_| true, |_| RulePatch::default()));
-        table.register(Event::new(fid(1), NfId::new(1), "b", |_| true, |_| RulePatch::default()));
+        table.register(constant(0, "a", true));
+        table.register(constant(1, "b", true));
         let fired = table.fire(fid(1));
         assert_eq!(fired.iter().map(|(nf, _)| nf.index()).collect::<Vec<_>>(), vec![0, 1]);
     }
@@ -374,6 +502,7 @@ mod tests {
             fid(1),
             NfId::new(0),
             "dyn",
+            Signal::new(),
             |_| true,
             move |_| {
                 assert_eq!(v.load(Ordering::Relaxed), 7);
@@ -387,9 +516,49 @@ mod tests {
     #[test]
     fn remove_flow_clears_events() {
         let table = EventTable::new();
-        table.register(Event::new(fid(1), NfId::new(0), "e", |_| true, |_| RulePatch::default()));
+        table.register(constant(0, "e", true));
         table.remove_flow(fid(1));
         assert!(table.is_empty());
+    }
+
+    #[test]
+    fn only_a_raise_after_arming_marks_the_event() {
+        let signal = Signal::new();
+        let holds = Arc::new(AtomicBool::new(false));
+        let h = holds.clone();
+        let event = Event::new(
+            fid(1),
+            NfId::new(0),
+            "watch",
+            signal.clone(),
+            move |_| h.load(Ordering::Relaxed),
+            |_| RulePatch::default(),
+        );
+        assert!(event.is_raised(), "an unarmed event is re-checked");
+        assert!(!event.check());
+        assert!(!event.is_raised(), "arming remembers the signal value");
+        // A condition that turns true with no raise goes unseen: the
+        // missed raise the debug tracker logs.
+        holds.store(true, Ordering::Relaxed);
+        assert!(!event.is_raised());
+        signal.raise();
+        assert!(event.is_raised());
+        // The re-check finds it holding and leaves it raised.
+        assert!(event.check());
+        assert!(event.is_raised());
+        holds.store(false, Ordering::Relaxed);
+        assert!(!event.check());
+        assert!(!event.is_raised());
+    }
+
+    #[test]
+    fn an_always_true_event_is_armed_raised() {
+        let event = constant(0, "a", true);
+        assert!(event.check());
+        assert!(event.is_raised(), "fires on the first fast-path packet");
+        let copy = event.clone();
+        drop(event);
+        assert!(copy.is_raised(), "clones keep the remembered value");
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! parallel schedule), with the flow's registered events armed in it. The
 //! rule lives in the flow's [`FlowRecord`], in the flow table the Global
 //! MAT shares with the classifier; subsequent packets are served from the
-//! record the classifier found, and the armed conditions are checked first
-//! so stateful updates take effect immediately (Fig 1's workflow).
+//! record the classifier found, and the armed events' signals are checked
+//! first so stateful updates take effect immediately (Fig 1's workflow).
 
 use std::borrow::Cow;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use speedybox_packet::{Fid, Packet};
@@ -19,7 +19,7 @@ use speedybox_telemetry::{CounterShard, Telemetry};
 
 use crate::compiled::{compile, CompiledProgram};
 use crate::consolidate::{consolidate, ConsolidatedAction};
-use crate::event::{Event, EventTable};
+use crate::event::{Event, EventTable, Signal};
 use crate::flow_table::{Admission, AdmissionPolicy, FlowTable, Pinned, FID_SPACE};
 use crate::local::LocalMat;
 use crate::ops::OpCounter;
@@ -35,6 +35,23 @@ use crate::{MatError, Result};
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct PaddedCounter(std::sync::atomic::AtomicU64);
+
+/// The first armed event's check, cached in the rule: the signal it
+/// watches and a value it remembered. A flow with one armed event is then
+/// checked without leaving the rule. Any value the event once remembered
+/// is a safe comparand — the signal only moves on — so a stale cache
+/// costs one look at the event, which refreshes it.
+#[derive(Debug)]
+struct Watch {
+    signal: Signal,
+    seen: AtomicU64,
+}
+
+impl Watch {
+    fn of(event: &Event) -> Self {
+        Self { signal: event.signal().clone(), seen: AtomicU64::new(event.seen()) }
+    }
+}
 
 /// A consolidated fast-path rule for one flow.
 #[derive(Debug)]
@@ -53,9 +70,11 @@ pub struct GlobalRule {
     /// consolidation time.
     pub schedule: Vec<Vec<usize>>,
     /// The flow's registered events as of install (shared with the Event
-    /// Table), in registration order: the fast path evaluates their
-    /// conditions before applying the rule.
+    /// Table), in registration order: the fast path checks their signals
+    /// before applying the rule.
     armed: Vec<Arc<Event>>,
+    /// `armed[0]`'s check, inline.
+    watch: Option<Watch>,
     /// Fast-path hits served by this rule (operational statistics).
     hits: PaddedCounter,
 }
@@ -68,7 +87,8 @@ impl Clone for GlobalRule {
             batches: self.batches.clone(),
             schedule: self.schedule.clone(),
             armed: self.armed.clone(),
-            hits: PaddedCounter(std::sync::atomic::AtomicU64::new(self.hits())),
+            watch: self.armed.first().map(|event| Watch::of(event)),
+            hits: PaddedCounter(AtomicU64::new(self.hits())),
         }
     }
 }
@@ -89,13 +109,40 @@ impl GlobalRule {
             batches,
             schedule,
             armed: Vec::new(),
+            watch: None,
             hits: PaddedCounter::default(),
         }
     }
 
+    /// Arms `armed` (already checked, see [`Event::is_raised`]) in this
+    /// rule.
+    fn arm(&mut self, armed: &[Arc<Event>]) {
+        self.watch = armed.first().map(|event| Watch::of(event));
+        self.armed = armed.to_vec();
+    }
+
     /// This rule with `armed` as its armed events.
-    pub(crate) fn rearmed(&self, armed: Vec<Arc<Event>>) -> Self {
-        Self { armed, ..self.clone() }
+    pub(crate) fn rearmed(&self, armed: &[Arc<Event>]) -> Self {
+        let mut rule = self.clone();
+        rule.arm(armed);
+        rule
+    }
+
+    /// True if an armed event's signal moved since the event last found
+    /// its condition false: the fast path's event check, which runs no
+    /// condition.
+    fn is_raised(&self) -> bool {
+        let Some(watch) = &self.watch else { return false };
+        let value = watch.signal.value();
+        if value != watch.seen.load(Relaxed) {
+            // Raised, or a re-check has since remembered a newer value.
+            let seen = self.armed[0].seen();
+            if value != seen {
+                return true;
+            }
+            watch.seen.store(seen, Relaxed);
+        }
+        self.armed[1..].iter().any(|event| event.is_raised())
     }
 
     /// The events armed in this rule, in registration order.
@@ -107,11 +154,11 @@ impl GlobalRule {
     /// Fast-path packets served by this rule so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.0.load(std::sync::atomic::Ordering::Relaxed)
+        self.hits.0.load(Relaxed)
     }
 
     fn record_hit(&self) {
-        self.hits.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.hits.0.fetch_add(1, Relaxed);
     }
 
     /// Executes all state-function batches sequentially (the
@@ -361,8 +408,9 @@ impl GlobalMat {
     /// ("As soon as the service chain finishes processing the packet,
     /// SpeedyBox notifies the Global MAT to consolidate the rules for the
     /// FID from all Local MATs", §III), arms the flow's registered events
-    /// in it, and publishes it in the flow's record. The record keeps its
-    /// owner, recorded flag and recency stamp.
+    /// in it (each evaluates its condition once, see
+    /// [`Event::is_raised`]), and publishes it in the flow's record. The
+    /// record keeps its owner, recorded flag and recency stamp.
     ///
     /// A FID no packet has classified gets an owner-less record, which
     /// the flow's first packet claims. At the table's bound that record
@@ -380,7 +428,7 @@ impl GlobalMat {
         }
         let mut rule = self.build_rule(fid, ops);
         let admission = self.events.with_armed(fid, |armed| {
-            rule.armed = armed.to_vec();
+            rule.arm(armed);
             let rule = Some(Arc::new(rule));
             let now = if self.owns_clock { self.flows.tick(1) } else { self.flows.clock() };
             self.flows.upsert(fid, now, |record| match record {
@@ -425,7 +473,7 @@ impl GlobalMat {
         }
         let mut rule = self.build_rule(fid, ops);
         let published = self.events.with_armed(fid, |armed| {
-            rule.armed = armed.to_vec();
+            rule.arm(armed);
             let rule = Arc::new(rule);
             self.flows.republish(fid, |record| {
                 (record.owner == owner && record.rule.is_some())
@@ -518,11 +566,16 @@ impl GlobalMat {
     }
 
     /// Fast-path step 1 on the record the classifier found for `fid`:
-    /// evaluates the rule's armed conditions, lock-free; if one triggered,
-    /// fires the flow's events through the Event Table, patches the owning
-    /// NFs' Local MATs, re-consolidates, and serves the republished rule.
-    /// Returns the rule to apply — borrowed from `record` unless an event
-    /// republished it — or `None` if the flow has no rule installed.
+    /// compares each armed event's signal with the value it remembered,
+    /// lock-free and without running a condition; if a signal moved, fires
+    /// the flow's events through the Event Table's re-check, patches the
+    /// owning NFs' Local MATs, re-consolidates, and serves the republished
+    /// rule. Returns the rule to apply — borrowed from `record` unless an
+    /// event republished it — or `None` if the flow has no rule installed.
+    ///
+    /// Debug builds also evaluate every armed condition whose signal did
+    /// not move and log each that holds as a missed raise
+    /// ([`crate::track::take_missed_raises`]).
     ///
     /// Split from [`GlobalMat::process`] so executors that parallelize
     /// state functions can reuse the event/lookup logic.
@@ -536,7 +589,10 @@ impl GlobalMat {
         let served = record.and_then(|record| {
             let rule = record.rule.as_ref()?;
             ops.event_checks += rule.armed.len() as u64;
-            if !rule.armed.iter().any(|event| event.is_triggered()) {
+            if crate::track::enabled() {
+                rule.armed.iter().for_each(|event| event.track_missed_raise());
+            }
+            if !rule.is_raised() {
                 return Some(Cow::Borrowed(rule));
             }
             let fired = self.events.fire(fid);
@@ -576,8 +632,8 @@ impl GlobalMat {
     }
 
     /// [`GlobalMat::serve`] for a flow by FID: one record lookup, then the
-    /// event check. Returns the up-to-date rule, or `None` if the flow has
-    /// no rule installed.
+    /// armed events' signal check. Returns the up-to-date rule, or `None`
+    /// if the flow has no rule installed.
     pub fn prepare(&self, fid: Fid, ops: &mut OpCounter) -> Option<Arc<GlobalRule>> {
         let record = self.flows.get(fid);
         self.serve(fid, record.as_deref(), ops).map(Cow::into_owned)
@@ -658,7 +714,7 @@ mod tests {
 
     use super::*;
     use crate::action::HeaderAction;
-    use crate::event::{Event, RulePatch};
+    use crate::event::{Event, RulePatch, Signal};
     use crate::local::NfId;
     use crate::state_fn::{PayloadAccess, StateFunction};
 
@@ -801,16 +857,21 @@ mod tests {
         let (_, fid) = pkt_with_fid();
         let mut ops = OpCounter::default();
         let counter = Arc::new(AtomicU64::new(0));
+        let signal = Signal::new();
         locals[0].add_header_action(
             fid,
             HeaderAction::modify(HeaderField::DstIp, Ipv4Addr::new(7, 7, 7, 7)),
             &mut ops,
         );
-        let c = counter.clone();
+        let (c, s) = (counter.clone(), signal.clone());
         locals[0].add_state_function(
             fid,
             StateFunction::new("count", PayloadAccess::Ignore, move |ctx| {
-                c.fetch_add(1, Ordering::Relaxed);
+                // The count crossing the threshold is the one change that
+                // can turn the condition true: raise on it.
+                if c.fetch_add(1, Ordering::Relaxed) + 1 == 4 {
+                    s.raise();
+                }
                 ctx.ops.state_updates += 1;
             }),
             &mut ops,
@@ -820,6 +881,7 @@ mod tests {
             fid,
             NfId::new(0),
             "dos-threshold",
+            signal,
             move |_| c2.load(Ordering::Relaxed) > 3,
             |_| RulePatch::set_action(HeaderAction::Drop),
         ));
@@ -835,8 +897,9 @@ mod tests {
                 FastPathOutcome::NoRule => panic!("rule installed"),
             }
         }
-        // Counter increments only while packets are forwarded; once it
-        // exceeds 3 the event flips the rule to drop.
+        // Counter increments only while packets are forwarded; the fourth
+        // packet's increment crosses 3 and raises the signal, so the fifth
+        // packet's check fires the event, which flips the rule to drop.
         assert_eq!(forwarded, 4);
         assert_eq!(dropped, 6);
         // Re-consolidation happened exactly once (one-shot event).
@@ -854,6 +917,7 @@ mod tests {
             fid,
             NfId::new(0),
             "e",
+            Signal::new(),
             |_| false,
             |_| RulePatch::default(),
         ));

@@ -14,8 +14,8 @@
 //!   instrumentation APIs ([`local`], [`api`]),
 //! * the **Global MAT** holding the consolidated fast-path rules
 //!   ([`global`]),
-//! * the **Event Table** that keeps stateful NF behaviour correct on the
-//!   fast path ([`event`]),
+//! * the **Event Table** and the NF-raised **signals** that keep stateful
+//!   NF behaviour correct on the fast path ([`event`]),
 //! * the **Packet Classifier** that assigns 20-bit FIDs and steers
 //!   initial vs. subsequent packets ([`classifier`]), and
 //! * the **flow record** the classifier and the Global MAT share, one per
@@ -79,7 +79,7 @@ pub use classifier::{
 pub use compiled::{compile, Anchor, CompiledProgram, MicroOp};
 pub use consolidate::{consolidate, ConsolidatedAction};
 pub use error::MatError;
-pub use event::{Event, EventTable, RulePatch};
+pub use event::{Event, EventTable, RulePatch, Signal};
 pub use flow_table::{
     Admission, AdmissionPolicy, Evicted, FlowHandle, FlowTable, Opened, Pinned, FID_SPACE,
 };
@@ -90,7 +90,7 @@ pub use parallel::{can_parallelize, schedule_batches};
 pub use record::{FlowRecord, FlowRecords};
 pub use state_fn::{PayloadAccess, SfContext, StateFunction};
 pub use timer_wheel::{TimerWheel, WheelItem};
-pub use track::AccessViolation;
+pub use track::{AccessViolation, MissedRaise};
 
 /// Result alias for MAT operations.
 pub type Result<T, E = MatError> = core::result::Result<T, E>;

@@ -2,7 +2,7 @@
 //! on `speedybox-check`'s virtual primitives so the checker can
 //! exhaustively enumerate interleavings within a preemption bound.
 //!
-//! Three protocols are distilled here:
+//! Four protocols are distilled here:
 //!
 //! * [`FlowTableModel`] — the slab slot protocol of
 //!   [`crate::flow_table::FlowTable`], shrunk to one shard, two FIDs and
@@ -16,12 +16,19 @@
 //!   an eviction must not resurrect the entry) and index/slot agreement
 //!   across slab recycling under a concurrent wait-free reader.
 //! * [`FireModel`] — the event-fire path of the merged flow record
-//!   ([`crate::record::FlowRecord`]): readers evaluate the conditions
-//!   armed in the record they hold without a lock, and a triggered one
-//!   fires through the Event Table's serialized re-check
+//!   ([`crate::record::FlowRecord`]): readers check the events armed in
+//!   the record they hold without a lock, and a raised one fires through
+//!   the Event Table's serialized re-check
 //!   ([`crate::event::EventTable::fire`]) before the rewrite republishes
 //!   the record. The proved invariant is that a one-shot event fires once
-//!   however many readers of one record see it trigger.
+//!   however many readers of one record see it raised.
+//! * [`RaiseModel`] — the signal protocol behind that check
+//!   ([`crate::event::Signal`]): an NF raising its signal inside the
+//!   critical section that turns a condition true, racing a re-check
+//!   that reads the signal, evaluates the condition and remembers the
+//!   value it read, and a fast-path reader comparing the two. The proved
+//!   invariant is that no raise is lost: once the condition holds, the
+//!   flow's next packet fires the event.
 //! * [`QuarantineModel`] — the NF-recovery quarantine/republish
 //!   handshake of [`crate::global::GlobalMat::quarantine_nf`] and the
 //!   platform supervisor's kill path: quarantine → sweep → restore →
@@ -30,7 +37,8 @@
 //!   serves a rule consolidated from restored-but-not-replayed NF state.
 //!
 //! Each model carries seeded-bug mutations ([`FtMutation`],
-//! [`FireMutation`], [`QMutation`]) that weaken the protocol the way a plausible
+//! [`FireMutation`], [`RaiseMutation`], [`QMutation`]) that weaken the
+//! protocol the way a plausible
 //! refactoring would; the checker must catch every one, which is the
 //! evidence a clean run means something. The correspondence argument
 //! between these distillations and the real code is written out in
@@ -39,7 +47,7 @@
 use std::sync::Arc as StdArc;
 
 use arcswap::model::{ArcSwapModel, Mutation as CellMutation};
-use speedybox_check::{fact, ModelArc, ModelAtomicUsize, ModelMutex, Ordering};
+use speedybox_check::{fact, ModelArc, ModelAtomicU64, ModelAtomicUsize, ModelMutex, Ordering};
 
 /// FIDs used by the distilled flow-table model.
 const FIDS: usize = 2;
@@ -254,7 +262,7 @@ impl FlowTableModel {
 /// Seeded bugs for the flow record's event-fire path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FireMutation {
-    /// Faithful port: a reader whose armed condition triggered fires
+    /// Faithful port: a reader that found an armed event raised fires
     /// through the Event Table's serialized re-check.
     None,
     /// The reader fires from its own record snapshot and skips the
@@ -264,10 +272,10 @@ pub enum FireMutation {
     SnapshotFire,
 }
 
-/// Distilled flow record for one flow with one armed one-shot event whose
-/// condition holds: the model twin of the record's RCU slot (the rule's
-/// generation and whether the event is armed in it) plus the Event
-/// Table's registration behind its lock.
+/// Distilled flow record for one flow with one armed one-shot event that
+/// is raised and whose condition holds: the model twin of the record's
+/// RCU slot (the rule's generation and whether the event is armed in it)
+/// plus the Event Table's registration behind its lock.
 pub struct FireModel {
     record: ArcSwapModel<(u64, bool)>,
     /// Whether the one-shot event is still registered.
@@ -296,9 +304,9 @@ impl FireModel {
     }
 
     /// Mirror of `GlobalMat::serve` for one packet: load the record,
-    /// evaluate the armed condition lock-free, and on a trigger fire
-    /// through the re-check — deregistering the one-shot event — then
-    /// republish the rewritten record with the event disarmed.
+    /// find the armed event raised lock-free, and fire through the
+    /// re-check — deregistering the one-shot event — then republish the
+    /// rewritten record with the event disarmed.
     pub fn serve(&self) {
         let (generation, armed) = *self.record.load().value();
         if !armed {
@@ -307,7 +315,7 @@ impl FireModel {
         }
         let fire = match self.mutation {
             FireMutation::None => std::mem::replace(&mut *self.registered.lock(), false),
-            // Seeded bug: the snapshot's armed condition decides alone.
+            // Seeded bug: the snapshot's raised event decides alone.
             FireMutation::SnapshotFire => true,
         };
         if fire {
@@ -316,6 +324,121 @@ impl FireModel {
             fact("reader fired the event");
         } else {
             fact("re-check found the event already fired");
+        }
+    }
+}
+
+/// Seeded bugs for the signal raise / re-check protocol.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RaiseMutation {
+    /// Faithful port: the re-check reads the signal, then evaluates the
+    /// condition, and remembers the value it read.
+    None,
+    /// The re-check remembers a signal value loaded after evaluating the
+    /// condition — the "remember the freshest value" refactoring. A raise
+    /// that lands between the two is absorbed into the remembered value,
+    /// and the event never fires.
+    LoadAfterCheck,
+}
+
+/// Distilled signal protocol for one flow with one armed one-shot event:
+/// the model twin of an NF's [`crate::event::Signal`] and the state its
+/// condition reads (behind the NF's lock), the event's remembered value,
+/// and the Event Table's registration behind its write lock. The model
+/// starts with a spurious raise pending — the signal one ahead of the
+/// remembered value while the condition is false — so a reader is on its
+/// way into the re-check when the NF turns the condition true.
+pub struct RaiseModel {
+    /// The signal's epoch counter.
+    signal: ModelAtomicU64,
+    /// The NF state the condition reads: it holds once this is true.
+    nf_state: ModelMutex<bool>,
+    /// The event's remembered signal value.
+    seen: ModelAtomicU64,
+    /// Whether the one-shot event is still registered.
+    registered: ModelMutex<bool>,
+    /// Patches applied: one per firing.
+    fired: ModelAtomicUsize,
+    mutation: RaiseMutation,
+}
+
+impl std::fmt::Debug for RaiseModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RaiseModel").field("mutation", &self.mutation).finish_non_exhaustive()
+    }
+}
+
+impl RaiseModel {
+    /// Creates the armed event with a spurious raise pending (must run
+    /// inside a checker execution).
+    pub fn new(mutation: RaiseMutation) -> Self {
+        RaiseModel {
+            signal: ModelAtomicU64::new("signal", 1),
+            nf_state: ModelMutex::new("nf-state", false),
+            seen: ModelAtomicU64::new("seen", 0),
+            registered: ModelMutex::new("events", true),
+            fired: ModelAtomicUsize::new("fired", 0),
+            mutation,
+        }
+    }
+
+    /// Mirror of an NF turning the condition true: the state change and
+    /// `Signal::raise` in one critical section.
+    pub fn raise(&self) {
+        let mut state = self.nf_state.lock();
+        *state = true;
+        self.signal.fetch_add(1, Ordering::Release);
+    }
+
+    /// Mirror of `GlobalMat::serve`'s check: a lock-free compare of the
+    /// signal with the remembered value; a mismatch goes to the re-check.
+    pub fn serve(&self) {
+        self.serve_with(Ordering::Acquire, Ordering::Relaxed);
+    }
+
+    /// [`RaiseModel::serve`] for a packet arriving once every earlier
+    /// store is visible (the checker's `SeqCst` loads read the newest
+    /// store): the flow's next packet after the race. A weaker load may
+    /// keep reading a value from before the raise, which delays the
+    /// event by packets but cannot lose it.
+    pub fn serve_next(&self) {
+        self.serve_with(Ordering::SeqCst, Ordering::SeqCst);
+    }
+
+    fn serve_with(&self, signal: Ordering, seen: Ordering) {
+        if self.signal.load(signal) == self.seen.load(seen) {
+            fact("reader saw no raise");
+        } else {
+            self.fire();
+        }
+    }
+
+    /// Mirror of `EventTable::fire`'s re-check (`Event::check`), under
+    /// the write lock.
+    fn fire(&self) {
+        let mut registered = self.registered.lock();
+        if !*registered {
+            fact("re-check found the event already fired");
+            return;
+        }
+        let (value, holds) = match self.mutation {
+            RaiseMutation::None => {
+                let value = self.signal.load(Ordering::Acquire);
+                (value, *self.nf_state.lock())
+            }
+            // Seeded bug: the value is loaded after the condition ran.
+            RaiseMutation::LoadAfterCheck => {
+                let holds = *self.nf_state.lock();
+                (self.signal.load(Ordering::Acquire), holds)
+            }
+        };
+        if holds {
+            *registered = false;
+            self.fired.fetch_add(1, Ordering::SeqCst);
+            fact("re-check fired the event");
+        } else {
+            self.seen.store(value, Ordering::Relaxed);
+            fact("re-check remembered the signal");
         }
     }
 }
@@ -447,8 +570,9 @@ impl QuarantineModel {
 }
 
 /// Checker scenarios over the MAT models, shared by the `cargo test`
-/// exhaustive tier (tests/model_flow_table.rs, tests/model_record.rs,
-/// tests/model_quarantine.rs) and the `speedybox-check` binary.
+/// exhaustive tier (tests/model_flow_table.rs, tests/model_record.rs —
+/// which also runs the raise model — and tests/model_quarantine.rs) and
+/// the `speedybox-check` binary.
 pub mod scenarios {
     use super::*;
 
@@ -519,7 +643,7 @@ pub mod scenarios {
     }
 
     /// Two readers holding the same flow record, whose armed one-shot
-    /// condition holds, serve a packet each. In every schedule the event
+    /// event is raised and its condition holds, serve a packet each. In every schedule the event
     /// fires exactly once, and the record ends rewritten.
     /// [`FireMutation::SnapshotFire`] must be caught firing it twice.
     pub fn rec_fire_once(mutation: FireMutation) -> impl Fn() + Send + Sync + 'static {
@@ -538,6 +662,32 @@ pub mod scenarios {
             assert_eq!(fired, 1, "one-shot event fired {fired} times");
             model.record.collect();
             assert_eq!(model.record.pending(), 0, "retired records not drained");
+        }
+    }
+
+    /// An NF raise racing two fast-path readers, both sent into the
+    /// re-check by a pending spurious raise. Once every thread is done,
+    /// the flow's next packet is served: in every schedule the event has
+    /// then fired exactly once. [`RaiseMutation::LoadAfterCheck`] must be
+    /// caught never firing it.
+    pub fn ev_raise_vs_fire(mutation: RaiseMutation) -> impl Fn() + Send + Sync + 'static {
+        move || {
+            let model = StdArc::new(RaiseModel::new(mutation));
+            let m = model.clone();
+            let nf = speedybox_check::spawn(move || m.raise());
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let m = model.clone();
+                    speedybox_check::spawn(move || m.serve())
+                })
+                .collect();
+            nf.join();
+            for reader in readers {
+                reader.join();
+            }
+            model.serve_next();
+            let fired = model.fired.load(Ordering::SeqCst);
+            assert_eq!(fired, 1, "the raised event fired {fired} times: a raise was lost");
         }
     }
 

@@ -42,7 +42,7 @@ pub struct OpCounter {
     pub mat_lookups: u64,
     /// Consolidation runs (initial packets and event re-consolidations).
     pub consolidations: u64,
-    /// Event-table condition checks.
+    /// Armed-event checks, one per armed event per fast-path packet.
     pub event_checks: u64,
     /// Inter-core ring-buffer hops (OpenNetVM-style IO).
     pub ring_hops: u64,

@@ -1,4 +1,4 @@
-//! Runtime payload-access tracking (debug builds only).
+//! Runtime payload-access and missed-raise tracking (debug builds only).
 //!
 //! Every state function *declares* how it touches the packet payload
 //! ([`crate::state_fn::PayloadAccess`]); the Table I parallel schedule is
@@ -12,7 +12,15 @@
 //! lying declaration into a diagnosable fact instead of silent corruption.
 //! `speedybox-verify` renders recorded violations as `SBX010` diagnostics.
 //!
-//! Release builds compile the snapshot out entirely ([`enabled`] is a
+//! The same holds for event signals: an armed event is only re-checked
+//! when its NF raises its [`crate::event::Signal`], so a condition whose
+//! inputs change without a raise would go unseen. Under
+//! `debug_assertions`, [`crate::global::GlobalMat::serve`] also evaluates
+//! every armed condition whose signal did not move and records a
+//! [`MissedRaise`] here when one holds; `speedybox-verify` renders those
+//! as `SBX014`, and the `sim` sweep fails on any.
+//!
+//! Release builds compile both checks out entirely ([`enabled`] is a
 //! `cfg!` constant); the recording functions remain callable but are never
 //! reached from the hot path.
 
@@ -98,6 +106,36 @@ pub fn take_violations() -> Vec<AccessViolation> {
     std::mem::take(&mut *VIOLATIONS.lock().expect("access-tracker mutex poisoned"))
 }
 
+/// One event whose condition held on the fast path although its signal
+/// had not been raised since the condition was last found false.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MissedRaise {
+    /// The event's diagnostic name (see [`crate::event::Event::name`]).
+    pub event: String,
+    /// How many fast-path checks found it so.
+    pub count: u64,
+}
+
+/// Process-global missed-raise log, deduplicated by event name.
+static MISSED_RAISES: Mutex<Vec<MissedRaise>> = Mutex::new(Vec::new());
+
+/// Records that the event named `event` held without a raise. Called by
+/// [`crate::global::GlobalMat::serve`].
+pub(crate) fn record_missed_raise(event: &str) {
+    let mut log = MISSED_RAISES.lock().expect("missed-raise mutex poisoned");
+    match log.iter_mut().find(|m| m.event == event) {
+        Some(m) => m.count += 1,
+        None => log.push(MissedRaise { event: event.to_owned(), count: 1 }),
+    }
+}
+
+/// Drains the recorded missed raises, returning them and clearing the
+/// log.
+#[must_use]
+pub fn take_missed_raises() -> Vec<MissedRaise> {
+    std::mem::take(&mut *MISSED_RAISES.lock().expect("missed-raise mutex poisoned"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +152,14 @@ mod tests {
         assert!(hit.count >= 2);
         assert_eq!(hit.declared, PayloadAccess::Ignore);
         assert_eq!(hit.observed, PayloadAccess::Write);
+    }
+
+    #[test]
+    fn missed_raises_dedupe_by_event_name() {
+        record_missed_raise("track-test-event");
+        record_missed_raise("track-test-event");
+        let hit = take_missed_raises().into_iter().find(|m| m.event == "track-test-event").unwrap();
+        assert!(hit.count >= 2);
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //! (runs under plain `cargo test`; CI's `model-check` job runs exactly
 //! this).
 //!
-//! The clean run proves that a one-shot event armed in a flow record fires
-//! once when two readers of the record see its condition trigger; the
-//! mutation twin proves that firing from the reader's snapshot, without
-//! the Event Table's serialized re-check, is caught with a
-//! deterministically replayable schedule.
+//! The clean runs prove that a one-shot event armed in a flow record fires
+//! once when two readers of the record see it raised, and that an NF's
+//! raise racing the re-check and a fast-path reader is never lost; the
+//! mutation twins prove that firing from the reader's snapshot, without
+//! the Event Table's serialized re-check, and remembering a signal value
+//! loaded after the re-check are each caught with a deterministically
+//! replayable schedule.
 #![cfg(feature = "model")]
 
 use speedybox_check::{BugKind, Checker, Config};
-use speedybox_mat::model::{scenarios, FireMutation};
+use speedybox_mat::model::{scenarios, FireMutation, RaiseMutation};
 
 const BOUND: usize = 2;
 
@@ -38,6 +40,35 @@ fn mutation_snapshot_fire_is_caught() {
     assert!(
         replayed.bugs.iter().any(|b| b.kind == BugKind::Panic),
         "schedule `{}` did not replay to the double fire",
+        bug.schedule
+    );
+}
+
+#[test]
+fn raise_vs_fire_is_clean() {
+    let out = Checker::new(Config::exhaustive(BOUND))
+        .check("ev-raise-vs-fire", scenarios::ev_raise_vs_fire(RaiseMutation::None));
+    out.assert_clean();
+    // The re-check either lands before the raise and remembers the
+    // signal, or after it and fires; a reader may also find the signal
+    // already remembered, or the event already fired.
+    out.assert_fact("re-check remembered the signal");
+    out.assert_fact("re-check fired the event");
+    out.assert_fact("reader saw no raise");
+    out.assert_fact("re-check found the event already fired");
+}
+
+#[test]
+fn mutation_load_after_check_is_caught() {
+    let out = Checker::new(Config::exhaustive(BOUND))
+        .check("ev-load-after-check", scenarios::ev_raise_vs_fire(RaiseMutation::LoadAfterCheck));
+    let bug = out.expect_bug(BugKind::Panic).clone();
+    assert!(bug.message.contains("fired 0 times"), "expected a lost raise, got: {}", bug.message);
+    let replayed = Checker::new(Config::replay(bug.schedule.parse().expect("schedule parses")))
+        .check("replay", scenarios::ev_raise_vs_fire(RaiseMutation::LoadAfterCheck));
+    assert!(
+        replayed.bugs.iter().any(|b| b.kind == BugKind::Panic),
+        "schedule `{}` did not replay to the lost raise",
         bug.schedule
     );
 }

@@ -1,8 +1,9 @@
 //! Property-based tests for the rule-compilation layer: a rule's compiled
 //! micro-op program must be observationally identical to interpreting its
 //! consolidated action — across random modify/encap/decap/drop chains,
-//! across L4 protocols, and across Event-Table rewrites — and the batched
-//! fast path's flow-affinity memo must never serve a stale rule.
+//! across L4 protocols, and across Event-Table rewrites — and a run of
+//! fast-path packets must never be served a rewritten or removed rule's
+//! predecessor.
 
 #![allow(clippy::cast_possible_truncation)] // test data built from loop indices
 
@@ -14,10 +15,11 @@ use proptest::prelude::*;
 use speedybox_mat::action::{EncapSpec, HeaderAction};
 use speedybox_mat::compile;
 use speedybox_mat::consolidate::consolidate;
-use speedybox_mat::event::{Event, RulePatch};
+use speedybox_mat::event::{Event, RulePatch, Signal};
 use speedybox_mat::global::{FastPathOutcome, GlobalMat};
 use speedybox_mat::local::{LocalMat, NfId};
 use speedybox_mat::ops::OpCounter;
+use speedybox_mat::state_fn::{PayloadAccess, StateFunction};
 use speedybox_packet::{Fid, HeaderField, Packet, PacketBuilder};
 
 fn arb_field() -> impl Strategy<Value = HeaderField> {
@@ -152,6 +154,7 @@ proptest! {
             fid,
             NfId::new(0),
             "rewrite-once",
+            Signal::new(),
             |_| true,
             move |_| RulePatch::set_action(patch_action.clone()),
         ));
@@ -198,9 +201,9 @@ fn process_each(
     packets.iter_mut().zip(ops).map(|(p, ops)| gm.process(p, ops).unwrap()).collect()
 }
 
-/// The within-batch affinity memo must be invalidated the moment an event
-/// rewrites the rule: batched processing stays byte-identical to one-at-a-
-/// time processing even when the rewrite lands mid-batch.
+/// An event rewrite that lands in the middle of a batch takes effect from
+/// the packet that fires it: processing the batch stays byte-identical to
+/// one-at-a-time processing.
 #[test]
 fn affinity_memo_invalidated_by_mid_batch_rewrite() {
     let build = || {
@@ -209,14 +212,26 @@ fn affinity_memo_invalidated_by_mid_batch_rewrite() {
         let (_, fid) = fid_packet();
         let mut ops = OpCounter::default();
         local.add_header_action(fid, HeaderAction::modify(HeaderField::DstPort, 8080u16), &mut ops);
-        // Conditions must be monotonic: the table probes them once under
-        // the read lock and again under the write lock when triggered.
-        let seen = Arc::new(AtomicU64::new(0));
+        // Conditions are pure reads: a state function counts the flow's
+        // packets and raises the signal as the count reaches 2.
+        let count = Arc::new(AtomicU64::new(0));
+        let signal = Signal::new();
+        let (c, s) = (Arc::clone(&count), signal.clone());
+        local.add_state_function(
+            fid,
+            StateFunction::new("count", PayloadAccess::Ignore, move |_| {
+                if c.fetch_add(1, Ordering::Relaxed) + 1 == 2 {
+                    s.raise();
+                }
+            }),
+            &mut ops,
+        );
         gm.events().register(Event::new(
             fid,
             NfId::new(0),
             "rewrite-after-3",
-            move |_| seen.fetch_add(1, Ordering::Relaxed) + 1 >= 3,
+            signal,
+            move |_| count.load(Ordering::Relaxed) >= 2,
             |_| RulePatch::set_action(HeaderAction::modify(HeaderField::DstPort, 9999u16)),
         ));
         gm.install(fid, &mut ops);
@@ -241,16 +256,17 @@ fn affinity_memo_invalidated_by_mid_batch_rewrite() {
         assert_eq!(b.as_bytes(), s.as_bytes());
     }
     // The rewrite actually took effect mid-batch: early packets carry the
-    // original port, late packets the patched one (the event fires on the
-    // third fast-path packet, before its rule is applied).
+    // original port, late packets the patched one (the second packet's
+    // count raises, so the event fires on the third fast-path packet,
+    // before its rule is applied).
     assert_eq!(batched[0].get_field(HeaderField::DstPort).unwrap().as_port(), 8080);
     assert_eq!(batched[1].get_field(HeaderField::DstPort).unwrap().as_port(), 8080);
     assert_eq!(batched[2].get_field(HeaderField::DstPort).unwrap().as_port(), 9999);
     assert_eq!(batched[7].get_field(HeaderField::DstPort).unwrap().as_port(), 9999);
 }
 
-/// A removed rule must not be resurrected by any cached handle: the next
-/// batch reports `NoRule` for every packet of the flow.
+/// A removed rule leaves the flow's record for good: every packet of the
+/// next batch reports `NoRule`.
 #[test]
 fn affinity_memo_does_not_survive_rule_removal() {
     let local = Arc::new(LocalMat::new(NfId::new(0)));

@@ -8,6 +8,8 @@
 //! This NF exists primarily to exercise the Event Table end to end: its
 //! state function counts SYNs (payload-`IGNORE`), and its registered event
 //! flips the flow's header action to `drop` once the threshold is crossed.
+//! Each flow has its own signal, raised by the count's crossing, so one
+//! flow's crossing sends no other flow through the Event Table's re-check.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,15 +20,15 @@ use speedybox_mat::state_fn::PayloadAccess;
 use speedybox_mat::{HeaderAction, StateFunction};
 use speedybox_packet::{Fid, Packet};
 
-use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot};
+use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot, Tally};
 
 /// The two per-flow maps a [`DosGuard`] checkpoint captures.
-type DosGuardCapture = (HashMap<Fid, u64>, HashMap<Fid, bool>);
+type DosGuardCapture = (HashMap<Fid, Tally>, HashMap<Fid, bool>);
 
 /// The DoS-prevention NF.
 #[derive(Debug, Clone)]
 pub struct DosGuard {
-    syn_counts: Arc<Mutex<HashMap<Fid, u64>>>,
+    syn_counts: Arc<Mutex<HashMap<Fid, Tally>>>,
     threshold: u64,
     /// Flows already blocked on the original path (the fast path blocks
     /// through the event-installed drop action instead).
@@ -47,7 +49,7 @@ impl DosGuard {
     /// The SYN count observed for a flow.
     #[must_use]
     pub fn syn_count(&self, fid: Fid) -> u64 {
-        self.syn_counts.lock().get(&fid).copied().unwrap_or(0)
+        self.syn_counts.lock().get(&fid).map_or(0, |tally| tally.count)
     }
 
     /// True if the flow has crossed the threshold.
@@ -56,13 +58,10 @@ impl DosGuard {
         self.syn_count(fid) > self.threshold
     }
 
-    fn observe(counts: &Mutex<HashMap<Fid, u64>>, fid: Fid, is_syn: bool) -> u64 {
-        let mut map = counts.lock();
-        let c = map.entry(fid).or_insert(0);
-        if is_syn {
-            *c += 1;
-        }
-        *c
+    /// Counts one packet of `fid` (a SYN adds one), raising the flow's
+    /// signal as the count first passes `threshold`.
+    fn observe(counts: &Mutex<HashMap<Fid, Tally>>, fid: Fid, is_syn: bool, threshold: u64) -> u64 {
+        counts.lock().entry(fid).or_default().add(u64::from(is_syn), threshold)
     }
 }
 
@@ -77,11 +76,11 @@ impl Nf for DosGuard {
             .unwrap_or_else(|| packet.five_tuple().map(|t| t.fid()).unwrap_or_default());
         ctx.ops.parses += 1;
         let is_syn = packet.tcp_flags().syn();
-        let count = Self::observe(&self.syn_counts, fid, is_syn);
+        let count = Self::observe(&self.syn_counts, fid, is_syn, self.threshold);
         ctx.ops.state_updates += 1;
         let blocked = count > self.threshold;
         self.blocked.lock().insert(fid, blocked);
-        // SPEEDYBOX-INTEGRATION-BEGIN (dosguard: 18 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (dosguard: 21 lines)
         if let Some(inst) = ctx.instrument {
             inst.add_header_action(
                 fid,
@@ -89,21 +88,23 @@ impl Nf for DosGuard {
                 ctx.ops,
             );
             let counts = Arc::clone(&self.syn_counts);
+            let threshold = self.threshold;
             inst.add_state_function_handle(
                 fid,
                 StateFunction::new("dosguard.syn_count", PayloadAccess::Ignore, move |sfctx| {
                     let is_syn = sfctx.packet.tcp_flags().syn();
-                    Self::observe(&counts, sfctx.fid, is_syn);
+                    Self::observe(&counts, sfctx.fid, is_syn, threshold);
                     sfctx.ops.state_updates += 1;
                 }),
                 ctx.ops,
             );
             let counts = Arc::clone(&self.syn_counts);
-            let threshold = self.threshold;
+            let signal = counts.lock()[&fid].signal.clone();
             inst.register_event(
                 fid,
                 "dosguard.block",
-                move |fid| counts.lock().get(&fid).copied().unwrap_or(0) > threshold,
+                signal,
+                move |fid| counts.lock().get(&fid).map_or(0, |tally| tally.count) > threshold,
                 |_| RulePatch::set_action(HeaderAction::Drop),
             );
         }

@@ -11,6 +11,8 @@
 //! The SpeedyBox-relevant behaviour is the *event*: when a backend fails,
 //! established flows tracked to it must be re-routed — the header action
 //! recorded for those flows changes at runtime (Observation 2, §V-A).
+//! Every flow's reroute event watches one NF-wide signal, raised by the
+//! calls that change backend health or replace the whole state.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -19,7 +21,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use speedybox_mat::event::RulePatch;
-use speedybox_mat::HeaderAction;
+use speedybox_mat::{HeaderAction, Signal};
 use speedybox_packet::{Fid, HeaderField, Packet};
 
 use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot};
@@ -164,6 +166,11 @@ impl State {
 #[derive(Clone)]
 pub struct Maglev {
     state: Arc<Mutex<State>>,
+    // SPEEDYBOX-INTEGRATION-BEGIN (maglev/signal: 1 line)
+    /// Raised inside every critical section that can make a flow's
+    /// recorded target differ from [`State::preview`].
+    reroute: Signal,
+    // SPEEDYBOX-INTEGRATION-END
 }
 
 impl fmt::Debug for Maglev {
@@ -200,7 +207,12 @@ impl Maglev {
             rule_target: HashMap::new(),
         };
         state.rebuild_table();
-        Self { state: Arc::new(Mutex::new(state)) }
+        Self {
+            state: Arc::new(Mutex::new(state)),
+            // SPEEDYBOX-INTEGRATION-BEGIN (maglev/signal: 1 line)
+            reroute: Signal::new(),
+            // SPEEDYBOX-INTEGRATION-END
+        }
     }
 
     /// Marks a backend unhealthy and rebuilds the table. Established flows
@@ -212,6 +224,9 @@ impl Maglev {
             b.healthy = false;
         }
         st.rebuild_table();
+        // SPEEDYBOX-INTEGRATION-BEGIN (maglev/raise: 1 line)
+        self.reroute.raise();
+        // SPEEDYBOX-INTEGRATION-END
     }
 
     /// Marks a backend healthy again and rebuilds the table.
@@ -221,6 +236,9 @@ impl Maglev {
             b.healthy = true;
         }
         st.rebuild_table();
+        // SPEEDYBOX-INTEGRATION-BEGIN (maglev/raise: 1 line)
+        self.reroute.raise();
+        // SPEEDYBOX-INTEGRATION-END
     }
 
     /// The backend address currently assigned to a flow, if tracked.
@@ -240,10 +258,11 @@ impl Maglev {
     /// the fast-path rule's recorded target (`rule_target`) no longer
     /// matches what the original path would pick for the flow — a failed
     /// tracked backend, a recovery ending a total outage, or a recovered
-    /// preferred backend for a flow recorded as a load-shedding drop. The
-    /// patch re-runs [`State::assign`] (the original path's choice,
-    /// tracker update included) so both paths converge on the same
-    /// backend.
+    /// preferred backend for a flow recorded as a load-shedding drop. All
+    /// three follow a health change, which raises `reroute`; the
+    /// condition is re-checked then. The patch re-runs [`State::assign`]
+    /// (the original path's choice, tracker update included) so both
+    /// paths converge on the same backend.
     fn register_reroute_event(&self, fid: Fid, inst: &speedybox_mat::NfInstrument) {
         let cond_state = Arc::clone(&self.state);
         let update_state = Arc::clone(&self.state);
@@ -252,6 +271,7 @@ impl Maglev {
                 fid,
                 inst.nf(),
                 "maglev.reroute",
+                self.reroute.clone(),
                 move |fid| {
                     let st = cond_state.lock();
                     st.rule_target.get(&fid).is_some_and(|t| *t != st.preview(fid))
@@ -360,7 +380,11 @@ impl Nf for Maglev {
         let Some(captured) = snapshot.downcast::<State>() else {
             return false;
         };
-        *self.state.lock() = captured.clone();
+        let mut st = self.state.lock();
+        *st = captured.clone();
+        // SPEEDYBOX-INTEGRATION-BEGIN (maglev/raise: 1 line)
+        self.reroute.raise();
+        // SPEEDYBOX-INTEGRATION-END
         true
     }
 
@@ -374,6 +398,9 @@ impl Nf for Maglev {
             b.healthy = true;
         }
         st.rebuild_table();
+        // SPEEDYBOX-INTEGRATION-BEGIN (maglev/raise: 1 line)
+        self.reroute.raise();
+        // SPEEDYBOX-INTEGRATION-END
     }
 }
 

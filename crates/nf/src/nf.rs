@@ -11,7 +11,7 @@ use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
-use speedybox_mat::{NfInstrument, OpCounter};
+use speedybox_mat::{NfInstrument, OpCounter, Signal};
 use speedybox_packet::{Fid, Packet};
 
 /// What the NF decided to do with the packet on the original path.
@@ -89,6 +89,30 @@ impl StateSnapshot {
 impl fmt::Debug for StateSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("StateSnapshot(..)")
+    }
+}
+
+/// One flow's running count and the [`Signal`] its threshold event
+/// watches: the DoS guard's SYNs, the quota limiter's bytes. A snapshot
+/// clone shares the signal, so events keep watching it across a restore.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
+    pub(crate) count: u64,
+    pub(crate) signal: Signal,
+}
+
+impl Tally {
+    /// Adds `n` and returns the new count, raising the signal when the
+    /// count first passes `limit` — the one change that can turn a
+    /// `count > limit` condition true. Call it under the lock guarding the
+    /// tally, so the raise sits in the critical section of the change.
+    pub(crate) fn add(&mut self, n: u64, limit: u64) -> u64 {
+        let before = self.count;
+        self.count += n;
+        if before <= limit && self.count > limit {
+            self.signal.raise();
+        }
+        self.count
     }
 }
 

@@ -5,6 +5,9 @@
 //! function meters consumption, and a registered event flips the flow to
 //! `drop` once the quota is exhausted — the mid-stream rule update runs
 //! entirely through the Event Table while packets stay on the fast path.
+//! The meter raises the flow's own signal as the quota is first exceeded.
+//! Bytes are the frame at the limiter's position in the chain, on both
+//! paths (the fast path's [`speedybox_mat::SfContext::frame_len`]).
 //!
 //! (Token-bucket *per-packet* policing is deliberately out of scope: its
 //! verdict changes packet to packet, violating Observation 1, exactly the
@@ -20,12 +23,12 @@ use speedybox_mat::state_fn::PayloadAccess;
 use speedybox_mat::{HeaderAction, StateFunction};
 use speedybox_packet::{Fid, Packet};
 
-use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot};
+use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot, Tally};
 
 /// The per-flow quota-enforcement NF.
 #[derive(Debug, Clone)]
 pub struct QuotaLimiter {
-    consumed: Arc<Mutex<HashMap<Fid, u64>>>,
+    consumed: Arc<Mutex<HashMap<Fid, Tally>>>,
     quota_bytes: u64,
 }
 
@@ -39,7 +42,7 @@ impl QuotaLimiter {
     /// Bytes a flow has consumed so far.
     #[must_use]
     pub fn consumed(&self, fid: Fid) -> u64 {
-        self.consumed.lock().get(&fid).copied().unwrap_or(0)
+        self.consumed.lock().get(&fid).map_or(0, |tally| tally.count)
     }
 
     /// True once a flow's quota is exhausted.
@@ -48,11 +51,10 @@ impl QuotaLimiter {
         self.consumed(fid) > self.quota_bytes
     }
 
-    fn meter(consumed: &Mutex<HashMap<Fid, u64>>, fid: Fid, bytes: u64) -> u64 {
-        let mut map = consumed.lock();
-        let c = map.entry(fid).or_insert(0);
-        *c += bytes;
-        *c
+    /// Meters `bytes` against `fid`'s quota, raising the flow's signal as
+    /// the total first exceeds `quota`.
+    fn meter(consumed: &Mutex<HashMap<Fid, Tally>>, fid: Fid, bytes: u64, quota: u64) -> u64 {
+        consumed.lock().entry(fid).or_default().add(bytes, quota)
     }
 }
 
@@ -66,10 +68,10 @@ impl Nf for QuotaLimiter {
             .fid()
             .unwrap_or_else(|| packet.five_tuple().map(|t| t.fid()).unwrap_or_default());
         ctx.ops.parses += 1;
-        let total = Self::meter(&self.consumed, fid, packet.len() as u64);
+        let total = Self::meter(&self.consumed, fid, packet.len() as u64, self.quota_bytes);
         ctx.ops.state_updates += 1;
         let exhausted = total > self.quota_bytes;
-        // SPEEDYBOX-INTEGRATION-BEGIN (quota-limiter: 18 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (quota-limiter: 21 lines)
         if let Some(inst) = ctx.instrument {
             inst.add_header_action(
                 fid,
@@ -77,20 +79,22 @@ impl Nf for QuotaLimiter {
                 ctx.ops,
             );
             let consumed = Arc::clone(&self.consumed);
+            let quota = self.quota_bytes;
             inst.add_state_function_handle(
                 fid,
                 StateFunction::new("quota.meter", PayloadAccess::Ignore, move |sfctx| {
-                    Self::meter(&consumed, sfctx.fid, sfctx.packet.len() as u64);
+                    Self::meter(&consumed, sfctx.fid, sfctx.frame_len() as u64, quota);
                     sfctx.ops.state_updates += 1;
                 }),
                 ctx.ops,
             );
             let consumed = Arc::clone(&self.consumed);
-            let quota = self.quota_bytes;
+            let signal = consumed.lock()[&fid].signal.clone();
             inst.register_event(
                 fid,
                 "quota.exhausted",
-                move |fid| consumed.lock().get(&fid).copied().unwrap_or(0) > quota,
+                signal,
+                move |fid| consumed.lock().get(&fid).map_or(0, |tally| tally.count) > quota,
                 |_| RulePatch::set_action(HeaderAction::Drop),
             );
         }
@@ -116,7 +120,7 @@ impl Nf for QuotaLimiter {
     }
 
     fn restore_state(&mut self, snapshot: &StateSnapshot) -> bool {
-        let Some(map) = snapshot.downcast::<HashMap<Fid, u64>>() else {
+        let Some(map) = snapshot.downcast::<HashMap<Fid, Tally>>() else {
             return false;
         };
         *self.consumed.lock() = map.clone();

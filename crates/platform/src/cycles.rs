@@ -62,7 +62,7 @@ pub struct CycleModel {
     pub mat_lookup: u64,
     /// One consolidation run.
     pub consolidation: u64,
-    /// One event-condition check.
+    /// One armed-event check (a signal compare).
     pub event_check: u64,
     /// CPU work of one inter-core ring-buffer hop (enqueue + dequeue +
     /// cache-line transfers) — counted in per-packet *work* cycles.

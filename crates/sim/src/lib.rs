@@ -24,8 +24,8 @@
 //! Everything is deterministic given a seed: no wall-clock, no ambient
 //! randomness. The only scheduled nondeterminism is the optional churn
 //! thread, whose interference is equivalence-preserving by design (it
-//! exercises shard locking and affinity-memo invalidation, not packet
-//! semantics).
+//! exercises shard locking and flow-record republication under
+//! concurrent installs and removals, not packet semantics).
 
 pub mod artifact;
 pub mod fault;

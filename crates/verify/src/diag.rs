@@ -83,11 +83,15 @@ pub enum LintCode {
     /// produces no snapshot, so crash recovery cannot restore it — every
     /// packet older than the in-flight log is silently lost on a kill.
     SnapshotMissing,
+    /// SBX014: the debug-build missed-raise tracker found an armed event's
+    /// condition holding on the fast path although its NF had not raised
+    /// the event's signal — the fast path would keep serving the old rule.
+    MissedRaise,
 }
 
 impl LintCode {
     /// Every code, in numeric order.
-    pub const ALL: [LintCode; 13] = [
+    pub const ALL: [LintCode; 14] = [
         LintCode::DeadActionAfterDrop,
         LintCode::DecapSpecMismatch,
         LintCode::DecapUnderflow,
@@ -101,6 +105,7 @@ impl LintCode {
         LintCode::CompiledDivergence,
         LintCode::MicroOpOutOfBounds,
         LintCode::SnapshotMissing,
+        LintCode::MissedRaise,
     ];
 
     /// The stable code string (`SBX001`...).
@@ -120,6 +125,7 @@ impl LintCode {
             LintCode::CompiledDivergence => "SBX011",
             LintCode::MicroOpOutOfBounds => "SBX012",
             LintCode::SnapshotMissing => "SBX013",
+            LintCode::MissedRaise => "SBX014",
         }
     }
 
@@ -140,6 +146,7 @@ impl LintCode {
             LintCode::CompiledDivergence => "compiled-divergence",
             LintCode::MicroOpOutOfBounds => "microop-out-of-bounds",
             LintCode::SnapshotMissing => "snapshot-missing",
+            LintCode::MissedRaise => "missed-raise",
         }
     }
 
@@ -155,7 +162,8 @@ impl LintCode {
             | LintCode::ScheduleOrder
             | LintCode::AccessViolation
             | LintCode::CompiledDivergence
-            | LintCode::MicroOpOutOfBounds => Severity::Error,
+            | LintCode::MicroOpOutOfBounds
+            | LintCode::MissedRaise => Severity::Error,
             LintCode::DecapUnderflow
             | LintCode::ConflictingModify
             | LintCode::EarlyTrailingWrite
@@ -384,7 +392,7 @@ mod tests {
             codes,
             vec![
                 "SBX001", "SBX002", "SBX003", "SBX004", "SBX005", "SBX006", "SBX007", "SBX008",
-                "SBX009", "SBX010", "SBX011", "SBX012", "SBX013"
+                "SBX009", "SBX010", "SBX011", "SBX012", "SBX013", "SBX014"
             ]
         );
         let names: std::collections::HashSet<&str> =

@@ -9,8 +9,13 @@
 //! consolidation-soundness pass (pass 1) plus the Table I schedule check
 //! rerun on the result. Error findings in the spliced chain surface as
 //! `SBX007`, naming the event.
+//!
+//! The rewrite only happens if the NF raises the event's signal when the
+//! condition's inputs change. [`check_raise_log`] renders the debug-build
+//! tracker's missed raises ([`MissedRaise`]) as `SBX014`.
 
 use speedybox_mat::state_fn::PayloadAccess;
+use speedybox_mat::track::MissedRaise;
 use speedybox_mat::Event;
 
 use crate::diag::{LintCode, Report, Severity, Span};
@@ -141,6 +146,27 @@ fn wrap_errors(report: &mut Report, event: &EventSpec, inner: &Report, what: &st
     }
 }
 
+/// Renders missed-raise tracker findings as SBX014 errors: an event whose
+/// condition held with no raise is never re-checked, so its rewrite never
+/// reaches the fast path.
+#[must_use]
+pub fn check_raise_log(chain: &str, missed: &[MissedRaise]) -> Report {
+    let mut report = Report::new(chain);
+    for m in missed {
+        report.push(
+            LintCode::MissedRaise,
+            Span::chain(),
+            format!(
+                "event `{}` found its condition holding on {} fast-path check(s) although its \
+                 NF never raised the event's signal; the fast path keeps serving the rule the \
+                 event should rewrite",
+                m.event, m.count
+            ),
+        );
+    }
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use speedybox_mat::{HeaderAction, RulePatch};
@@ -231,13 +257,14 @@ mod tests {
 
     #[test]
     fn from_event_invokes_update_statically() {
-        use speedybox_mat::NfId;
+        use speedybox_mat::{NfId, Signal};
         use speedybox_packet::Fid;
 
         let event = Event::new(
             Fid::new(3),
             NfId::new(1),
             "threshold",
+            Signal::new(),
             |_| false,
             |_| RulePatch::set_action(HeaderAction::Drop),
         );

@@ -14,7 +14,8 @@
 //! * **Pass 2 — event-rewrite safety** ([`events`]): every Event Table
 //!   `(condition, update)` pair is checked by splicing the update's patch
 //!   into the chain and re-running pass 1 (and the schedule check), before
-//!   any condition ever fires.
+//!   any condition ever fires; the debug-build missed-raise tracker's
+//!   findings are rendered as diagnostics (SBX014).
 //! * **Pass 3 — schedule safety** ([`schedule`]): the precomputed wavefront
 //!   schedule is validated against the paper's Table I conflict matrix and
 //!   must be an order-preserving partition; the debug-build payload-access
@@ -51,7 +52,7 @@ pub mod symbolic;
 pub use bounds::{check_bounds, check_program_bounds};
 pub use compiled::check_compiled;
 pub use diag::{Diagnostic, LintCode, Report, Severity, Span};
-pub use events::{check_event_rewrites, EventSpec};
+pub use events::{check_event_rewrites, check_raise_log, EventSpec};
 pub use schedule::{check_access_log, check_rule_schedule, check_schedule};
 pub use snapshots::{check_snapshots, NfStateSpec};
 pub use symbolic::{check_consolidation, interpret, NfActions, SymbolicState};

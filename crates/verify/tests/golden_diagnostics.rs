@@ -4,11 +4,11 @@
 
 use speedybox_mat::action::{EncapSpec, HeaderAction};
 use speedybox_mat::state_fn::PayloadAccess;
-use speedybox_mat::track::AccessViolation;
+use speedybox_mat::track::{AccessViolation, MissedRaise};
 use speedybox_packet::HeaderField;
 use speedybox_verify::{
-    check_access_log, check_consolidation, check_event_rewrites, check_schedule, EventSpec,
-    LintCode, NfActions, Severity,
+    check_access_log, check_consolidation, check_event_rewrites, check_raise_log, check_schedule,
+    EventSpec, LintCode, NfActions, Severity,
 };
 
 /// Asserts a report holds exactly `expected` codes (order-insensitive).
@@ -131,6 +131,22 @@ fn lying_payload_access_is_sbx010() {
     let text = report.render_text();
     assert!(text.contains("error[SBX010]"), "{text}");
     assert!(text.contains("`stealth-scrubber`"), "{text}");
+}
+
+#[test]
+fn condition_holding_without_a_raise_is_sbx014() {
+    let missed = [MissedRaise { event: "quota.exhausted".into(), count: 3 }];
+    let report = check_raise_log("silent-nf", &missed);
+    assert_codes(&report, &[LintCode::MissedRaise]);
+    assert_eq!(report.diagnostics[0].severity, Severity::Error);
+    assert_eq!(
+        report.render_text(),
+        "silent-nf: error[SBX014]: event `quota.exhausted` found its condition holding on 3 \
+         fast-path check(s) although its NF never raised the event's signal; the fast path \
+         keeps serving the rule the event should rewrite\n  --> chain\n\
+         silent-nf: 1 error(s), 0 warning(s)\n"
+    );
+    assert!(check_raise_log("clean", &[]).diagnostics.is_empty());
 }
 
 #[test]

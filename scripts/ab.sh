@@ -5,7 +5,8 @@
 # (BENCHMARK.json `run_seconds`). Pair i runs both sides with seed i, the
 # side that goes first alternating from pair to pair. Prints, per side,
 # the median and quartiles of every end-to-end metric, and how many pairs
-# the change won on each (by the metric's `better` direction).
+# the change won on each (by the metric's `better` direction), and writes
+# the same summary as JSON to $AB_DIR/summary-<workload>.json.
 #
 # The base revision is exported with `git archive` into its own directory
 # and built with its own target directory, so the two builds never share
@@ -46,10 +47,10 @@ for i in $(seq 1 "$pairs"); do
   if [ $((i % 2)) -eq 1 ]; then run base "$i"; run change "$i"; else run change "$i"; run base "$i"; fi
 done
 
-python3 - "$dir/runs" "$pairs" <<'EOF'
+python3 - "$dir/runs" "$pairs" "$base_rev" "$workload" "$seconds" "$dir" <<'EOF'
 import json, statistics, sys
 
-runs, pairs = sys.argv[1], int(sys.argv[2])
+runs, pairs, base_rev, workload, seconds, out_dir = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 load = lambda side, i: json.load(open(f"{runs}/{side}-{i}.json"))
 res = {side: [load(side, i) for i in range(1, pairs + 1)] for side in ("base", "change")}
@@ -62,6 +63,8 @@ def quartiles(xs):
     return q1, q2, q3
 
 print(f"{'metric':<18} {'base q1/median/q3':>30} {'change q1/median/q3':>30} {'median':>8} {'wins':>6}")
+summary = {"base_rev": base_rev, "workload": workload, "pairs": pairs,
+           "run_seconds": float(seconds), "metrics": {}}
 for m in metrics:
     name, higher = m["name"], m["better"] == "higher"
     b = [r["metrics"][name]["value"] for r in res["base"]]
@@ -71,6 +74,9 @@ for m in metrics:
     move = (qc[1] / qb[1] - 1) * 100 if qb[1] else float("nan")
     fmt = lambda q: "/".join(f"{v:.4f}" for v in q)
     print(f"{name:<18} {fmt(qb):>30} {fmt(qc):>30} {move:>+7.1f}% {wins:>3}/{pairs}")
+    side = lambda q: dict(zip(("q1", "median", "q3"), q))
+    summary["metrics"][name] = {"base": side(qb), "change": side(qc), "change_wins": wins}
+json.dump(summary, open(f"{out_dir}/summary-{workload}.json", "w"), indent=2)
 for side, pair in bad:
     print(f"FAIL: {side} run of pair {pair} reported incorrect results or failures")
 sys.exit(1 if bad else 0)

@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use arcswap::model::{scenarios as rcu, Mutation};
 use speedybox_check::{BugKind, Checker, Config, Outcome};
-use speedybox_mat::model::{scenarios as mat, FireMutation, FtMutation, QMutation};
+use speedybox_mat::model::{scenarios as mat, FireMutation, FtMutation, QMutation, RaiseMutation};
 
 /// A boxed scenario, callable many times by the explorer.
 type Scenario = Box<dyn Fn() + Send + Sync + 'static>;
@@ -108,6 +108,16 @@ const MODELS: &[Model] = &[
             name: "rec-snapshot-fire",
             expected: BugKind::Panic,
             build: || Box::new(mat::rec_fire_once(FireMutation::SnapshotFire)),
+        }],
+    },
+    Model {
+        name: "ev-raise-vs-fire",
+        bound: 2,
+        clean: || Box::new(mat::ev_raise_vs_fire(RaiseMutation::None)),
+        twins: &[Twin {
+            name: "ev-load-after-check",
+            expected: BugKind::Panic,
+            build: || Box::new(mat::ev_raise_vs_fire(RaiseMutation::LoadAfterCheck)),
         }],
     },
     Model {

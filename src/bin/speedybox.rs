@@ -99,7 +99,9 @@ SIM OPTIONS:
                       skip-snapshot-replay)
   --artifact-dir <D>  write shrunk divergence reproducers here as JSON
   --replay <FILE>     re-run a divergence artifact byte-for-byte
-  exit code: 0 = equivalent, 1 = divergence found, 2 = usage error
+  exit code: 0 = equivalent, 1 = divergence found (or, in a build with
+             debug assertions, an event condition held with no signal
+             raise), 2 = usage error
 
 GEN-TRACE OPTIONS:
   --flows <N>         flows to synthesize (default: 100)
@@ -399,6 +401,9 @@ fn cmd_sim(args: &Args) -> Result<ExitCode, String> {
     // re-record through the slow path — byte equivalence must survive).
     let max_flows = if args.flag("--evict-pressure") { 64 } else { 0 };
     let configs = sim_configs(args)?;
+    // Debug builds log every armed event whose condition held with no
+    // signal raise; the sweep must end with that log empty.
+    let _ = speedybox::mat::track::take_missed_raises();
 
     let mut cases = 0usize;
     let mut divergent = 0usize;
@@ -474,8 +479,14 @@ fn cmd_sim(args: &Args) -> Result<ExitCode, String> {
         totals.2,
         totals.3
     );
+    let missed = speedybox::mat::track::take_missed_raises();
+    for m in &missed {
+        println!("sim: missed raise: event `{}` held with no signal raise ({}x)", m.event, m.count);
+    }
     if divergent > 0 {
         println!("sim: {divergent} divergent case(s)");
+        Ok(ExitCode::from(1))
+    } else if !missed.is_empty() {
         Ok(ExitCode::from(1))
     } else {
         println!("sim: zero divergences");

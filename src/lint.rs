@@ -4,14 +4,16 @@
 //! Linting a chain means exercising it the way the runtime would — a small
 //! deterministic workload records each flow's rule through the instrumented
 //! slow path, the rule is installed, and fast-path packets run over it with
-//! the debug-build payload-access tracker armed — then handing what was
-//! recorded to `speedybox-verify`:
+//! the debug-build payload-access and missed-raise trackers armed — then
+//! handing what was recorded to `speedybox-verify`:
 //!
 //! * per-flow recorded header actions → pass 1 (consolidation soundness);
 //! * every registered Event Table entry → pass 2 (rewrite safety);
 //! * the installed rule's precomputed wavefront schedule → pass 3
 //!   (Table I schedule safety);
 //! * the access tracker's observed-write log → `SBX010`;
+//! * the missed-raise tracker's log (an armed condition that held with no
+//!   signal raise) → `SBX014`;
 //! * each NF's flow-state declaration vs its snapshot support → pass 6
 //!   (`SBX013`, recovery-snapshot coverage).
 //!
@@ -27,7 +29,8 @@ use speedybox_platform::metrics::PathKind;
 use speedybox_platform::Chain;
 use speedybox_traffic::{Workload, WorkloadConfig};
 use speedybox_verify::{
-    check_access_log, check_snapshots, verify_flow, EventSpec, NfActions, NfStateSpec, Report,
+    check_access_log, check_raise_log, check_snapshots, verify_flow, EventSpec, NfActions,
+    NfStateSpec, Report,
 };
 
 /// The concrete chain names `lint --all` verifies (parameterized entries
@@ -52,9 +55,10 @@ pub fn lint_chain(name: &str) -> Result<Report, String> {
 /// mutated NF state — so callers must not run traffic through it afterwards.
 #[must_use]
 pub fn lint_nfs(chain_name: &str, nfs: Vec<Box<dyn Nf>>) -> Report {
-    // Drain stale tracker records so SBX010 findings are attributable to
-    // this chain's fast-path packets alone.
+    // Drain stale tracker records so SBX010 and SBX014 findings are
+    // attributable to this chain's fast-path packets alone.
     let _ = track::take_violations();
+    let _ = track::take_missed_raises();
 
     let names: Vec<String> = nfs.iter().map(|nf| nf.name().to_string()).collect();
 
@@ -110,8 +114,10 @@ pub fn lint_nfs(chain_name: &str, nfs: Vec<Box<dyn Nf>>) -> Report {
     }
 
     // Close the declared-vs-observed loop: any state function the debug
-    // build caught writing the payload under a Read/Ignore declaration.
+    // build caught writing the payload under a Read/Ignore declaration,
+    // and any armed event whose condition held with no raise.
     report.merge(check_access_log(chain_name, &track::take_violations()));
+    report.merge(check_raise_log(chain_name, &track::take_missed_raises()));
     // And the recovery contract: declared flow state must be recoverable.
     report.merge(check_snapshots(chain_name, &state_specs));
     report

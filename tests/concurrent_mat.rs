@@ -232,18 +232,19 @@ fn collision_detected_under_concurrent_classification() {
 
 #[test]
 fn affinity_memo_invalidated_by_event_under_churn() {
-    // Regression for the batch fast path's flow-affinity memo: when an
-    // Event Table entry fires mid-batch and re-consolidates the rule, the
-    // memoized `Arc<GlobalRule>` for that FID is stale and must be
-    // dropped — otherwise every later same-flow packet in the batch would
-    // be served the pre-event rule. Install/remove churn on disjoint FIDs
-    // runs concurrently, so the shard locks and prefetch snapshot are
-    // exercised while the memo is being invalidated (the sim harness's
-    // `churn@` fault clause, pinned as a deterministic test).
+    // An Event Table entry that fires in the middle of a run of same-flow
+    // packets re-consolidates the flow's rule, and every later packet must
+    // be served the rewritten rule, not the one it replaced. The state
+    // function raises the event's signal as its count crosses the
+    // threshold, so the next packet's check fires the event. Install/
+    // remove churn on disjoint FIDs runs concurrently, so the shard
+    // locks and record republication are exercised while the rewrite
+    // lands (the sim harness's `churn@` fault clause, pinned as a
+    // deterministic test).
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     use speedybox::mat::state_fn::PayloadAccess;
-    use speedybox::mat::{Event, RulePatch, StateFunction};
+    use speedybox::mat::{Event, RulePatch, Signal, StateFunction};
 
     const CHURN_FIDS: u32 = 256;
     const BATCH: usize = 64;
@@ -256,12 +257,15 @@ fn affinity_memo_invalidated_by_event_under_churn() {
     let flow = Fid::new(2000);
     local.set_header_actions(flow, vec![HeaderAction::Forward]);
     let counter = Arc::new(AtomicU64::new(0));
-    let c = Arc::clone(&counter);
+    let signal = Signal::new();
+    let (c, s) = (Arc::clone(&counter), signal.clone());
     let mut ops = OpCounter::default();
     local.add_state_function(
         flow,
         StateFunction::new("count", PayloadAccess::Ignore, move |ctx| {
-            c.fetch_add(1, Ordering::Relaxed);
+            if c.fetch_add(1, Ordering::Relaxed) + 1 == THRESHOLD + 1 {
+                s.raise();
+            }
             ctx.ops.state_updates += 1;
         }),
         &mut ops,
@@ -272,6 +276,7 @@ fn affinity_memo_invalidated_by_event_under_churn() {
         flow,
         NfId::new(0),
         "threshold",
+        signal,
         move |_| c2.load(Ordering::Relaxed) > THRESHOLD,
         |_| RulePatch::set_action(HeaderAction::Drop),
     ));
@@ -294,8 +299,8 @@ fn affinity_memo_invalidated_by_event_under_churn() {
                 }
             });
         }
-        // One batch of same-flow packets: the memo engages from packet 2
-        // onward, the event fires once the counter crosses the threshold.
+        // A run of same-flow packets: the event fires on the packet after
+        // the one whose count crosses the threshold.
         let mut packets: Vec<Packet> = (0..BATCH as u32)
             .map(|i| {
                 let mut p = packet_for(
@@ -318,10 +323,11 @@ fn affinity_memo_invalidated_by_event_under_churn() {
         outcomes
     });
 
-    // The state function runs per forwarded packet; the event predicate is
-    // checked before each packet's header action, so packets 0..=THRESHOLD
-    // forward and every later packet must hit the patched Drop rule — a
-    // stale memo would keep forwarding them.
+    // The state function runs per forwarded packet and the armed event is
+    // checked before each packet's header action: packet THRESHOLD's count
+    // crosses the threshold and raises, so packets 0..=THRESHOLD forward
+    // and every later packet must hit the patched Drop rule — serving the
+    // replaced rule would keep forwarding them.
     for (i, o) in outcomes.iter().enumerate() {
         let expected = if (i as u64) <= THRESHOLD {
             FastPathOutcome::Forwarded
@@ -501,7 +507,7 @@ fn classifier_generations_drain_after_expiry() {
 fn evict_vs_install_vs_event_fire_settles_with_zero_leak() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    use speedybox::mat::{Event, RulePatch};
+    use speedybox::mat::{Event, RulePatch, Signal};
 
     const CAPACITY: usize = 64;
     const CHURN_FIDS: u32 = 256;
@@ -514,12 +520,14 @@ fn evict_vs_install_vs_event_fire_settles_with_zero_leak() {
     }
     local.set_header_actions(event_fid, vec![HeaderAction::Forward]);
     let gm = GlobalMat::with_limits(vec![Arc::clone(&local)], 8, CAPACITY);
+    let signal = Signal::new();
     let register_event = |gm: &GlobalMat| {
         gm.events().register(
             Event::new(
                 event_fid,
                 NfId::new(0),
                 "always",
+                signal.clone(),
                 |_| true,
                 |_| RulePatch::set_action(HeaderAction::Forward),
             )
@@ -563,18 +571,21 @@ fn evict_vs_install_vs_event_fire_settles_with_zero_leak() {
                 }
             });
         }
-        // Event thread: every successful prepare fires the recurring event
-        // and republishes the rule. A None means the removal won — the
-        // rewrite was abandoned whole, so re-seed and start over.
+        // Event thread: raises the event's signal, so every successful
+        // prepare fires the recurring event and republishes the rule. A
+        // None means the removal won — the rewrite was abandoned whole,
+        // so re-seed and start over.
         {
             let gm = &gm;
             let local = &local;
             let stop = &stop;
             let rewrites = &rewrites;
             let lost_races = &lost_races;
+            let signal = &signal;
             s.spawn(move || {
                 let mut ops = OpCounter::default();
                 while !stop.load(Ordering::Relaxed) {
+                    signal.raise();
                     match gm.prepare(event_fid, &mut ops) {
                         Some(_) => {
                             rewrites.fetch_add(1, Ordering::Relaxed);
@@ -807,16 +818,17 @@ fn concurrent_expire_idle_expires_each_flow_once() {
 }
 
 /// Two readers hold the same flow's record while its one-shot event's
-/// condition is already true, and a barrier releases them together: both
-/// see the armed condition trigger without a lock, and the Event Table's
-/// serialized re-check must let exactly one of them fire it — one event
-/// fired, one rule rewrite, one patch applied.
+/// condition is already true (so arming left it raised), and a barrier
+/// releases them together: both see the armed event raised without a
+/// lock, and the Event Table's serialized re-check must let exactly one
+/// of them fire it — one event fired, one rule rewrite, one patch
+/// applied.
 #[test]
 fn one_shot_event_fires_once_for_racing_readers_of_one_record() {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
 
-    use speedybox::mat::{Event, RulePatch};
+    use speedybox::mat::{Event, RulePatch, Signal};
     use speedybox::telemetry::Telemetry;
 
     let flow = Fid::new(4242);
@@ -830,6 +842,7 @@ fn one_shot_event_fires_once_for_racing_readers_of_one_record() {
         flow,
         NfId::new(0),
         "drop-once",
+        Signal::new(),
         |_| true,
         move |_| {
             p.fetch_add(1, Ordering::Relaxed);

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use speedybox::mat::{Event, NfId, RulePatch};
+use speedybox::mat::{Event, NfId, RulePatch, Signal};
 use speedybox::packet::{Fid, Packet};
 use speedybox::platform::chains::{chain1, chain2, Chain2Handles};
 use speedybox::platform::runtime::SboxConfig;
@@ -58,6 +58,7 @@ fn register_counting_events(
                 fid,
                 nf,
                 "count-fire",
+                Signal::new(),
                 |_| true,
                 move |_| {
                     fires.fetch_add(1, Ordering::Relaxed);

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use speedybox::mat::{Event, NfId, RulePatch};
+use speedybox::mat::{Event, NfId, RulePatch, Signal};
 use speedybox::nf::ipfilter::IpFilter;
 use speedybox::nf::monitor::Monitor;
 use speedybox::nf::Nf;
@@ -65,6 +65,7 @@ fn register_counting_events(
                 fid,
                 nf,
                 "count-fire",
+                Signal::new(),
                 |_| true,
                 move |_| {
                     fires.fetch_add(1, Ordering::Relaxed);
