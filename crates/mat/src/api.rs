@@ -15,13 +15,20 @@
 //! processing context and calls these methods while handling a flow's
 //! initial packet — the calls *record* behaviour, they never change it
 //! (§IV-B: "the APIs seek to only record NF behaviors ... the modifications
-//! do not change the original processing logic").
+//! do not change the original processing logic"). What they record is
+//! staged until the flow's install moves it into the flow's rule
+//! ([`crate::GlobalMat::install`]).
 //!
-//! One deviation from Fig 2: `register_event` also takes the [`Signal`]
-//! the event watches. The fast path never runs a condition; the NF raises
+//! Two deviations from Fig 2. `register_event` also takes the [`Signal`]
+//! the event watches: the fast path never runs a condition; the NF raises
 //! the signal when the condition's inputs change, and the event is
-//! re-checked then (DESIGN.md §18.3).
+//! re-checked then (DESIGN.md §18.3). And names are `'static` where the NF
+//! can make them so (`Cow<'static, str>`), with handlers an NF builds once
+//! recorded per flow as clones ([`NfInstrument::add_state_function_handle`],
+//! [`Event::shared`]), so recording a flow allocates no name and no
+//! handler.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use speedybox_packet::{Fid, Packet};
@@ -76,7 +83,7 @@ impl NfInstrument {
     pub fn add_state_function(
         &self,
         fid: Fid,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         access: PayloadAccess,
         handler: impl Fn(&mut crate::state_fn::SfContext<'_>) + Send + Sync + 'static,
         ops: &mut OpCounter,
@@ -84,8 +91,9 @@ impl NfInstrument {
         self.local.add_state_function(fid, StateFunction::new(name, access, handler), ops);
     }
 
-    /// `localmat_add_SF` taking a pre-built [`StateFunction`] (for handlers
-    /// shared across flows, as with shared-state NFs, §IV-A2).
+    /// `localmat_add_SF` taking a pre-built [`StateFunction`]: an NF whose
+    /// handler captures only NF-wide state (shared-state NFs, §IV-A2)
+    /// builds it once and records a clone per flow.
     pub fn add_state_function_handle(&self, fid: Fid, func: StateFunction, ops: &mut OpCounter) {
         self.local.add_state_function(fid, func, ops);
     }
@@ -102,7 +110,7 @@ impl NfInstrument {
     pub fn register_event(
         &self,
         fid: Fid,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         signal: Signal,
         condition: impl Fn(Fid) -> bool + Send + Sync + 'static,
         update: impl Fn(Fid) -> RulePatch + Send + Sync + 'static,

@@ -59,8 +59,8 @@ pub enum PacketClass {
 pub const DEFAULT_CLASSIFIER_SHARDS: usize = 16;
 
 /// Teardown hook invoked (outside all table locks) with each flow the
-/// classifier evicts under capacity pressure, so the owner can tear down
-/// the flow's Local MATs and Event Table entries and notify NFs.
+/// classifier evicts under capacity pressure, so the owner can drop what
+/// an unfinished walk of the flow left staged and notify NFs.
 pub type EvictHook = Arc<dyn Fn(Fid) + Send + Sync>;
 
 /// The SpeedyBox Packet Classifier.
@@ -72,7 +72,7 @@ pub type EvictHook = Arc<dyn Fn(Fid) + Send + Sync>;
 /// serialize on per-shard writer mutexes that readers never touch.
 /// Capacity and the when-full policy come from
 /// [`PacketClassifier::with_limits`]; evictions fire the [`EvictHook`] so
-/// Local MATs and Event Table entries are torn down with the record.
+/// nothing of the flow outlives its record.
 ///
 /// ```
 /// use speedybox_mat::{OpCounter, PacketClass, PacketClassifier};
@@ -323,8 +323,8 @@ impl PacketClassifier {
                         if let Some(victim) = evicted {
                             // Capacity pressure displaced the table-wide
                             // LRU flow, rule and all: count it and let the
-                            // owner tear down its Local MATs and events
-                            // (the hook runs outside table locks).
+                            // owner drop any staging it left (the hook
+                            // runs outside table locks).
                             let vcell = self.cell(victim.fid);
                             victim.value.count_departure(vcell, CounterShard::add_flows_evicted);
                             if let Some(hook) = &self.evictor {
@@ -535,8 +535,8 @@ impl PacketClassifier {
     }
 
     /// Expires flows idle for more than `max_idle` clock ticks, returning
-    /// the expired FIDs so the caller can tear down their Local MATs and
-    /// Event Table entries (their records and rules are already gone).
+    /// the expired FIDs so the caller can drop any staging they left
+    /// (their records, with rules, recordings and events, are gone).
     ///
     /// TCP flows are normally garbage-collected on FIN/RST (§VI-B of the
     /// paper); this extension reclaims UDP flows and half-dead TCP flows

@@ -274,11 +274,14 @@ fn lower_field(field: HeaderField, value: FieldValue) -> MicroOp {
 /// once per rule install or Event-Table rewrite instead of per packet).
 #[must_use]
 pub fn compile(action: &ConsolidatedAction) -> CompiledProgram {
-    let mut ops = Vec::new();
     if action.is_drop() {
-        ops.push(MicroOp::Drop);
-        return CompiledProgram { ops };
+        return CompiledProgram { ops: vec![MicroOp::Drop] };
     }
+    // Sized up front, a trailing adjustment included: no regrowth.
+    let modifies = action.modifies().len();
+    let len =
+        action.net_decaps() + action.net_encaps().len() + modifies + usize::from(modifies > 0);
+    let mut ops = Vec::with_capacity(len);
     for _ in 0..action.net_decaps() {
         ops.push(MicroOp::PopDecap);
     }

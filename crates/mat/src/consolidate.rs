@@ -131,7 +131,7 @@ impl ConsolidatedAction {
 /// assert!(merged.is_drop());
 /// ```
 #[must_use]
-pub fn consolidate(actions: &[HeaderAction]) -> ConsolidatedAction {
+pub fn consolidate<'a>(actions: impl IntoIterator<Item = &'a HeaderAction>) -> ConsolidatedAction {
     let mut out = ConsolidatedAction::default();
     // Stack of headers pushed *within* this chain.
     let mut pushed: Vec<EncapSpec> = Vec::new();

@@ -7,6 +7,13 @@
 //! holds, the Global MAT patches the flow's rule and re-consolidates —
 //! Fig 3's workflow.
 //!
+//! Events live where the flow's recordings do. During the walk of a
+//! flow's initial packet they are staged here, beside the Local MATs
+//! ([`crate::local`]); the flow's install moves them into its rule, which
+//! arms them, and from then on they exist only in the flow's record
+//! ([`crate::record`]) and leave with it. A registration for a flow whose
+//! rule is installed re-arms the record instead.
+//!
 //! Conditions are not polled. Each event watches a [`Signal`], an epoch
 //! counter its NF raises after changing state the condition reads. Arming
 //! an event (rule install, rewrite, or a registration on an installed
@@ -14,23 +21,27 @@
 //! remembers the value it read — or, if the condition already holds,
 //! arms the event raised. The fast path compares each armed event's
 //! signal with its remembered value, with no lock and no closure; only a
-//! mismatch comes back here, to [`EventTable::fire`], whose re-check
-//! under the write lock reads the signal, evaluates the condition, and
-//! either fires the event (once, for a one-shot event) or remembers the
-//! value it read. A spurious raise costs one re-check; a missed raise is
-//! the one bug left, which is why conditions must be pure reads of NF
-//! state and why debug builds log any armed condition that holds without
-//! a raise ([`crate::track`]).
+//! mismatch comes back here. Under the Event Table lock, the fire
+//! re-checks the events armed in the flow's *current* record — reads the
+//! signal, evaluates the condition, and either fires the event or
+//! remembers the value it read — and republishes the record with the
+//! fired patches applied, in the same critical section: two firings
+//! compose, and a fired one-shot event is left out of the new rule. A
+//! spurious raise costs one re-check; a missed raise is the one bug left,
+//! which is why conditions must be pure reads of NF state and why debug
+//! builds log any armed condition that holds without a raise
+//! ([`crate::track`]).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-use speedybox_packet::Fid;
+use parking_lot::Mutex;
+use speedybox_packet::{Fid, FiveTuple};
 
 use crate::action::HeaderAction;
+use crate::global::GlobalRule;
 use crate::local::NfId;
 use crate::record::FlowRecords;
 use crate::state_fn::StateFunction;
@@ -85,12 +96,38 @@ impl fmt::Debug for RulePatch {
 
 /// Condition handler: "a general callback handler that can be implemented
 /// with user-defined functions" (paper Fig 1, `state.matchCondition`).
-/// Typically captures the NF's shared state.
+/// Typically captures the NF's shared state and takes the flow's FID, so
+/// an NF builds it once and shares it across flows ([`Event::shared`]).
 pub type CondHandler = Arc<dyn Fn(Fid) -> bool + Send + Sync>;
 
 /// Update handler: computes the rule patch when the condition fires
 /// (computed at trigger time — e.g. Maglev picks the *new* backend then).
 pub type UpdateHandler = Arc<dyn Fn(Fid) -> RulePatch + Send + Sync>;
+
+/// An event's condition and update handlers. Both take the flow's FID, so
+/// an NF builds them once and every flow's event shares them
+/// ([`Event::shared`]): registering a flow's event allocates no handler.
+#[derive(Clone)]
+pub struct EventHandlers {
+    condition: CondHandler,
+    update: UpdateHandler,
+}
+
+impl EventHandlers {
+    /// Wraps a condition and an update handler.
+    pub fn new(
+        condition: impl Fn(Fid) -> bool + Send + Sync + 'static,
+        update: impl Fn(Fid) -> RulePatch + Send + Sync + 'static,
+    ) -> Self {
+        Self { condition: Arc::new(condition), update: Arc::new(update) }
+    }
+}
+
+impl fmt::Debug for EventHandlers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EventHandlers").finish_non_exhaustive()
+    }
+}
 
 /// A shared epoch counter an NF raises when a condition's inputs change.
 ///
@@ -134,15 +171,14 @@ pub struct Event {
     /// The NF whose rule the patch applies to.
     pub nf: NfId,
     /// Diagnostic name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// If true the event is deregistered after it fires once.
     pub one_shot: bool,
     signal: Signal,
     /// The signal value read before the condition was last found false,
     /// or [`RAISED`].
     seen: AtomicU64,
-    condition: CondHandler,
-    update: UpdateHandler,
+    handlers: EventHandlers,
 }
 
 impl Clone for Event {
@@ -154,8 +190,7 @@ impl Clone for Event {
             one_shot: self.one_shot,
             signal: self.signal.clone(),
             seen: AtomicU64::new(self.seen.load(Ordering::Relaxed)),
-            condition: Arc::clone(&self.condition),
-            update: Arc::clone(&self.update),
+            handlers: self.handlers.clone(),
         }
     }
 }
@@ -168,21 +203,34 @@ impl Event {
     pub fn new(
         fid: Fid,
         nf: NfId,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         signal: Signal,
         condition: impl Fn(Fid) -> bool + Send + Sync + 'static,
         update: impl Fn(Fid) -> RulePatch + Send + Sync + 'static,
     ) -> Self {
-        Self {
-            fid,
-            nf,
-            name: name.into(),
-            one_shot: true,
-            signal,
-            seen: AtomicU64::new(RAISED),
-            condition: Arc::new(condition),
-            update: Arc::new(update),
-        }
+        Self::build(fid, nf, name.into(), signal, EventHandlers::new(condition, update))
+    }
+
+    /// [`Event::new`] over a signal and handlers the NF built once and
+    /// shares across flows: an event costs its flow no allocation.
+    pub fn shared(
+        fid: Fid,
+        nf: NfId,
+        name: impl Into<Cow<'static, str>>,
+        signal: &Signal,
+        handlers: &EventHandlers,
+    ) -> Self {
+        Self::build(fid, nf, name.into(), signal.clone(), handlers.clone())
+    }
+
+    fn build(
+        fid: Fid,
+        nf: NfId,
+        name: Cow<'static, str>,
+        signal: Signal,
+        handlers: EventHandlers,
+    ) -> Self {
+        Self { fid, nf, name, one_shot: true, signal, seen: AtomicU64::new(RAISED), handlers }
     }
 
     /// Makes the event persistent: it keeps firing whenever its condition
@@ -196,7 +244,7 @@ impl Event {
     /// Evaluates the condition.
     #[must_use]
     pub fn is_triggered(&self) -> bool {
-        (self.condition)(self.fid)
+        (self.handlers.condition)(self.fid)
     }
 
     /// The signal this event watches.
@@ -244,7 +292,7 @@ impl Event {
     /// Computes the patch (call when triggered).
     #[must_use]
     pub fn compute_patch(&self) -> RulePatch {
-        (self.update)(self.fid)
+        (self.handlers.update)(self.fid)
     }
 }
 
@@ -259,8 +307,20 @@ impl fmt::Debug for Event {
     }
 }
 
-/// The Event Table: per-flow registered events, armed in each flow's
-/// rule and fired through here.
+/// The fire re-check of one event: evaluates it (see [`Event::check`])
+/// and, if it holds, appends its `(nf, patch)` to `fired`. Returns whether
+/// the event stays registered: a fired one-shot event does not.
+fn recheck(event: &Event, fired: &mut Vec<(NfId, RulePatch)>) -> bool {
+    if !event.check() {
+        return true;
+    }
+    fired.push((event.nf, event.compute_patch()));
+    !event.one_shot
+}
+
+/// The Event Table: the events registered during walks, staged until
+/// their flow's install arms them in its rule, and the lock that
+/// serializes arming and firing.
 ///
 /// ```
 /// use std::sync::atomic::{AtomicBool, Ordering};
@@ -290,9 +350,11 @@ impl fmt::Debug for Event {
 /// ```
 #[derive(Debug, Default)]
 pub struct EventTable {
-    events: RwLock<HashMap<Fid, Vec<Arc<Event>>>>,
-    /// The flow table whose installed rules arm these events; a
-    /// registration on a flow with a rule re-arms it. `None` for a
+    /// The Event Table lock, and under it the events registered for flows
+    /// with no installed rule, in registration order: one flow's events
+    /// per walk in progress, or every event of a stand-alone table.
+    staged: Mutex<Vec<Event>>,
+    /// The flow table whose installed rules arm these events. `None` for a
     /// stand-alone table.
     flows: Option<Arc<FlowRecords>>,
     /// Optional telemetry sink (events-fired counter). Set once, after
@@ -319,103 +381,127 @@ impl EventTable {
         let _ = self.sink.set(sink);
     }
 
-    /// Registers an event (the `register_event` API of Fig 2). If the
-    /// flow's rule is already installed, the event is armed and the rule
-    /// re-armed with it, so it is checked from the flow's next packet.
+    fn count_fired(&self, fid: Fid, fired: usize) {
+        if fired > 0 {
+            if let Some(sink) = self.sink.get() {
+                sink.shard(fid.index() as u64).add_events_fired(fired as u64);
+            }
+        }
+    }
+
+    /// Registers an event (the `register_event` API of Fig 2). It is
+    /// staged until the flow's install arms it; if the flow's rule is
+    /// already installed, the event is armed and the record republished
+    /// with it, so it is checked from the flow's next packet.
     ///
-    /// Takes the write lock, then (arming) the NF's state lock through
-    /// the condition: an NF must not register while holding its own lock.
+    /// Takes the Event Table lock, then (arming) the NF's state lock
+    /// through the condition: an NF must not register while holding its
+    /// own lock.
     pub fn register(&self, event: Event) {
         let fid = event.fid;
-        let mut events = self.events.write();
-        let list = events.entry(fid).or_default();
-        // Under the write lock, so a concurrent install (which arms under
-        // the read lock) cannot publish a rule missing it.
-        let installed = self
-            .flows
-            .as_ref()
-            .filter(|flows| flows.get(fid).is_some_and(|record| record.rule.is_some()));
-        if installed.is_some() {
-            event.check();
+        let mut staged = self.staged.lock();
+        // Under the lock, so a concurrent install (which drains and arms
+        // under it) cannot publish a rule missing the event.
+        if let Some(flows) = &self.flows {
+            if flows.get(fid).is_some_and(|record| record.rule.is_some()) {
+                event.check();
+                let mut event = Some(event);
+                // A teardown since the look above drops the event with the
+                // rule: the flow re-registers when it records again.
+                flows.republish(fid, |record| {
+                    let rule = record.rule.as_ref()?.with_event(event.take()?);
+                    Some(record.with_rule(Some(Arc::new(rule))))
+                });
+                return;
+            }
         }
-        list.push(Arc::new(event));
-        if let Some(flows) = installed {
-            flows.republish(fid, |record| {
-                let rule = record.rule.as_ref()?;
-                Some(record.with_rule(Some(Arc::new(rule.rearmed(list)))))
-            });
-        }
+        staged.push(event);
     }
 
-    /// Arms the events registered for `fid` (see [`Event::is_raised`]) and
-    /// runs `f` on them, in registration order, holding the read lock so
-    /// no registration or firing can slip between arming a rule and
+    /// Install's arming: under the Event Table lock, moves `fid`'s staged
+    /// events out in registration order, arms each (see
+    /// [`Event::is_raised`]) and runs `publish` on them, so no
+    /// registration or firing can slip between arming a rule and
     /// publishing it.
-    pub(crate) fn with_armed<R>(&self, fid: Fid, f: impl FnOnce(&[Arc<Event>]) -> R) -> R {
-        let events = self.events.read();
-        let armed = events.get(&fid).map_or(&[][..], Vec::as_slice);
-        for event in armed {
+    pub(crate) fn arm<R>(&self, fid: Fid, publish: impl FnOnce(Vec<Event>) -> R) -> R {
+        let mut staged = self.staged.lock();
+        let mut armed = Vec::with_capacity(staged.iter().filter(|event| event.fid == fid).count());
+        armed.extend(staged.extract_if(.., |event| event.fid == fid));
+        for event in &armed {
             event.check();
         }
-        f(armed)
+        publish(armed)
     }
 
-    /// Fires the events registered for `fid` whose conditions hold,
-    /// returning their `(nf, patch)` pairs in registration order. The
-    /// fast path calls this once an armed event's signal moved; the
-    /// re-check here, under the write lock, reads each event's signal,
-    /// then evaluates its condition, and either fires the event —
-    /// deregistering a one-shot one, so it fires once however many
-    /// packets saw the raise — or remembers the value it read.
-    pub fn fire(&self, fid: Fid) -> Vec<(NfId, RulePatch)> {
-        let mut events = self.events.write();
-        let Some(list) = events.get_mut(&fid) else { return Vec::new() };
+    /// The fast path's fire, once an armed event's signal moved: under the
+    /// Event Table lock, re-checks the events armed in `fid`'s current
+    /// record — which must still be `owner`'s — and, if any fired,
+    /// republishes the record with the rule `rewrite` builds from the
+    /// current one, the fired `(nf, patch)` pairs in registration order,
+    /// and the events still registered, all in the same critical section.
+    /// Returns whether the record was rewritten.
+    pub(crate) fn fire_armed(
+        &self,
+        fid: Fid,
+        owner: Option<FiveTuple>,
+        rewrite: impl FnOnce(&GlobalRule, &[(NfId, RulePatch)], Vec<Event>) -> GlobalRule,
+    ) -> bool {
+        let _lock = self.staged.lock();
+        let Some(flows) = &self.flows else { return false };
+        let Some(record) = flows.get(fid).filter(|record| record.owner == owner) else {
+            return false;
+        };
+        let Some(current) = record.rule.as_ref() else { return false };
         let mut fired = Vec::new();
-        list.retain(|event| {
-            if !event.check() {
-                return true;
-            }
-            fired.push((event.nf, event.compute_patch()));
-            !event.one_shot
-        });
-        if list.is_empty() {
-            events.remove(&fid);
-        }
-        if !fired.is_empty() {
-            if let Some(sink) = self.sink.get() {
-                sink.shard(fid.index() as u64).add_events_fired(fired.len() as u64);
+        let mut kept = Vec::with_capacity(current.armed().len());
+        for event in current.armed() {
+            if recheck(event, &mut fired) {
+                kept.push(event.clone());
             }
         }
+        self.count_fired(fid, fired.len());
+        if fired.is_empty() {
+            return false;
+        }
+        let rule = Arc::new(rewrite(current, &fired, kept));
+        flows
+            .republish(fid, |record| {
+                let same = record.rule.as_ref().is_some_and(|r| Arc::ptr_eq(r, current));
+                (same && record.owner == owner).then(|| record.with_rule(Some(rule)))
+            })
+            .is_some()
+    }
+
+    /// Fires the staged events of `fid` whose conditions hold, returning
+    /// their `(nf, patch)` pairs in registration order: the re-check reads
+    /// each event's signal, then evaluates its condition, and either fires
+    /// the event — deregistering a one-shot one — or remembers the value
+    /// it read. This serves events no rule has armed (a stand-alone
+    /// table's); an installed flow's armed events fire through
+    /// [`crate::GlobalMat::serve`].
+    pub fn fire(&self, fid: Fid) -> Vec<(NfId, RulePatch)> {
+        let mut fired = Vec::new();
+        self.staged.lock().retain(|event| event.fid != fid || recheck(event, &mut fired));
+        self.count_fired(fid, fired.len());
         fired
     }
 
-    /// Number of flows with registered events.
+    /// Number of staged events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.read().len()
+        self.staged.lock().len()
     }
 
-    /// True if no events are registered.
+    /// True if no event is staged.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.read().is_empty()
+        self.staged.lock().is_empty()
     }
 
-    /// Drops all events for a flow (FIN/RST cleanup).
+    /// Drops the events staged for a flow (an unfinished walk's
+    /// leftovers).
     pub fn remove_flow(&self, fid: Fid) {
-        self.events.write().remove(&fid);
-    }
-
-    /// A snapshot of the events registered for `fid`, in registration
-    /// order. Used by `speedybox-verify`'s event-rewrite pass to check the
-    /// rule each registered `(condition, update)` pair would install,
-    /// before any condition ever fires.
-    #[must_use]
-    pub fn events_for(&self, fid: Fid) -> Vec<Event> {
-        self.events
-            .read()
-            .get(&fid)
-            .map_or_else(Vec::new, |list| list.iter().map(|event| Event::clone(event)).collect())
+        self.staged.lock().retain(|event| event.fid != fid);
     }
 }
 
@@ -430,7 +516,7 @@ mod tests {
     }
 
     /// An event of NF `nf` on flow 1 whose condition is always `holds`.
-    fn constant(nf: usize, name: &str, holds: bool) -> Event {
+    fn constant(nf: usize, name: &'static str, holds: bool) -> Event {
         let patch = |_| RulePatch::default();
         Event::new(fid(1), NfId::new(nf), name, Signal::new(), move |_| holds, patch)
     }

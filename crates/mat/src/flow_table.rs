@@ -23,7 +23,11 @@
 //!   every entry's `touch` tick. The wheel is lazy — touching a flow never
 //!   moves its item; pops re-check `touch` and reschedule busy flows — so
 //!   idle expiry and LRU victim selection are amortized O(1) against the
-//!   deterministic packet clock.
+//!   deterministic packet clock. Removing an entry leaves its item behind;
+//!   once such stale items outnumber the shard's live entries, the shard
+//!   purges them, and the buckets it empties free their storage, so churn
+//!   with nothing popping the wheel (no idle timeout, no capacity
+//!   pressure) keeps it bounded by the live entries.
 //! * **Bounded capacity.** `capacity` caps live entries (enforced per
 //!   shard at ⌈capacity/shards⌉ plus a global check; exact in the
 //!   single-threaded deterministic model). When full, [`AdmissionPolicy`]
@@ -54,6 +58,10 @@ pub const FID_SPACE: usize = 1 << 20;
 
 /// Slots (and index cells) per lazily-allocated chunk.
 const CHUNK: usize = 4096;
+
+/// A shard purges its wheel's stale items once the wheel holds more than
+/// twice its live entries plus this many: amortized O(1) per publish.
+const WHEEL_SLACK: usize = 64;
 
 /// What to do with a new flow when the table is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -431,7 +439,37 @@ impl<T: Send + Sync> FlowTable<T> {
         w.wheel.schedule(slot, now);
         w.live += 1;
         self.live.fetch_add(1, SeqCst);
+        if w.wheel.len() > 2 * w.live + WHEEL_SLACK {
+            self.purge_wheel(s, w);
+        }
         slot
+    }
+
+    /// Drops the wheel items that can pick no victim of their own: those
+    /// of freed slots, and all but the earliest of a recycled slot's. Each
+    /// live slot keeps its earliest item, whose deadline is still at most
+    /// its `touch`, so expiry and LRU eviction pick what they would have
+    /// picked. Caller holds the writer lock.
+    fn purge_wheel(&self, s: usize, w: &mut ShardWriter) {
+        let shard = &self.shards[s];
+        // Each live slot's earliest deadline (every live slot has an
+        // item); `None` for a freed slot.
+        let mut earliest: Vec<Option<u64>> = (0..w.allocated)
+            .map(|slot| shard.slot(slot).val.load().is_some().then_some(u64::MAX))
+            .collect();
+        w.wheel.for_each(|item| {
+            if let Some(first) = &mut earliest[item.slot as usize] {
+                *first = (*first).min(item.deadline);
+            }
+        });
+        w.wheel.retain(|item| {
+            let first = &mut earliest[item.slot as usize];
+            let keep = *first == Some(item.deadline);
+            if keep {
+                *first = None;
+            }
+            keep
+        });
     }
 
     /// The entry evicted to make room for a new one at capacity, or
@@ -689,6 +727,37 @@ mod tests {
 
     fn insert(t: &FlowTable<u64>, n: u32, now: u64) -> Admission<u64> {
         t.insert(fid(n), u64::from(n), now)
+    }
+
+    #[test]
+    fn churn_keeps_the_wheels_bounded_by_live_records() {
+        // The default table: no idle timeout and a bound of the whole FID
+        // space, so neither expiry nor eviction ever pops its wheels.
+        let t = table(
+            crate::classifier::DEFAULT_CLASSIFIER_SHARDS,
+            FID_SPACE,
+            AdmissionPolicy::EvictOldest,
+        );
+        const FLOWS: u32 = 200_000;
+        const LIVE: u32 = 1024;
+        for n in 0..FLOWS {
+            insert(&t, n, u64::from(n));
+            if n >= LIVE {
+                assert!(t.remove(fid(n - LIVE)).is_some());
+            }
+        }
+        assert_eq!(t.len(), LIVE as usize);
+        let items: usize = t.shards.iter().map(|shard| shard.writer.lock().wheel.len()).sum();
+        assert!(items <= 4 * t.len(), "{items} wheel items for {} live records", t.len());
+        // Nor does their storage: the clock keeps moving into buckets not
+        // used before, and a bucket the purge empties lets its go.
+        let room: usize = t.shards.iter().map(|shard| shard.writer.lock().wheel.capacity()).sum();
+        assert!(room <= 8 * t.len(), "room for {room} wheel items, {} live records", t.len());
+        // The kill sweep still finds every live record through the wheels,
+        // least recently touched first.
+        let evicted: Vec<u32> = t.evict_oldest(usize::MAX).iter().map(|e| e.fid.value()).collect();
+        assert_eq!(evicted, (FLOWS - LIVE..FLOWS).collect::<Vec<_>>());
+        assert!(t.is_empty());
     }
 
     #[test]

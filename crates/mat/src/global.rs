@@ -1,12 +1,15 @@
 //! The Global MAT: the consolidated fast path (paper §V).
 //!
 //! After a flow's initial packet has traversed the original chain and every
-//! NF has populated its Local MAT, the Global MAT consolidates the per-NF
-//! rules into one [`GlobalRule`]: a single [`ConsolidatedAction`] for the
-//! headers plus the ordered state-function batches (with a precomputed
-//! parallel schedule), with the flow's registered events armed in it. The
-//! rule lives in the flow's [`FlowRecord`], in the flow table the Global
-//! MAT shares with the classifier; subsequent packets are served from the
+//! NF has recorded into its Local MAT, the Global MAT consolidates the
+//! per-NF recordings into one [`GlobalRule`]: a single
+//! [`ConsolidatedAction`] for the headers plus the ordered state-function
+//! batches (with a precomputed parallel schedule), with the flow's
+//! registered events armed in it. Install *moves* what the walk recorded
+//! into the rule, draining the Local MATs and the Event Table's staging,
+//! so the rule is the only home of the flow's recordings and events. It
+//! lives in the flow's [`FlowRecord`], in the flow table the Global MAT
+//! shares with the classifier; subsequent packets are served from the
 //! record the classifier found, and the armed events' signals are checked
 //! first so stateful updates take effect immediately (Fig 1's workflow).
 
@@ -17,11 +20,12 @@ use std::sync::Arc;
 use speedybox_packet::{Fid, Packet};
 use speedybox_telemetry::{CounterShard, Telemetry};
 
+use crate::action::HeaderAction;
 use crate::compiled::{compile, CompiledProgram};
 use crate::consolidate::{consolidate, ConsolidatedAction};
-use crate::event::{Event, EventTable, Signal};
+use crate::event::{Event, EventTable, RulePatch, Signal};
 use crate::flow_table::{Admission, AdmissionPolicy, FlowTable, Pinned, FID_SPACE};
-use crate::local::LocalMat;
+use crate::local::{LocalMat, NfId};
 use crate::ops::OpCounter;
 use crate::parallel::schedule;
 use crate::record::{FlowRecord, FlowRecords};
@@ -59,20 +63,24 @@ pub struct GlobalRule {
     /// The single header action equivalent to the whole chain's.
     pub consolidated: ConsolidatedAction,
     /// `consolidated` lowered to a straight-line micro-op program at
-    /// install/rewrite time ([`crate::compiled`]). Event-Table rewrites go
-    /// through [`GlobalRule::new`], so the program can never go stale
-    /// relative to the action.
+    /// install/rewrite time ([`crate::compiled`]). Every rule is built
+    /// through [`GlobalRule::new`] or from its recordings, which compile
+    /// it, so the program can never go stale relative to the action.
     pub compiled: CompiledProgram,
     /// Per-NF state-function batches, in chain order (empty batches
-    /// omitted).
+    /// omitted): the state functions the walk recorded, moved here.
     pub batches: Vec<SfBatch>,
     /// Wavefront schedule over `batches` (Table I analysis), precomputed at
     /// consolidation time.
     pub schedule: Vec<Vec<usize>>,
-    /// The flow's registered events as of install (shared with the Event
-    /// Table), in registration order: the fast path checks their signals
-    /// before applying the rule.
-    armed: Vec<Arc<Event>>,
+    /// The header actions the walk recorded, each tagged with its NF, in
+    /// chain order and then registration order: consolidation's input,
+    /// kept so an event patch can re-consolidate and the consolidation
+    /// ablation can replay them NF by NF.
+    actions: Vec<(NfId, HeaderAction)>,
+    /// The flow's armed events, in registration order: the fast path
+    /// checks their signals before applying the rule.
+    armed: Vec<Event>,
     /// `armed[0]`'s check, inline.
     watch: Option<Watch>,
     /// Fast-path hits served by this rule (operational statistics).
@@ -86,8 +94,9 @@ impl Clone for GlobalRule {
             compiled: self.compiled.clone(),
             batches: self.batches.clone(),
             schedule: self.schedule.clone(),
+            actions: self.actions.clone(),
             armed: self.armed.clone(),
-            watch: self.armed.first().map(|event| Watch::of(event)),
+            watch: self.armed.first().map(Watch::of),
             hits: PaddedCounter(AtomicU64::new(self.hits())),
         }
     }
@@ -95,7 +104,8 @@ impl Clone for GlobalRule {
 
 impl GlobalRule {
     /// Builds a rule, lowering the consolidated action to its compiled
-    /// program (hit counter starts at zero, no events armed).
+    /// program (hit counter starts at zero, no events armed, no
+    /// recordings kept).
     #[must_use]
     pub fn new(
         consolidated: ConsolidatedAction,
@@ -108,22 +118,48 @@ impl GlobalRule {
             compiled,
             batches,
             schedule,
+            actions: Vec::new(),
             armed: Vec::new(),
             watch: None,
             hits: PaddedCounter::default(),
         }
     }
 
-    /// Arms `armed` (already checked, see [`Event::is_raised`]) in this
-    /// rule.
-    fn arm(&mut self, armed: &[Arc<Event>]) {
-        self.watch = armed.first().map(|event| Watch::of(event));
-        self.armed = armed.to_vec();
+    /// The rule for a flow's recordings: its NF-tagged header actions in
+    /// chain order and its state functions in per-NF batches, chain
+    /// order. Consolidates and schedules them and keeps both (no events
+    /// armed).
+    fn recorded(actions: Vec<(NfId, HeaderAction)>, mut batches: Vec<SfBatch>) -> Self {
+        // An NF's state functions run against the consolidated (egress)
+        // packet on the fast path, so each batch records its input length
+        // minus the egress length — the negated length deltas of the
+        // header actions at and after its NF. This is what keeps
+        // length-reading state functions (e.g. the monitor's byte
+        // counter) positionally exact when an encap/decap pair annihilates
+        // around them during consolidation.
+        for batch in &mut batches {
+            let downstream: i64 =
+                actions.iter().filter(|(nf, _)| *nf >= batch.nf).map(|(_, a)| a.len_delta()).sum();
+            batch.len_adjust = -downstream;
+        }
+        let sched = schedule(&batches);
+        let mut rule = Self::new(consolidate(actions.iter().map(|(_, a)| a)), batches, sched);
+        rule.actions = actions;
+        rule
     }
 
-    /// This rule with `armed` as its armed events.
-    pub(crate) fn rearmed(&self, armed: &[Arc<Event>]) -> Self {
+    /// Arms `armed` (already checked, see [`Event::is_raised`]) in this
+    /// rule.
+    fn arm(&mut self, armed: Vec<Event>) {
+        self.watch = armed.first().map(Watch::of);
+        self.armed = armed;
+    }
+
+    /// This rule with `event` (already checked) armed after its others.
+    pub(crate) fn with_event(&self, event: Event) -> Self {
         let mut rule = self.clone();
+        let mut armed = std::mem::take(&mut rule.armed);
+        armed.push(event);
         rule.arm(armed);
         rule
     }
@@ -142,13 +178,21 @@ impl GlobalRule {
             }
             watch.seen.store(seen, Relaxed);
         }
-        self.armed[1..].iter().any(|event| event.is_raised())
+        self.armed[1..].iter().any(Event::is_raised)
     }
 
     /// The events armed in this rule, in registration order.
     #[must_use]
-    pub fn armed(&self) -> &[Arc<Event>] {
+    pub fn armed(&self) -> &[Event] {
         &self.armed
+    }
+
+    /// The header actions the walk recorded (as patched by fired events),
+    /// each tagged with its NF, in chain order and then registration
+    /// order. Empty for a rule built with [`GlobalRule::new`].
+    #[must_use]
+    pub fn header_actions(&self) -> &[(NfId, HeaderAction)] {
+        &self.actions
     }
 
     /// Fast-path packets served by this rule so far.
@@ -189,8 +233,9 @@ pub const DEFAULT_GLOBAL_SHARDS: usize = 16;
 
 /// The Global MAT, shared by the classifier and all NFs of one chain.
 ///
-/// Holds the chain's Local MATs so that event-triggered rule patches can be
-/// written back and re-consolidated in place (Fig 3).
+/// Holds the chain's Local MATs, whose staged recordings install drains,
+/// and the Event Table, under whose lock an event-triggered patch
+/// re-consolidates the flow's rule from the recordings it keeps (Fig 3).
 ///
 /// Rules live in the flow records of the bounded [`FlowTable`] the Global
 /// MAT shares with the classifier ([`GlobalMat::sharing`]); a stand-alone
@@ -368,55 +413,82 @@ impl GlobalMat {
         self.quarantine.load(std::sync::atomic::Ordering::SeqCst)
     }
 
-    /// Consolidates the flow's Local-MAT rules into a [`GlobalRule`]
-    /// without arming or publishing it. Counts the consolidation.
+    /// Ends the flow's walk: drains its staged recordings from every
+    /// Local MAT and moves them into a [`GlobalRule`], neither armed nor
+    /// published. Counts the consolidation.
     fn build_rule(&self, fid: Fid, ops: &mut OpCounter) -> GlobalRule {
-        let mut actions = Vec::new();
+        let mut actions = Vec::with_capacity(self.locals.len());
         let mut batches = Vec::new();
-        // Cumulative frame-length delta of the header actions *upstream*
-        // of the NF currently being visited. An NF's state functions run
-        // against the consolidated (egress) packet on the fast path, so
-        // each batch records input-position minus egress length — this is
-        // what keeps length-reading state functions (e.g. the monitor's
-        // byte counter) positionally exact when an encap/decap pair
-        // annihilates around them during consolidation.
-        let mut upstream_delta = 0i64;
         for local in &self.locals {
-            if let Some(rule) = local.rule(fid) {
-                if !rule.state_functions.is_empty() {
-                    batches.push(
-                        SfBatch::new(local.nf(), rule.state_functions)
-                            .with_len_adjust(upstream_delta),
-                    );
-                }
-                upstream_delta +=
-                    rule.header_actions.iter().map(crate::HeaderAction::len_delta).sum::<i64>();
-                actions.extend(rule.header_actions.iter().cloned());
+            let funcs = local.take(fid, &mut actions);
+            if !funcs.is_empty() {
+                batches.push(SfBatch::new(local.nf(), funcs));
             }
         }
-        let egress_delta = upstream_delta;
-        for batch in &mut batches {
-            batch.len_adjust -= egress_delta;
-        }
-        let consolidated = consolidate(&actions);
-        let sched = schedule(&batches);
         ops.consolidations += 1;
-        GlobalRule::new(consolidated, batches, sched)
+        GlobalRule::recorded(actions, batches)
     }
 
-    /// Consolidates the flow's Local-MAT rules into a fast-path rule
-    /// ("As soon as the service chain finishes processing the packet,
-    /// SpeedyBox notifies the Global MAT to consolidate the rules for the
-    /// FID from all Local MATs", §III), arms the flow's registered events
-    /// in it (each evaluates its condition once, see
-    /// [`Event::is_raised`]), and publishes it in the flow's record. The
-    /// record keeps its owner, recorded flag and recency stamp.
+    /// `current` with the fired `(nf, patch)` pairs applied to its
+    /// recordings — each NF's header actions and state functions are
+    /// those of the last fired patch that sets them, else its own — and
+    /// re-consolidated, with `kept` re-armed (Fig 3: "a new consolidated
+    /// global MAT is computed"). Counts the consolidation.
+    fn patched(
+        &self,
+        current: &GlobalRule,
+        fired: &[(NfId, RulePatch)],
+        kept: Vec<Event>,
+        ops: &mut OpCounter,
+    ) -> GlobalRule {
+        let mut actions = Vec::with_capacity(current.actions.len());
+        let mut batches = Vec::with_capacity(current.batches.len());
+        for local in &self.locals {
+            let nf = local.nf();
+            let patches = || fired.iter().rev().filter(|(n, _)| *n == nf).map(|(_, p)| p);
+            match patches().find_map(|p| p.header_actions.as_ref()) {
+                Some(patch) => actions.extend(patch.iter().map(|a| (nf, a.clone()))),
+                None => actions.extend(current.actions.iter().filter(|(n, _)| *n == nf).cloned()),
+            }
+            let funcs = match patches().find_map(|p| p.state_functions.as_ref()) {
+                Some(patch) => patch.clone(),
+                None => current
+                    .batches
+                    .iter()
+                    .find(|b| b.nf == nf)
+                    .map_or_else(Vec::new, |b| b.funcs.clone()),
+            };
+            if !funcs.is_empty() {
+                batches.push(SfBatch::new(nf, funcs));
+            }
+        }
+        ops.consolidations += 1;
+        let mut rule = GlobalRule::recorded(actions, batches);
+        for event in &kept {
+            event.check();
+        }
+        rule.arm(kept);
+        rule
+    }
+
+    /// Consolidates the flow's recordings into a fast-path rule ("As soon
+    /// as the service chain finishes processing the packet, SpeedyBox
+    /// notifies the Global MAT to consolidate the rules for the FID from
+    /// all Local MATs", §III), moving them out of the Local MATs, arms
+    /// the events the walk registered in it (each evaluates its condition
+    /// once, see [`Event::is_raised`]), and publishes it in the flow's
+    /// record. The record keeps its owner, recorded flag and recency
+    /// stamp.
+    ///
+    /// Every call drains the flow's staging, also when the quarantine
+    /// gate or a full [`AdmissionPolicy::Reject`] table refuses the rule,
+    /// so nothing a walk recorded outlives it.
     ///
     /// A FID no packet has classified gets an owner-less record, which
     /// the flow's first packet claims. At the table's bound that record
     /// is admitted under the table's policy: the least-recently-used
-    /// record is evicted with its rule and [`GlobalMat::forget`] tears
-    /// down its recordings, or the install is refused.
+    /// record is evicted with its rule (and [`GlobalMat::forget`] drops
+    /// any walk of it left unfinished), or the install is refused.
     pub fn install(&self, fid: Fid, ops: &mut OpCounter) {
         // Publication gate: while an NF is dead, freshly consolidated
         // rules would embed its pre-crash recordings. The recovery
@@ -424,10 +496,11 @@ impl GlobalMat {
         // install is either refused here or landed-then-swept — never
         // left visible across the quarantine window.
         if self.is_quarantined() {
+            self.forget(fid);
             return;
         }
         let mut rule = self.build_rule(fid, ops);
-        let admission = self.events.with_armed(fid, |armed| {
+        let admission = self.events.arm(fid, |armed| {
             rule.arm(armed);
             let rule = Some(Arc::new(rule));
             let now = if self.owns_clock { self.flows.tick(1) } else { self.flows.clock() };
@@ -439,8 +512,6 @@ impl GlobalMat {
         match admission {
             Admission::Rejected => return,
             Admission::Inserted(Some(victim)) => {
-                // The displaced flow must not linger half-installed: tear
-                // it down everywhere.
                 let cell = self.cell(victim.fid);
                 victim.value.count_departure(cell, CounterShard::add_flows_evicted);
                 self.forget(victim.fid);
@@ -450,43 +521,6 @@ impl GlobalMat {
         if let Some(cell) = self.cell(fid) {
             cell.add_rules_installed(1);
         }
-    }
-
-    /// Re-consolidates and republishes the flow's rule **only if the flow
-    /// still holds a rule under the same owner** — the Event-Table
-    /// rewrite path. Returns whether the rule was replaced.
-    ///
-    /// This is the eviction-vs-rewrite atomicity guarantee: a rewrite that
-    /// races a concurrent eviction/removal of the same flow must not
-    /// resurrect the rule after its Local-MAT and Event-Table state is
-    /// gone. [`FlowTable::republish`] decides presence and publication in
-    /// one writer-side critical section, so the outcome is always "fully
-    /// rewritten" or "fully evicted", never a hybrid.
-    fn rewrite(
-        &self,
-        fid: Fid,
-        owner: Option<speedybox_packet::FiveTuple>,
-        ops: &mut OpCounter,
-    ) -> bool {
-        if self.is_quarantined() {
-            return false;
-        }
-        let mut rule = self.build_rule(fid, ops);
-        let published = self.events.with_armed(fid, |armed| {
-            rule.arm(armed);
-            let rule = Arc::new(rule);
-            self.flows.republish(fid, |record| {
-                (record.owner == owner && record.rule.is_some())
-                    .then(|| record.with_rule(Some(rule)))
-            })
-        });
-        if published.is_none() {
-            return false;
-        }
-        if let Some(cell) = self.cell(fid) {
-            cell.add_rules_installed(1);
-        }
-        true
     }
 
     /// The FID's record, if any. Wait-free.
@@ -538,8 +572,8 @@ impl GlobalMat {
         self.flows.collect_generations()
     }
 
-    /// Removes a flow's rule from its record (armed events with it), all
-    /// Local MATs and the Event Table ("we delete the corresponding rule
+    /// Removes a flow's rule from its record, and with it the flow's
+    /// recordings and armed events ("we delete the corresponding rule
     /// from the Global MAT and all Local MATs and free the associated
     /// memory space", §VI-B). A packet-owned record stays, so the flow's
     /// next packet misses the fast path and re-records; a record no packet
@@ -556,8 +590,9 @@ impl GlobalMat {
         self.forget(fid);
     }
 
-    /// Tears down a flow's Local MATs and Event Table entries: the rest
-    /// of a teardown once its record is gone or holds no rule.
+    /// Drops what an unfinished walk of the flow left staged in the Local
+    /// MATs and the Event Table. An installed flow has nothing there: its
+    /// recordings and events live in its record and leave with it.
     pub fn forget(&self, fid: Fid) {
         for local in &self.locals {
             local.remove(fid);
@@ -567,11 +602,13 @@ impl GlobalMat {
 
     /// Fast-path step 1 on the record the classifier found for `fid`:
     /// compares each armed event's signal with the value it remembered,
-    /// lock-free and without running a condition; if a signal moved, fires
-    /// the flow's events through the Event Table's re-check, patches the
-    /// owning NFs' Local MATs, re-consolidates, and serves the republished
-    /// rule. Returns the rule to apply — borrowed from `record` unless an
-    /// event republished it — or `None` if the flow has no rule installed.
+    /// lock-free and without running a condition; if a signal moved,
+    /// fires the flow's events under the Event Table lock — re-checking
+    /// the events armed in the flow's current record and republishing it
+    /// with the fired patches applied and re-consolidated, in one critical
+    /// section — and serves the current rule. Returns the rule to apply —
+    /// borrowed from `record` unless an event republished it — or `None`
+    /// if the flow has no rule installed.
     ///
     /// Debug builds also evaluate every armed condition whose signal did
     /// not move and log each that holds as a missed raise
@@ -590,31 +627,23 @@ impl GlobalMat {
             let rule = record.rule.as_ref()?;
             ops.event_checks += rule.armed.len() as u64;
             if crate::track::enabled() {
-                rule.armed.iter().for_each(|event| event.track_missed_raise());
+                rule.armed.iter().for_each(Event::track_missed_raise);
             }
             if !rule.is_raised() {
                 return Some(Cow::Borrowed(rule));
             }
-            let fired = self.events.fire(fid);
-            if !fired.is_empty() {
-                for (nf, patch) in fired {
-                    if let Some(local) = self.locals.iter().find(|l| l.nf() == nf) {
-                        if let Some(actions) = patch.header_actions {
-                            local.set_header_actions(fid, actions);
-                        }
-                        if let Some(funcs) = patch.state_functions {
-                            local.set_state_functions(fid, funcs);
-                        }
-                    }
-                }
-                // Fig 3: "a new consolidated global MAT is computed". The
-                // conditional rewrite loses (and is abandoned) if a
-                // concurrent eviction tore the flow down; the look below
-                // then misses.
-                if self.rewrite(fid, record.owner, ops) {
-                    if let Some(cell) = self.cell(fid) {
-                        cell.add_rule_rewrites(1);
-                    }
+            // The quarantine gate refuses the rewrite; the event stays
+            // armed and fires once publication resumes. A rewrite that
+            // finds the flow torn down (or owned by another flow) fires
+            // nothing, and the look below misses.
+            let rewritten = !self.is_quarantined()
+                && self.events.fire_armed(fid, record.owner, |current, fired, kept| {
+                    self.patched(current, fired, kept, ops)
+                });
+            if rewritten {
+                if let Some(cell) = self.cell(fid) {
+                    cell.add_rules_installed(1);
+                    cell.add_rule_rewrites(1);
                 }
             }
             self.flows.get(fid)?.rule.clone().map(Cow::Owned)
@@ -923,11 +952,98 @@ mod tests {
         ));
         gm.install(fid, &mut ops);
         assert!(gm.contains(fid));
+        // Install moved the recording and the event into the rule.
+        assert!(locals[0].is_empty() && gm.events().is_empty(), "install drains the staging");
+        let rule = gm.rule(fid).expect("installed");
+        assert_eq!(rule.header_actions(), [(NfId::new(0), HeaderAction::Forward)]);
+        assert_eq!(rule.armed().len(), 1);
+        drop(rule);
         gm.remove_flow(fid);
         assert!(!gm.contains(fid));
         assert!(locals[0].rule(fid).is_none());
         assert!(gm.events().is_empty());
         assert!(gm.is_empty());
+        // The record held the flow's only recordings and armed events, and
+        // it is gone: nothing of the flow survives the teardown.
+        assert!(gm.record(fid).is_none(), "the owner-less record leaves with its rule");
+    }
+
+    #[test]
+    fn install_drains_staging_even_when_refused() {
+        let locals = mats(1);
+        let gm = GlobalMat::new(locals.clone());
+        let (_, fid) = pkt_with_fid();
+        let mut ops = OpCounter::default();
+        let stage = |gm: &GlobalMat, ops: &mut OpCounter| {
+            locals[0].add_header_action(fid, HeaderAction::Drop, ops);
+            let event = Event::new(
+                fid,
+                NfId::new(0),
+                "e",
+                Signal::new(),
+                |_| false,
+                |_| RulePatch::default(),
+            );
+            gm.events().register(event);
+        };
+        stage(&gm, &mut ops);
+        gm.quarantine_nf(0);
+        gm.install(fid, &mut ops);
+        assert!(!gm.contains(fid));
+        assert!(locals[0].is_empty() && gm.events().is_empty(), "a refused install drains");
+        gm.unquarantine_nf(0);
+        // Nothing stale doubles up the next walk's recordings.
+        stage(&gm, &mut ops);
+        gm.install(fid, &mut ops);
+        let rule = gm.rule(fid).expect("installed");
+        assert_eq!(rule.header_actions().len(), 1);
+        assert_eq!(rule.armed().len(), 1);
+    }
+
+    #[test]
+    fn two_firings_compose_and_a_fired_one_shot_is_disarmed() {
+        // One one-shot event per NF, each patching its own NF's recording.
+        // The second firing's patch applies to the recordings the first
+        // one rewrote, and each republished rule leaves its fired event
+        // out.
+        let locals = mats(2);
+        let gm = GlobalMat::new(locals.clone());
+        let (_, fid) = pkt_with_fid();
+        let mut ops = OpCounter::default();
+        let signal = Signal::new();
+        let second = Arc::new(AtomicBool::new(false));
+        for (i, local) in locals.iter().enumerate() {
+            local.add_header_action(fid, HeaderAction::Forward, &mut ops);
+            let port = 1000 + u16::try_from(i).expect("two NFs");
+            let holds = Arc::clone(&second);
+            gm.events().register(Event::new(
+                fid,
+                NfId::new(i),
+                "flip",
+                signal.clone(),
+                move |_| i == 0 || holds.load(Ordering::Relaxed),
+                move |_| RulePatch::set_action(HeaderAction::modify(HeaderField::DstPort, port)),
+            ));
+        }
+        gm.install(fid, &mut ops);
+        let (mut p, _) = pkt_with_fid();
+        gm.process(&mut p, &mut ops).unwrap();
+        let rule = gm.rule(fid).expect("rewritten");
+        assert_eq!(rule.armed().len(), 1, "the fired one-shot event is not re-armed");
+        assert_eq!(p.get_field(HeaderField::DstPort).unwrap().as_port(), 1000);
+        second.store(true, Ordering::Relaxed);
+        signal.raise();
+        let (mut p, _) = pkt_with_fid();
+        gm.process(&mut p, &mut ops).unwrap();
+        let rule = gm.rule(fid).expect("rewritten");
+        assert!(rule.armed().is_empty());
+        let modify = |port: u16| HeaderAction::modify(HeaderField::DstPort, port);
+        assert_eq!(
+            rule.header_actions(),
+            [(NfId::new(0), modify(1000)), (NfId::new(1), modify(1001))],
+            "both patches hold"
+        );
+        assert_eq!(p.get_field(HeaderField::DstPort).unwrap().as_port(), 1001, "latter NF wins");
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * the **Packet Classifier** that assigns 20-bit FIDs and steers
 //!   initial vs. subsequent packets ([`classifier`]), and
 //! * the **flow record** the classifier and the Global MAT share, one per
-//!   flow-table slot ([`record`], [`flow_table`]).
+//!   flow-table slot and the only home of an installed flow's recordings
+//!   and armed events ([`record`], [`flow_table`]).
 //!
 //! Execution environments (BESS-style and OpenNetVM-style) live in
 //! `speedybox-platform`; concrete NFs live in `speedybox-nf`.
@@ -79,7 +80,7 @@ pub use classifier::{
 pub use compiled::{compile, Anchor, CompiledProgram, MicroOp};
 pub use consolidate::{consolidate, ConsolidatedAction};
 pub use error::MatError;
-pub use event::{Event, EventTable, RulePatch, Signal};
+pub use event::{Event, EventHandlers, EventTable, RulePatch, Signal};
 pub use flow_table::{
     Admission, AdmissionPolicy, Evicted, FlowHandle, FlowTable, Opened, Pinned, FID_SPACE,
 };

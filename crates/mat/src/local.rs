@@ -6,11 +6,21 @@
 //! maintain the sequence" — registration order of state functions is
 //! preserved, because reordering them could violate code dependencies
 //! (§IV-B).
+//!
+//! As in the paper, a Local MAT is one NF's queue of one flow's
+//! recordings, and consolidation consumes it: it is staging, not a table.
+//! It holds only flows whose initial packet is mid-walk — one entry per
+//! walk in progress, a short list searched without hashing — and every
+//! [`crate::GlobalMat::install`] drains the flow's entry, moving what it
+//! holds into the flow's rule. Once installed, a flow's recordings live in
+//! its record ([`crate::record`]) and leave with it. The list keeps its
+//! entries' buffers for the next walk. Thread-safe: in the
+//! OpenNetVM-style threaded runtime each NF thread records into its own
+//! Local MAT while the manager core installs.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use speedybox_packet::Fid;
 
 use crate::action::HeaderAction;
@@ -59,21 +69,49 @@ impl LocalRule {
     }
 }
 
-/// The stateful Local MAT associated with one NF.
-///
-/// Thread-safe: in the OpenNetVM-style runtime each NF thread writes its
-/// own Local MAT while the manager core reads it for consolidation.
+/// One staged walk: the flow, or `None` for an entry kept only for its
+/// buffers, and what its NF recorded so far.
+#[derive(Debug, Default)]
+struct Staged {
+    fid: Option<Fid>,
+    rule: LocalRule,
+}
+
+/// The Local MAT associated with one NF: the recordings of the flows whose
+/// initial packet is mid-walk (see the module docs).
 #[derive(Debug)]
 pub struct LocalMat {
     nf: NfId,
-    rules: RwLock<HashMap<Fid, LocalRule>>,
+    staged: Mutex<Vec<Staged>>,
+}
+
+/// The staged rule of `fid`, if it is mid-walk.
+fn find(staged: &mut [Staged], fid: Fid) -> Option<&mut LocalRule> {
+    staged.iter_mut().find(|s| s.fid == Some(fid)).map(|s| &mut s.rule)
+}
+
+/// The staged rule of `fid`, opening an entry — a vacant one if there is
+/// one — if it has none.
+fn entry(staged: &mut Vec<Staged>, fid: Fid) -> &mut LocalRule {
+    let at = match staged.iter().position(|s| s.fid == Some(fid)) {
+        Some(at) => at,
+        None => {
+            let at = staged.iter().position(|s| s.fid.is_none()).unwrap_or_else(|| {
+                staged.push(Staged::default());
+                staged.len() - 1
+            });
+            staged[at].fid = Some(fid);
+            at
+        }
+    };
+    &mut staged[at].rule
 }
 
 impl LocalMat {
     /// Creates an empty Local MAT for the NF at `nf`.
     #[must_use]
     pub fn new(nf: NfId) -> Self {
-        Self { nf, rules: RwLock::new(HashMap::new()) }
+        Self { nf, staged: Mutex::new(Vec::new()) }
     }
 
     /// The owning NF.
@@ -85,55 +123,80 @@ impl LocalMat {
     /// Appends a header action to the flow's rule
     /// (the `localmat_add_HA` API of Fig 2).
     pub fn add_header_action(&self, fid: Fid, action: HeaderAction, ops: &mut OpCounter) {
-        self.rules.write().entry(fid).or_default().header_actions.push(action);
+        entry(&mut self.staged.lock(), fid).header_actions.push(action);
         ops.mat_records += 1;
     }
 
     /// Appends a state function to the flow's rule
     /// (the `localmat_add_SF` API of Fig 2).
     pub fn add_state_function(&self, fid: Fid, func: StateFunction, ops: &mut OpCounter) {
-        self.rules.write().entry(fid).or_default().state_functions.push(func);
+        entry(&mut self.staged.lock(), fid).state_functions.push(func);
         ops.mat_records += 1;
     }
 
-    /// Replaces the flow's header actions (used by Event Table updates).
+    /// Replaces the flow's staged header actions.
     pub fn set_header_actions(&self, fid: Fid, actions: Vec<HeaderAction>) {
-        self.rules.write().entry(fid).or_default().header_actions = actions;
+        entry(&mut self.staged.lock(), fid).header_actions = actions;
     }
 
-    /// Replaces the flow's state functions (used by Event Table updates).
+    /// Replaces the flow's staged state functions.
     pub fn set_state_functions(&self, fid: Fid, funcs: Vec<StateFunction>) {
-        self.rules.write().entry(fid).or_default().state_functions = funcs;
+        entry(&mut self.staged.lock(), fid).state_functions = funcs;
     }
 
-    /// A snapshot of the flow's rule, if present.
+    /// Ends the flow's walk at this NF: moves its staged header actions,
+    /// tagged with this NF, onto `actions` and returns its state
+    /// functions, leaving nothing staged. Install's drain.
+    pub(crate) fn take(
+        &self,
+        fid: Fid,
+        actions: &mut Vec<(NfId, HeaderAction)>,
+    ) -> Vec<StateFunction> {
+        let mut staged = self.staged.lock();
+        let Some(at) = staged.iter().position(|s| s.fid == Some(fid)) else {
+            return Vec::new();
+        };
+        let entry = &mut staged[at];
+        entry.fid = None;
+        actions.extend(entry.rule.header_actions.drain(..).map(|action| (self.nf, action)));
+        std::mem::take(&mut entry.rule.state_functions)
+    }
+
+    /// A snapshot of the flow's staged rule, if it is mid-walk.
     #[must_use]
     pub fn rule(&self, fid: Fid) -> Option<LocalRule> {
-        self.rules.read().get(&fid).cloned()
+        find(&mut self.staged.lock(), fid).map(|rule| rule.clone())
     }
 
-    /// True if the flow has a recorded rule.
+    /// True if the flow is mid-walk here.
     #[must_use]
     pub fn contains(&self, fid: Fid) -> bool {
-        self.rules.read().contains_key(&fid)
+        find(&mut self.staged.lock(), fid).is_some()
     }
 
-    /// Removes the flow's rule (FIN/RST garbage collection, §VI-B), returning
-    /// whether one existed.
+    /// Drops the flow's staged recordings (an unfinished walk's
+    /// leftovers), returning whether it had any.
     pub fn remove(&self, fid: Fid) -> bool {
-        self.rules.write().remove(&fid).is_some()
+        let mut staged = self.staged.lock();
+        let Some(entry) = staged.iter_mut().find(|s| s.fid == Some(fid)) else {
+            return false;
+        };
+        entry.fid = None;
+        entry.rule.header_actions.clear();
+        entry.rule.state_functions.clear();
+        true
     }
 
-    /// Number of flows with recorded rules.
+    /// Number of flows mid-walk.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rules.read().len()
+        self.staged.lock().iter().filter(|s| s.fid.is_some()).count()
     }
 
-    /// True if no flow has a recorded rule.
+    /// True if no flow is mid-walk.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rules.read().is_empty()
+        self.len() == 0
     }
 }
 
@@ -195,6 +258,24 @@ mod tests {
         assert!(mat.remove(fid(1)));
         assert!(!mat.remove(fid(1)));
         assert!(mat.is_empty());
+    }
+
+    #[test]
+    fn take_drains_and_reuses_the_entry() {
+        let mat = LocalMat::new(NfId::new(2));
+        let mut ops = OpCounter::default();
+        mat.add_header_action(fid(1), HeaderAction::Forward, &mut ops);
+        let sf = StateFunction::new("f", PayloadAccess::Ignore, |_| {});
+        mat.add_state_function(fid(1), sf, &mut ops);
+        let mut actions = Vec::new();
+        let funcs = mat.take(fid(1), &mut actions);
+        assert_eq!(actions, vec![(NfId::new(2), HeaderAction::Forward)]);
+        assert_eq!(funcs.len(), 1);
+        assert!(mat.is_empty(), "install leaves nothing staged");
+        assert!(mat.take(fid(1), &mut actions).is_empty());
+        assert_eq!(actions.len(), 1, "a second drain moves nothing");
+        mat.add_header_action(fid(2), HeaderAction::Drop, &mut ops);
+        assert_eq!(mat.staged.lock().len(), 1, "the next walk reuses the vacant entry");
     }
 
     #[test]

@@ -15,13 +15,16 @@
 //!   [`crate::flow_table::FlowTable::republish`] (a rewrite that loses to
 //!   an eviction must not resurrect the entry) and index/slot agreement
 //!   across slab recycling under a concurrent wait-free reader.
-//! * [`FireModel`] — the event-fire path of the merged flow record
-//!   ([`crate::record::FlowRecord`]): readers check the events armed in
-//!   the record they hold without a lock, and a raised one fires through
-//!   the Event Table's serialized re-check
-//!   ([`crate::event::EventTable::fire`]) before the rewrite republishes
-//!   the record. The proved invariant is that a one-shot event fires once
-//!   however many readers of one record see it raised.
+//! * [`FireModel`] — the event-fire path of the flow record
+//!   ([`crate::record::FlowRecord`]), where the record is the only home of
+//!   the flow's armed events and recordings: readers check the events
+//!   armed in the record they hold without a lock, and a raised one fires
+//!   under the Event Table lock, which re-checks the events armed in the
+//!   *current* record and republishes it with the patch applied in the
+//!   same critical section ([`crate::event::EventTable`]). The proved
+//!   invariants are that a one-shot event fires once however many
+//!   readers of one record see it raised, and that two firings compose:
+//!   neither patch is lost.
 //! * [`RaiseModel`] — the signal protocol behind that check
 //!   ([`crate::event::Signal`]): an NF raising its signal inside the
 //!   critical section that turns a condition true, racing a re-check
@@ -262,24 +265,33 @@ impl FlowTableModel {
 /// Seeded bugs for the flow record's event-fire path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FireMutation {
-    /// Faithful port: a reader that found an armed event raised fires
-    /// through the Event Table's serialized re-check.
+    /// Faithful port: a reader that found an armed event raised fires it
+    /// under the Event Table lock, re-checking the current record and
+    /// republishing it inside the critical section.
     None,
     /// The reader fires from its own record snapshot and skips the
     /// re-check — the "the condition already held, why look again"
     /// shortcut. Two readers of one record then both fire a one-shot
     /// event.
     SnapshotFire,
+    /// The re-check runs under the lock, but the patch is applied to the
+    /// record read there and republished after the lock is released — the
+    /// "consolidation is slow, do it outside" shortcut. Of two concurrent
+    /// firings, the later republication overwrites the earlier one's
+    /// patch.
+    PatchOutsideLock,
 }
 
-/// Distilled flow record for one flow with one armed one-shot event that
-/// is raised and whose condition holds: the model twin of the record's
-/// RCU slot (the rule's generation and whether the event is armed in it)
-/// plus the Event Table's registration behind its lock.
+/// Distilled flow record whose armed one-shot events are raised: the model
+/// twin of the record's RCU slot — a bitmask of the patches its
+/// recordings carry and a bitmask of the events armed in its rule — plus
+/// the Event Table lock. A reader serving event `e` models a packet whose
+/// check found `e` raised and whose re-check finds `e`'s condition holding
+/// (and no other armed event's).
 pub struct FireModel {
-    record: ArcSwapModel<(u64, bool)>,
-    /// Whether the one-shot event is still registered.
-    registered: ModelMutex<bool>,
+    record: ArcSwapModel<(u8, u8)>,
+    /// The Event Table lock.
+    events: ModelMutex<()>,
     /// Patches applied: one per firing.
     fired: ModelAtomicUsize,
     mutation: FireMutation,
@@ -292,38 +304,56 @@ impl std::fmt::Debug for FireModel {
 }
 
 impl FireModel {
-    /// Creates the record with generation 0 and the event armed and
-    /// registered (must run inside a checker execution).
-    pub fn new(mutation: FireMutation) -> Self {
+    /// Creates the record with no patch applied and the events in `armed`
+    /// armed (must run inside a checker execution).
+    pub fn new(mutation: FireMutation, armed: u8) -> Self {
         FireModel {
-            record: ArcSwapModel::new("rec.armed", (0, true), CellMutation::None),
-            registered: ModelMutex::new("events", true),
+            record: ArcSwapModel::new("rec.armed", (0, armed), CellMutation::None),
+            events: ModelMutex::new("events", ()),
             fired: ModelAtomicUsize::new("fired", 0),
             mutation,
         }
     }
 
-    /// Mirror of `GlobalMat::serve` for one packet: load the record,
-    /// find the armed event raised lock-free, and fire through the
-    /// re-check — deregistering the one-shot event — then republish the
-    /// rewritten record with the event disarmed.
-    pub fn serve(&self) {
-        let (generation, armed) = *self.record.load().value();
-        if !armed {
+    /// Fires `event` in `record`: its patch applied and the one-shot
+    /// event left out of the republished rule.
+    fn fire(&self, (patched, armed): (u8, u8), event: u8) {
+        self.fired.fetch_add(1, Ordering::SeqCst);
+        self.record.store(ModelArc::new("rec.rewritten", (patched | event, armed & !event)));
+    }
+
+    /// Mirror of `GlobalMat::serve` for one packet: load the record, find
+    /// `event` armed and raised lock-free, and fire it through
+    /// `EventTable::fire_armed`.
+    pub fn serve(&self, event: u8) {
+        let snapshot = *self.record.load().value();
+        if snapshot.1 & event == 0 {
             fact("reader held the rewritten record");
             return;
         }
-        let fire = match self.mutation {
-            FireMutation::None => std::mem::replace(&mut *self.registered.lock(), false),
+        match self.mutation {
+            FireMutation::None => {
+                let _lock = self.events.lock();
+                let current = *self.record.load().value();
+                if current.1 & event == 0 {
+                    fact("re-check found the event already fired");
+                    return;
+                }
+                self.fire(current, event);
+                fact("reader fired the event");
+            }
             // Seeded bug: the snapshot's raised event decides alone.
-            FireMutation::SnapshotFire => true,
-        };
-        if fire {
-            self.fired.fetch_add(1, Ordering::SeqCst);
-            self.record.store(ModelArc::new("rec.rewritten", (generation + 1, false)));
-            fact("reader fired the event");
-        } else {
-            fact("re-check found the event already fired");
+            FireMutation::SnapshotFire => self.fire(snapshot, event),
+            // Seeded bug: the republication leaves the critical section.
+            FireMutation::PatchOutsideLock => {
+                let current = {
+                    let _lock = self.events.lock();
+                    *self.record.load().value()
+                };
+                if current.1 & event != 0 {
+                    self.fire(current, event);
+                }
+            }
         }
     }
 }
@@ -643,16 +673,17 @@ pub mod scenarios {
     }
 
     /// Two readers holding the same flow record, whose armed one-shot
-    /// event is raised and its condition holds, serve a packet each. In every schedule the event
-    /// fires exactly once, and the record ends rewritten.
-    /// [`FireMutation::SnapshotFire`] must be caught firing it twice.
+    /// event is raised and its condition holds, serve a packet each. In
+    /// every schedule the event fires exactly once, and the record ends
+    /// rewritten. [`FireMutation::SnapshotFire`] must be caught firing it
+    /// twice.
     pub fn rec_fire_once(mutation: FireMutation) -> impl Fn() + Send + Sync + 'static {
         move || {
-            let model = StdArc::new(FireModel::new(mutation));
+            let model = StdArc::new(FireModel::new(mutation, 0b01));
             let readers: Vec<_> = (0..2)
                 .map(|_| {
                     let m = model.clone();
-                    speedybox_check::spawn(move || m.serve())
+                    speedybox_check::spawn(move || m.serve(0b01))
                 })
                 .collect();
             for reader in readers {
@@ -660,6 +691,33 @@ pub mod scenarios {
             }
             let fired = model.fired.load(Ordering::SeqCst);
             assert_eq!(fired, 1, "one-shot event fired {fired} times");
+            assert_eq!(*model.record.load().value(), (0b01, 0), "the record ends rewritten");
+            model.record.collect();
+            assert_eq!(model.record.pending(), 0, "retired records not drained");
+        }
+    }
+
+    /// Two readers of one flow record, each firing a different armed
+    /// one-shot event. In every schedule the record ends with both
+    /// patches applied and neither event armed: the second firing's
+    /// patch applies to the recordings the first one rewrote.
+    /// [`FireMutation::PatchOutsideLock`] must be caught losing a patch.
+    pub fn rec_fires_compose(mutation: FireMutation) -> impl Fn() + Send + Sync + 'static {
+        move || {
+            let model = StdArc::new(FireModel::new(mutation, 0b11));
+            let readers: Vec<_> = [0b01, 0b10]
+                .into_iter()
+                .map(|event| {
+                    let m = model.clone();
+                    speedybox_check::spawn(move || m.serve(event))
+                })
+                .collect();
+            for reader in readers {
+                reader.join();
+            }
+            let (patched, armed) = *model.record.load().value();
+            assert_eq!(patched, 0b11, "a firing's patch was lost: patches {patched:#04b}");
+            assert_eq!(armed, 0, "a fired one-shot event is still armed: {armed:#04b}");
             model.record.collect();
             assert_eq!(model.record.pending(), 0, "retired records not drained");
         }

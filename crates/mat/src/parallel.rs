@@ -49,29 +49,31 @@ pub fn can_parallelize(batch1: PayloadAccess, batch2: PayloadAccess) -> bool {
 /// ```
 #[must_use]
 pub fn schedule_batches(accesses: &[PayloadAccess]) -> Vec<Vec<usize>> {
-    let mut waves: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = Vec::new();
-    for (i, &acc) in accesses.iter().enumerate() {
-        let fits =
-            !current.is_empty() && current.iter().all(|&j| can_parallelize(accesses[j], acc));
-        if current.is_empty() || fits {
-            current.push(i);
-        } else {
-            waves.push(std::mem::take(&mut current));
-            current.push(i);
-        }
-    }
-    if !current.is_empty() {
-        waves.push(current);
-    }
-    waves
+    waves_of(accesses.len(), |i| accesses[i])
 }
 
 /// Convenience: schedule from full batches.
 #[must_use]
 pub fn schedule(batches: &[SfBatch]) -> Vec<Vec<usize>> {
-    let accesses: Vec<PayloadAccess> = batches.iter().map(SfBatch::access).collect();
-    schedule_batches(&accesses)
+    waves_of(batches.len(), |i| batches[i].access())
+}
+
+/// The greedy wavefront schedule of `n` batches whose accesses `access`
+/// reports, allocating only the waves themselves.
+fn waves_of(n: usize, access: impl Fn(usize) -> PayloadAccess) -> Vec<Vec<usize>> {
+    let mut waves: Vec<Vec<usize>> = Vec::new();
+    let mut current: Vec<usize> = Vec::new();
+    for i in 0..n {
+        let acc = access(i);
+        if !current.is_empty() && !current.iter().all(|&j| can_parallelize(access(j), acc)) {
+            waves.push(std::mem::take(&mut current));
+        }
+        current.push(i);
+    }
+    if !current.is_empty() {
+        waves.push(current);
+    }
+    waves
 }
 
 /// The theoretical latency of a schedule assuming each batch costs

@@ -4,10 +4,13 @@
 //! The classifier steers a packet from its flow's record and hands the
 //! record on, so the fast path reads the flow's consolidated rule, and the
 //! events armed in it, with no second table walk and no Event Table lock.
-//! A published record never changes except for its `recorded` flag:
-//! claims, installs and event rewrites publish a new record under the
-//! shard writer lock, and readers holding the old one keep a consistent
-//! snapshot until they let it go.
+//! The record is the only home of an installed flow's per-flow state: its
+//! rule holds what the walk recorded — each NF's header actions and state
+//! functions — and the armed events, so teardown is one record removal.
+//! A published record never changes except for its `recorded` flag and
+//! its events' remembered signal values: claims, installs and event
+//! rewrites publish a new record under the shard writer lock, and readers
+//! holding the old one keep a consistent snapshot until they let it go.
 
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
@@ -32,7 +35,8 @@ pub struct FlowRecord {
     /// The flow's initial packet has been steered (in handshake-aware
     /// mode, the post-handshake packet that records the rule).
     pub(crate) recorded: AtomicBool,
-    /// The flow's consolidated fast-path rule and its armed events.
+    /// The flow's consolidated fast-path rule, with its recordings and
+    /// armed events.
     pub(crate) rule: Option<Arc<GlobalRule>>,
 }
 

@@ -2,11 +2,15 @@
 //!
 //! A state function is a callback an NF registers per flow — payload
 //! inspection, counter updates, connection tracking. SpeedyBox records the
-//! *handler* in the Local MAT and invokes it on the fast path, so the NF's
-//! stateful logic runs unchanged. Each function declares how it touches the
-//! packet payload ([`PayloadAccess`]), which drives the Table I parallelism
-//! analysis in [`crate::parallel`].
+//! *handler* in the Local MAT, moves it into the flow's rule at install,
+//! and invokes it on the fast path, so the NF's stateful logic runs
+//! unchanged. Handlers take the flow's FID, so an NF whose handler
+//! captures only NF-wide state builds its state function once and records
+//! a clone (an `Arc` increment) per flow. Each function declares how it
+//! touches the packet payload ([`PayloadAccess`]), which drives the Table I
+//! parallelism analysis in [`crate::parallel`].
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -77,42 +81,44 @@ impl SfContext<'_> {
     }
 }
 
-/// Handler signature for state functions.
-pub type SfHandler = Arc<dyn Fn(&mut SfContext<'_>) + Send + Sync>;
+/// A state function's handler, unsized.
+type SfFn = dyn Fn(&mut SfContext<'_>) + Send + Sync;
+
+/// A state function's name, access type and handler, in one allocation.
+struct Sf<F: ?Sized> {
+    name: Cow<'static, str>,
+    access: PayloadAccess,
+    handler: F,
+}
 
 /// A recorded state function: named handler plus payload-access type.
 ///
-/// Cloning is cheap (the handler is shared through an `Arc`), which is how
-/// the same handler is stored in a Local MAT and replayed from the Global
-/// MAT without duplication.
+/// Cloning is one `Arc` increment, which is how an NF records the state
+/// function it built once for every flow without an allocation.
 #[derive(Clone)]
-pub struct StateFunction {
-    name: String,
-    access: PayloadAccess,
-    handler: SfHandler,
-}
+pub struct StateFunction(Arc<Sf<SfFn>>);
 
 impl StateFunction {
     /// Wraps `handler` as a state function with the given payload-access
     /// declaration.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         access: PayloadAccess,
         handler: impl Fn(&mut SfContext<'_>) + Send + Sync + 'static,
     ) -> Self {
-        Self { name: name.into(), access, handler: Arc::new(handler) }
+        Self(Arc::new(Sf { name: name.into(), access, handler }))
     }
 
     /// The function's diagnostic name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// Declared payload access.
     #[must_use]
     pub fn access(&self) -> PayloadAccess {
-        self.access
+        self.0.access
     }
 
     /// Invokes the handler, accounting the invocation.
@@ -128,7 +134,8 @@ impl StateFunction {
     /// `tests/zero_alloc.rs` gate runs with `debug_assertions` on).
     pub fn invoke(&self, ctx: &mut SfContext<'_>) {
         ctx.ops.sf_invocations += 1;
-        if crate::track::enabled() && self.access != PayloadAccess::Write {
+        let Sf { name, access, handler } = &*self.0;
+        if crate::track::enabled() && *access != PayloadAccess::Write {
             let mut before = crate::track::snapshot_buf();
             before.clear();
             let have = match ctx.packet.payload() {
@@ -138,22 +145,22 @@ impl StateFunction {
                 }
                 Err(_) => false,
             };
-            (self.handler)(ctx);
+            handler(ctx);
             if have && ctx.packet.payload().map(|p| p != &before[..]).unwrap_or(false) {
-                crate::track::record_write_violation(&self.name, self.access);
+                crate::track::record_write_violation(name, *access);
             }
             crate::track::return_snapshot_buf(before);
             return;
         }
-        (self.handler)(ctx);
+        handler(ctx);
     }
 }
 
 impl fmt::Debug for StateFunction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StateFunction")
-            .field("name", &self.name)
-            .field("access", &self.access)
+            .field("name", &self.0.name)
+            .field("access", &self.0.access)
             .finish_non_exhaustive()
     }
 }

@@ -82,6 +82,12 @@ impl TimerWheel {
         self.len
     }
 
+    /// Items the wheel has room for without growing.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buckets.iter().flatten().map(Vec::capacity).sum::<usize>() + self.overdue.capacity()
+    }
+
     /// True if nothing is scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -282,6 +288,27 @@ impl TimerWheel {
                 return Some(first);
             }
         }
+    }
+
+    /// Visits every scheduled item, in no particular order.
+    pub fn for_each(&self, f: impl FnMut(&WheelItem)) {
+        self.buckets.iter().flatten().flatten().chain(&self.overdue).for_each(f);
+    }
+
+    /// Drops every scheduled item for which `keep` returns false. The
+    /// others keep their deadlines and their order within a bucket. A
+    /// bucket left empty frees its storage: with nothing popping the
+    /// wheel, the clock keeps moving into buckets not used before, and
+    /// their storage would otherwise stay behind.
+    pub fn retain(&mut self, mut keep: impl FnMut(&WheelItem) -> bool) {
+        for bucket in self.buckets.iter_mut().flatten() {
+            bucket.retain(&mut keep);
+            if bucket.is_empty() {
+                *bucket = Vec::new();
+            }
+        }
+        self.overdue.retain(&mut keep);
+        self.len = self.buckets.iter().flatten().map(Vec::len).sum::<usize>() + self.overdue.len();
     }
 
     /// A conservative lower bound on the next scheduled deadline, or

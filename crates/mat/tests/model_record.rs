@@ -3,12 +3,13 @@
 //! this).
 //!
 //! The clean runs prove that a one-shot event armed in a flow record fires
-//! once when two readers of the record see it raised, and that an NF's
-//! raise racing the re-check and a fast-path reader is never lost; the
-//! mutation twins prove that firing from the reader's snapshot, without
-//! the Event Table's serialized re-check, and remembering a signal value
-//! loaded after the re-check are each caught with a deterministically
-//! replayable schedule.
+//! once when two readers of the record see it raised, that two firings of
+//! different events in one record compose, and that an NF's raise racing
+//! the re-check and a fast-path reader is never lost; the mutation twins
+//! prove that firing from the reader's snapshot, without the Event
+//! Table's serialized re-check, republishing a fired patch outside the
+//! critical section, and remembering a signal value loaded after the
+//! re-check are each caught with a deterministically replayable schedule.
 #![cfg(feature = "model")]
 
 use speedybox_check::{BugKind, Checker, Config};
@@ -40,6 +41,33 @@ fn mutation_snapshot_fire_is_caught() {
     assert!(
         replayed.bugs.iter().any(|b| b.kind == BugKind::Panic),
         "schedule `{}` did not replay to the double fire",
+        bug.schedule
+    );
+}
+
+#[test]
+fn fires_compose_is_clean() {
+    let out = Checker::new(Config::exhaustive(BOUND))
+        .check("rec-fires-compose", scenarios::rec_fires_compose(FireMutation::None));
+    out.assert_clean();
+    // Either reader may fire first; the second fires its own event on the
+    // record the first rewrote, or already held that record.
+    out.assert_fact("reader fired the event");
+}
+
+#[test]
+fn mutation_patch_outside_lock_is_caught() {
+    let out = Checker::new(Config::exhaustive(BOUND)).check(
+        "rec-patch-outside-lock",
+        scenarios::rec_fires_compose(FireMutation::PatchOutsideLock),
+    );
+    let bug = out.expect_bug(BugKind::Panic).clone();
+    assert!(bug.message.contains("patch was lost"), "expected a lost patch, got: {}", bug.message);
+    let replayed = Checker::new(Config::replay(bug.schedule.parse().expect("schedule parses")))
+        .check("replay", scenarios::rec_fires_compose(FireMutation::PatchOutsideLock));
+    assert!(
+        replayed.bugs.iter().any(|b| b.kind == BugKind::Panic),
+        "schedule `{}` did not replay to the lost patch",
         bug.schedule
     );
 }

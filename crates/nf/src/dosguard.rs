@@ -17,7 +17,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use speedybox_mat::event::RulePatch;
 use speedybox_mat::state_fn::PayloadAccess;
-use speedybox_mat::{HeaderAction, StateFunction};
+use speedybox_mat::{Event, EventHandlers, HeaderAction, StateFunction};
 use speedybox_packet::{Fid, Packet};
 
 use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot, Tally};
@@ -33,16 +33,39 @@ pub struct DosGuard {
     /// Flows already blocked on the original path (the fast path blocks
     /// through the event-installed drop action instead).
     blocked: Arc<Mutex<HashMap<Fid, bool>>>,
+    // SPEEDYBOX-INTEGRATION-BEGIN (dosguard/handlers: 2 lines)
+    /// The SYN-counting state function and the block event's handlers,
+    /// built once for all flows.
+    count_fn: StateFunction,
+    block: EventHandlers,
+    // SPEEDYBOX-INTEGRATION-END
 }
 
 impl DosGuard {
     /// Creates a guard that blocks a flow after `threshold` SYN packets.
     #[must_use]
     pub fn new(threshold: u64) -> Self {
+        let syn_counts = Arc::new(Mutex::new(HashMap::new()));
+        // SPEEDYBOX-INTEGRATION-BEGIN (dosguard/handlers: 12 lines)
+        let counts = Arc::clone(&syn_counts);
+        let count_fn =
+            StateFunction::new("dosguard.syn_count", PayloadAccess::Ignore, move |sfctx| {
+                let is_syn = sfctx.packet.tcp_flags().syn();
+                Self::observe(&counts, sfctx.fid, is_syn, threshold);
+                sfctx.ops.state_updates += 1;
+            });
+        let counts = Arc::clone(&syn_counts);
+        let block = EventHandlers::new(
+            move |fid| counts.lock().get(&fid).map_or(0, |tally| tally.count) > threshold,
+            |_| RulePatch::set_action(HeaderAction::Drop),
+        );
+        // SPEEDYBOX-INTEGRATION-END
         Self {
-            syn_counts: Arc::new(Mutex::new(HashMap::new())),
+            syn_counts,
             threshold,
             blocked: Arc::new(Mutex::new(HashMap::new())),
+            count_fn,
+            block,
         }
     }
 
@@ -80,33 +103,17 @@ impl Nf for DosGuard {
         ctx.ops.state_updates += 1;
         let blocked = count > self.threshold;
         self.blocked.lock().insert(fid, blocked);
-        // SPEEDYBOX-INTEGRATION-BEGIN (dosguard: 21 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (dosguard: 11 lines)
         if let Some(inst) = ctx.instrument {
             inst.add_header_action(
                 fid,
                 if blocked { HeaderAction::Drop } else { HeaderAction::Forward },
                 ctx.ops,
             );
-            let counts = Arc::clone(&self.syn_counts);
-            let threshold = self.threshold;
-            inst.add_state_function_handle(
-                fid,
-                StateFunction::new("dosguard.syn_count", PayloadAccess::Ignore, move |sfctx| {
-                    let is_syn = sfctx.packet.tcp_flags().syn();
-                    Self::observe(&counts, sfctx.fid, is_syn, threshold);
-                    sfctx.ops.state_updates += 1;
-                }),
-                ctx.ops,
-            );
-            let counts = Arc::clone(&self.syn_counts);
-            let signal = counts.lock()[&fid].signal.clone();
-            inst.register_event(
-                fid,
-                "dosguard.block",
-                signal,
-                move |fid| counts.lock().get(&fid).map_or(0, |tally| tally.count) > threshold,
-                |_| RulePatch::set_action(HeaderAction::Drop),
-            );
+            inst.add_state_function_handle(fid, self.count_fn.clone(), ctx.ops);
+            let signal = self.syn_counts.lock()[&fid].signal.clone();
+            let event = Event::shared(fid, inst.nf(), "dosguard.block", &signal, &self.block);
+            inst.register_event_full(event);
         }
         // SPEEDYBOX-INTEGRATION-END
         if blocked {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use speedybox_mat::event::RulePatch;
-use speedybox_mat::{HeaderAction, Signal};
+use speedybox_mat::{Event, EventHandlers, HeaderAction, NfInstrument, Signal};
 use speedybox_packet::{Fid, HeaderField, Packet};
 
 use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot};
@@ -146,6 +146,14 @@ impl State {
     }
 }
 
+/// The header rewrite that steers a flow to the backend at `addr`.
+fn route(addr: SocketAddrV4) -> HeaderAction {
+    HeaderAction::modify2(
+        (HeaderField::DstIp, (*addr.ip()).into()),
+        (HeaderField::DstPort, addr.port().into()),
+    )
+}
+
 /// The Maglev load-balancer NF.
 ///
 /// ```
@@ -166,10 +174,12 @@ impl State {
 #[derive(Clone)]
 pub struct Maglev {
     state: Arc<Mutex<State>>,
-    // SPEEDYBOX-INTEGRATION-BEGIN (maglev/signal: 1 line)
+    // SPEEDYBOX-INTEGRATION-BEGIN (maglev/event: 2 lines)
     /// Raised inside every critical section that can make a flow's
     /// recorded target differ from [`State::preview`].
     reroute: Signal,
+    /// The reroute event's condition and update, built once for all flows.
+    reroute_handlers: EventHandlers,
     // SPEEDYBOX-INTEGRATION-END
 }
 
@@ -207,11 +217,13 @@ impl Maglev {
             rule_target: HashMap::new(),
         };
         state.rebuild_table();
+        let state = Arc::new(Mutex::new(state));
         Self {
-            state: Arc::new(Mutex::new(state)),
-            // SPEEDYBOX-INTEGRATION-BEGIN (maglev/signal: 1 line)
+            // SPEEDYBOX-INTEGRATION-BEGIN (maglev/event: 2 lines)
             reroute: Signal::new(),
+            reroute_handlers: reroute_handlers(&state),
             // SPEEDYBOX-INTEGRATION-END
+            state,
         }
     }
 
@@ -219,21 +231,18 @@ impl Maglev {
     /// tracked to it are re-routed by the registered SpeedyBox events (or,
     /// on the original path, by the next `process` call).
     pub fn fail_backend(&self, name: &str) {
-        let mut st = self.state.lock();
-        if let Some(b) = st.backends.iter_mut().find(|b| b.name == name) {
-            b.healthy = false;
-        }
-        st.rebuild_table();
-        // SPEEDYBOX-INTEGRATION-BEGIN (maglev/raise: 1 line)
-        self.reroute.raise();
-        // SPEEDYBOX-INTEGRATION-END
+        self.set_health(name, false);
     }
 
     /// Marks a backend healthy again and rebuilds the table.
     pub fn recover_backend(&self, name: &str) {
+        self.set_health(name, true);
+    }
+
+    fn set_health(&self, name: &str, healthy: bool) {
         let mut st = self.state.lock();
         if let Some(b) = st.backends.iter_mut().find(|b| b.name == name) {
-            b.healthy = true;
+            b.healthy = healthy;
         }
         st.rebuild_table();
         // SPEEDYBOX-INTEGRATION-BEGIN (maglev/raise: 1 line)
@@ -254,49 +263,17 @@ impl Maglev {
         self.state.lock().connections.len()
     }
 
-    /// Registers the recurring reroute event for `fid`: it fires whenever
-    /// the fast-path rule's recorded target (`rule_target`) no longer
-    /// matches what the original path would pick for the flow — a failed
-    /// tracked backend, a recovery ending a total outage, or a recovered
-    /// preferred backend for a flow recorded as a load-shedding drop. All
-    /// three follow a health change, which raises `reroute`; the
-    /// condition is re-checked then. The patch re-runs [`State::assign`]
-    /// (the original path's choice, tracker update included) so both
-    /// paths converge on the same backend.
-    fn register_reroute_event(&self, fid: Fid, inst: &speedybox_mat::NfInstrument) {
-        let cond_state = Arc::clone(&self.state);
-        let update_state = Arc::clone(&self.state);
-        inst.register_event_full(
-            speedybox_mat::Event::new(
-                fid,
-                inst.nf(),
-                "maglev.reroute",
-                self.reroute.clone(),
-                move |fid| {
-                    let st = cond_state.lock();
-                    st.rule_target.get(&fid).is_some_and(|t| *t != st.preview(fid))
-                },
-                move |fid| {
-                    let mut st = update_state.lock();
-                    match st.assign(fid) {
-                        Some(b) => {
-                            let addr = st.backends[b].addr;
-                            st.rule_target.insert(fid, Some(b));
-                            RulePatch::set_action(HeaderAction::modify2(
-                                (HeaderField::DstIp, (*addr.ip()).into()),
-                                (HeaderField::DstPort, addr.port().into()),
-                            ))
-                        }
-                        None => {
-                            st.rule_target.insert(fid, None);
-                            RulePatch::set_action(HeaderAction::Drop)
-                        }
-                    }
-                },
-            )
-            .recurring(),
-        );
+    // SPEEDYBOX-INTEGRATION-BEGIN (maglev/reroute: 6 lines)
+    /// Records `target` as what `fid`'s fast-path rule encodes and
+    /// registers the flow's recurring reroute event (see
+    /// [`reroute_handlers`]).
+    fn register_reroute_event(&self, fid: Fid, target: Option<usize>, inst: &NfInstrument) {
+        self.state.lock().rule_target.insert(fid, target);
+        let handlers = &self.reroute_handlers;
+        let event = Event::shared(fid, inst.nf(), "maglev.reroute", &self.reroute, handlers);
+        inst.register_event_full(event.recurring());
     }
+    // SPEEDYBOX-INTEGRATION-END
 
     /// Distribution of lookup-table slots per healthy backend (for the
     /// balance tests).
@@ -310,6 +287,30 @@ impl Maglev {
         shares
     }
 }
+
+// SPEEDYBOX-INTEGRATION-BEGIN (maglev/handlers: 13 lines)
+/// The reroute event's handlers over `state`. The condition holds
+/// whenever a flow's recorded target (`rule_target`) no longer matches
+/// what the original path would pick for it — a failed tracked backend, a
+/// recovery ending a total outage, or a recovered preferred backend for a
+/// flow recorded as a load-shedding drop. All three follow a health
+/// change, which raises `reroute`; the condition is re-checked then. The
+/// update re-runs [`State::assign`] (the original path's choice, tracker
+/// update included) so both paths converge on the same backend.
+fn reroute_handlers(state: &Arc<Mutex<State>>) -> EventHandlers {
+    let (cond, update) = (Arc::clone(state), Arc::clone(state));
+    let condition = move |fid| {
+        let st = cond.lock();
+        st.rule_target.get(&fid).is_some_and(|t| *t != st.preview(fid))
+    };
+    EventHandlers::new(condition, move |fid| {
+        let mut st = update.lock();
+        let target = st.assign(fid);
+        st.rule_target.insert(fid, target);
+        RulePatch::set_action(target.map_or(HeaderAction::Drop, |b| route(st.backends[b].addr)))
+    })
+}
+// SPEEDYBOX-INTEGRATION-END
 
 impl Nf for Maglev {
     fn name(&self) -> &str {
@@ -336,27 +337,22 @@ impl Nf for Maglev {
             // forwarding, so the fast-path rule must be rewritten back
             // from drop to modify.
             ctx.ops.drops += 1;
-            // SPEEDYBOX-INTEGRATION-BEGIN (maglev/shed: 5 lines)
+            // SPEEDYBOX-INTEGRATION-BEGIN (maglev/shed: 4 lines)
             if let Some(inst) = ctx.instrument {
                 inst.add_header_action(fid, HeaderAction::Drop, ctx.ops);
-                self.state.lock().rule_target.insert(fid, None);
-                self.register_reroute_event(fid, inst);
+                self.register_reroute_event(fid, None, inst);
             }
             // SPEEDYBOX-INTEGRATION-END
             return NfVerdict::Drop;
         };
-        let action = HeaderAction::modify2(
-            (HeaderField::DstIp, (*backend_addr.ip()).into()),
-            (HeaderField::DstPort, backend_addr.port().into()),
-        );
+        let action = route(backend_addr);
         if !action.apply(packet, ctx.ops).unwrap_or(false) {
             return NfVerdict::Drop;
         }
-        // SPEEDYBOX-INTEGRATION-BEGIN (maglev: 5 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (maglev: 4 lines)
         if let Some(inst) = ctx.instrument {
             inst.add_header_action(fid, action, ctx.ops);
-            self.state.lock().rule_target.insert(fid, Some(backend_idx));
-            self.register_reroute_event(fid, inst);
+            self.register_reroute_event(fid, Some(backend_idx), inst);
         }
         // SPEEDYBOX-INTEGRATION-END
         NfVerdict::Forward

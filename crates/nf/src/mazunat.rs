@@ -142,9 +142,11 @@ impl Nf for MazuNat {
             };
             let Some((ip, port)) = internal else {
                 ctx.ops.drops += 1;
+                // SPEEDYBOX-INTEGRATION-BEGIN (mazunat/inbound-drop: 3 lines)
                 if let Some(inst) = ctx.instrument {
                     inst.add_header_action(fid, HeaderAction::Drop, ctx.ops);
                 }
+                // SPEEDYBOX-INTEGRATION-END
                 return NfVerdict::Drop;
             };
             let action = HeaderAction::modify2(
@@ -154,9 +156,11 @@ impl Nf for MazuNat {
             if !action.apply(packet, ctx.ops).unwrap_or(false) {
                 return NfVerdict::Drop;
             }
+            // SPEEDYBOX-INTEGRATION-BEGIN (mazunat/inbound: 3 lines)
             if let Some(inst) = ctx.instrument {
                 inst.add_header_action(fid, action, ctx.ops);
             }
+            // SPEEDYBOX-INTEGRATION-END
             return NfVerdict::Forward;
         }
         let external_port = {
@@ -170,9 +174,11 @@ impl Nf for MazuNat {
                         // drop so the fast path sheds too).
                         drop(st);
                         ctx.ops.drops += 1;
+                        // SPEEDYBOX-INTEGRATION-BEGIN (mazunat/shed: 3 lines)
                         if let Some(inst) = ctx.instrument {
                             inst.add_header_action(fid, HeaderAction::Drop, ctx.ops);
                         }
+                        // SPEEDYBOX-INTEGRATION-END
                         return NfVerdict::Drop;
                     };
                     st.by_fid.insert(fid, Mapping { internal: tuple, external_port: port });
@@ -189,7 +195,7 @@ impl Nf for MazuNat {
         if !action.apply(packet, ctx.ops).unwrap_or(false) {
             return NfVerdict::Drop;
         }
-        // SPEEDYBOX-INTEGRATION-BEGIN (mazunat: 4 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (mazunat: 3 lines)
         if let Some(inst) = ctx.instrument {
             inst.add_header_action(fid, action, ctx.ops);
         }

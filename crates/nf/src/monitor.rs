@@ -26,9 +26,31 @@ pub struct FlowCounters {
 }
 
 /// The network-monitor NF.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Monitor {
     counters: Arc<Mutex<HashMap<Fid, FlowCounters>>>,
+    // SPEEDYBOX-INTEGRATION-BEGIN (monitor/handler: 1 line)
+    /// The counter state function, built once and recorded for every flow.
+    count: StateFunction,
+    // SPEEDYBOX-INTEGRATION-END
+}
+
+impl Default for Monitor {
+    fn default() -> Self {
+        let counters = Arc::new(Mutex::new(HashMap::new()));
+        // SPEEDYBOX-INTEGRATION-BEGIN (monitor/handler: 5 lines)
+        let shared = Arc::clone(&counters);
+        // `frame_len()` (not `packet.len()`): on the fast path the packet
+        // is already in egress form, and the positional adjustment keeps
+        // byte counts exact when the monitor sits inside an annihilated
+        // encap/decap window.
+        let count = StateFunction::new("monitor.count", PayloadAccess::Ignore, move |sfctx| {
+            Self::count(&shared, sfctx.fid, sfctx.frame_len());
+            sfctx.ops.state_updates += 1;
+        });
+        // SPEEDYBOX-INTEGRATION-END
+        Self { counters, count }
+    }
 }
 
 impl Monitor {
@@ -76,22 +98,10 @@ impl Nf for Monitor {
         ctx.ops.parses += 1;
         Self::count(&self.counters, fid, packet.len());
         ctx.ops.state_updates += 1;
-        // SPEEDYBOX-INTEGRATION-BEGIN (monitor: 11 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (monitor: 4 lines)
         if let Some(inst) = ctx.instrument {
             inst.add_header_action(fid, HeaderAction::Forward, ctx.ops);
-            let counters = Arc::clone(&self.counters);
-            inst.add_state_function_handle(
-                fid,
-                // `frame_len()` (not `packet.len()`): on the fast path the
-                // packet is already in egress form, and the positional
-                // adjustment keeps byte counts exact when the monitor sits
-                // inside an annihilated encap/decap window.
-                StateFunction::new("monitor.count", PayloadAccess::Ignore, move |sfctx| {
-                    Self::count(&counters, sfctx.fid, sfctx.frame_len());
-                    sfctx.ops.state_updates += 1;
-                }),
-                ctx.ops,
-            );
+            inst.add_state_function_handle(fid, self.count.clone(), ctx.ops);
         }
         // SPEEDYBOX-INTEGRATION-END
         NfVerdict::Forward

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use speedybox_mat::event::RulePatch;
 use speedybox_mat::state_fn::PayloadAccess;
-use speedybox_mat::{HeaderAction, StateFunction};
+use speedybox_mat::{Event, EventHandlers, HeaderAction, StateFunction};
 use speedybox_packet::{Fid, Packet};
 
 use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot, Tally};
@@ -30,13 +30,32 @@ use crate::nf::{Nf, NfContext, NfVerdict, StateSnapshot, Tally};
 pub struct QuotaLimiter {
     consumed: Arc<Mutex<HashMap<Fid, Tally>>>,
     quota_bytes: u64,
+    // SPEEDYBOX-INTEGRATION-BEGIN (quota-limiter/handlers: 2 lines)
+    /// The metering state function and the exhaustion event's handlers,
+    /// built once for all flows.
+    meter_fn: StateFunction,
+    exhausted: EventHandlers,
+    // SPEEDYBOX-INTEGRATION-END
 }
 
 impl QuotaLimiter {
     /// Creates a limiter allowing `quota_bytes` per flow.
     #[must_use]
     pub fn new(quota_bytes: u64) -> Self {
-        Self { consumed: Arc::new(Mutex::new(HashMap::new())), quota_bytes }
+        let consumed = Arc::new(Mutex::new(HashMap::new()));
+        // SPEEDYBOX-INTEGRATION-BEGIN (quota-limiter/handlers: 10 lines)
+        let meter = Arc::clone(&consumed);
+        let meter_fn = StateFunction::new("quota.meter", PayloadAccess::Ignore, move |sfctx| {
+            Self::meter(&meter, sfctx.fid, sfctx.frame_len() as u64, quota_bytes);
+            sfctx.ops.state_updates += 1;
+        });
+        let meter = Arc::clone(&consumed);
+        let exhausted = EventHandlers::new(
+            move |fid| meter.lock().get(&fid).map_or(0, |tally| tally.count) > quota_bytes,
+            |_| RulePatch::set_action(HeaderAction::Drop),
+        );
+        // SPEEDYBOX-INTEGRATION-END
+        Self { consumed, quota_bytes, meter_fn, exhausted }
     }
 
     /// Bytes a flow has consumed so far.
@@ -71,32 +90,17 @@ impl Nf for QuotaLimiter {
         let total = Self::meter(&self.consumed, fid, packet.len() as u64, self.quota_bytes);
         ctx.ops.state_updates += 1;
         let exhausted = total > self.quota_bytes;
-        // SPEEDYBOX-INTEGRATION-BEGIN (quota-limiter: 21 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (quota-limiter: 11 lines)
         if let Some(inst) = ctx.instrument {
             inst.add_header_action(
                 fid,
                 if exhausted { HeaderAction::Drop } else { HeaderAction::Forward },
                 ctx.ops,
             );
-            let consumed = Arc::clone(&self.consumed);
-            let quota = self.quota_bytes;
-            inst.add_state_function_handle(
-                fid,
-                StateFunction::new("quota.meter", PayloadAccess::Ignore, move |sfctx| {
-                    Self::meter(&consumed, sfctx.fid, sfctx.frame_len() as u64, quota);
-                    sfctx.ops.state_updates += 1;
-                }),
-                ctx.ops,
-            );
-            let consumed = Arc::clone(&self.consumed);
-            let signal = consumed.lock()[&fid].signal.clone();
-            inst.register_event(
-                fid,
-                "quota.exhausted",
-                signal,
-                move |fid| consumed.lock().get(&fid).map_or(0, |tally| tally.count) > quota,
-                |_| RulePatch::set_action(HeaderAction::Drop),
-            );
+            inst.add_state_function_handle(fid, self.meter_fn.clone(), ctx.ops);
+            let signal = self.consumed.lock()[&fid].signal.clone();
+            let event = Event::shared(fid, inst.nf(), "quota.exhausted", &signal, &self.exhausted);
+            inst.register_event_full(event);
         }
         // SPEEDYBOX-INTEGRATION-END
         if exhausted {

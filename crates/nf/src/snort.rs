@@ -426,7 +426,7 @@ impl Nf for SnortLite {
         if let Some(ri) = self.engine.inspect(payload, &candidates) {
             self.engine.record(&self.engine.rules[ri], fid);
         }
-        // SPEEDYBOX-INTEGRATION-BEGIN (snort: 14 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (snort: 17 lines)
         if let Some(inst) = ctx.instrument {
             let fid = inst.extract_fid(packet).unwrap_or_default();
             inst.add_header_action(fid, HeaderAction::Forward, ctx.ops);

@@ -67,13 +67,18 @@ pub struct SyntheticNf {
     name: String,
     header_action: HeaderAction,
     state_function: Option<SyntheticSf>,
+    // SPEEDYBOX-INTEGRATION-BEGIN (synthetic/handler: 1 line)
+    /// `state_function` as recorded, built once for all flows.
+    recorded_sf: Option<StateFunction>,
+    // SPEEDYBOX-INTEGRATION-END
 }
 
 impl SyntheticNf {
     /// A pure-forward NF with no state function.
     #[must_use]
     pub fn forward(name: impl Into<String>) -> Self {
-        Self { name: name.into(), header_action: HeaderAction::Forward, state_function: None }
+        let name = name.into();
+        Self { name, header_action: HeaderAction::Forward, state_function: None, recorded_sf: None }
     }
 
     /// Sets the header action.
@@ -87,6 +92,12 @@ impl SyntheticNf {
     #[must_use]
     pub fn with_state_function(mut self, sf: SyntheticSf) -> Self {
         self.state_function = Some(sf);
+        // SPEEDYBOX-INTEGRATION-BEGIN (synthetic/handler: 4 lines)
+        let name = format!("{}.sf", self.name);
+        self.recorded_sf = Some(StateFunction::new(name, sf.access, move |sfctx| {
+            Self::run_sf(sfctx.packet, sf, sfctx.ops);
+        }));
+        // SPEEDYBOX-INTEGRATION-END
         self
     }
 
@@ -132,19 +143,12 @@ impl Nf for SyntheticNf {
                 Self::run_sf(packet, sf, ctx.ops);
             }
         }
-        // SPEEDYBOX-INTEGRATION-BEGIN (synthetic: 14 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (synthetic: 7 lines)
         if let Some(inst) = ctx.instrument {
             let fid = inst.extract_fid(packet).unwrap_or_default();
             inst.add_header_action(fid, self.header_action.clone(), ctx.ops);
-            if let Some(sf) = self.state_function {
-                let name = format!("{}.sf", self.name);
-                inst.add_state_function_handle(
-                    fid,
-                    StateFunction::new(name, sf.access, move |sfctx| {
-                        Self::run_sf(sfctx.packet, sf, sfctx.ops);
-                    }),
-                    ctx.ops,
-                );
+            if let Some(sf) = &self.recorded_sf {
+                inst.add_state_function_handle(fid, sf.clone(), ctx.ops);
             }
         }
         // SPEEDYBOX-INTEGRATION-END

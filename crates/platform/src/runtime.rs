@@ -63,7 +63,7 @@ pub struct SboxConfig {
     /// full 20-bit FID space — one slot per possible FID, i.e. never full
     /// in practice. When the table is full, [`SboxConfig::admission`]
     /// decides the newcomer's fate; a capacity eviction tears the victim's
-    /// state down everywhere (record and rule, Local MATs, Event Table).
+    /// record down, with its rule, recordings and armed events.
     pub max_flows: usize,
     /// Idle-flow timeout in classifier clock ticks (one tick per
     /// classified packet). Flows with no traffic for more than this many
@@ -162,10 +162,10 @@ impl SpeedyBox {
         let mut classifier =
             PacketClassifier::sharing(flows).with_telemetry(Arc::clone(&telemetry));
         // Capacity evictions must not strand fast-path state: the evicted
-        // record takes the rule with it, and the hook tears the victim's
-        // Local MATs and Event Table entries down, mirroring FIN teardown
-        // (NFs are not notified — the flow did not close; its state simply
-        // stops being accelerated).
+        // record takes the rule, recordings and armed events with it, and
+        // the hook drops whatever an unfinished walk of the victim left
+        // staged (NFs are not notified — the flow did not close; its state
+        // simply stops being accelerated).
         classifier = classifier.with_evictor({
             let global = Arc::clone(&global);
             Arc::new(move |fid| global.forget(fid))
@@ -185,17 +185,19 @@ impl SpeedyBox {
         self.global.set_compiled(compiled);
     }
 
-    /// Tears down a closed flow: its record, rule included, its Local
-    /// MATs and its Event Table entries.
+    /// Tears down a closed flow: one record removal, which takes the
+    /// flow's rule, recordings and armed events with it. Nothing of the
+    /// flow is staged: the walk that recorded it installed, and install
+    /// drains the staging.
     pub fn remove_flow(&self, fid: Fid) {
         self.classifier.remove_flow(fid);
-        self.global.forget(fid);
     }
 
     /// Expires flows idle for more than `max_idle` classifier ticks and
-    /// tears them down everywhere. Returns how many flows were
-    /// reclaimed. Call periodically (e.g. every few thousand packets) to
-    /// bound table growth under UDP or half-open TCP traffic.
+    /// tears them down: their records, and any unfinished walk's staging.
+    /// Returns how many flows were reclaimed. Call periodically (e.g.
+    /// every few thousand packets) to bound table growth under UDP or
+    /// half-open TCP traffic.
     pub fn expire_idle_flows(&self, max_idle: u64) -> usize {
         let expired = self.classifier.expire_idle(max_idle);
         for fid in &expired {
@@ -205,8 +207,10 @@ impl SpeedyBox {
     }
 
     /// Force-evicts the `k` least-recently-seen flows with full teardown
-    /// (the sim harness's `evict@N` fault): record and rule, Local MATs and
-    /// Event Table — exactly what capacity-pressure LRU eviction does.
+    /// (the sim harness's `evict@N` fault, and `kill_nf`'s sweep): the
+    /// record with its rule, recordings and armed events, and any
+    /// unfinished walk's staging — exactly what capacity-pressure LRU
+    /// eviction does.
     /// Evicted flows re-record on their next packet, so packet results are
     /// unchanged. Returns how many flows were evicted.
     pub fn force_evict_flows(&self, k: usize) -> usize {
@@ -387,20 +391,15 @@ pub fn fast_path(
         }
     } else {
         cell.add_compiled_fallbacks(1);
-        // Ablation: replay each NF's recorded header actions sequentially,
-        // paying the per-NF re-parse the consolidation would have removed.
+        // Ablation: replay each NF's recorded header actions, kept in the
+        // rule, sequentially, paying the per-NF re-parse the consolidation
+        // would have removed.
         let mut alive = true;
-        for local in sbox.global.locals() {
-            if !alive {
+        for (_, action) in rule.header_actions() {
+            ha_ops.parses += 1;
+            if !action.apply(packet, &mut ha_ops).unwrap_or(false) {
+                alive = false;
                 break;
-            }
-            let Some(lr) = local.rule(fid) else { continue };
-            for action in &lr.header_actions {
-                ha_ops.parses += 1;
-                if !action.apply(packet, &mut ha_ops).unwrap_or(false) {
-                    alive = false;
-                    break;
-                }
             }
         }
         alive

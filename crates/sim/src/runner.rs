@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use speedybox_mat::OpCounter;
-use speedybox_packet::{FiveTuple, Packet, Protocol};
+use speedybox_packet::{Fid, FiveTuple, Packet, Protocol};
 use speedybox_platform::chains::{build_chain_hooks, ChainHooks};
 use speedybox_platform::metrics::{PathKind, ProcessedPacket};
 use speedybox_platform::runtime::{SboxConfig, SpeedyBox};
@@ -39,11 +39,13 @@ pub enum BugKind {
     /// Emulate a consolidation that forgets the trailing IPv4 checksum
     /// fix-up: the checksum of every fast-path output frame is zeroed.
     SkipChecksumFix,
-    /// Emulate an eviction with the teardown half-done: the classifier
-    /// entry is removed but the Global MAT rule, Local MAT rules and
-    /// Event Table conditions are "forgotten" (the §VI-B hazard). The
-    /// flow's next packet re-records on the slow path and the stale
-    /// Local-MAT rules double up, corrupting the re-consolidated rule.
+    /// Emulate an eviction that leaves the victim's recordings staged
+    /// (the §VI-B hazard): the record goes, but the header actions and
+    /// state functions its rule held stay in the Local MATs, as if install
+    /// had copied them instead of moving them and the teardown skipped the
+    /// staging. The flow's next packet re-records on the slow path on top
+    /// of them, and the doubled recordings corrupt the re-consolidated
+    /// rule.
     EvictOrdering,
     /// Emulate a recovery that rolls the chain back to its checkpoint but
     /// "forgets" to replay the in-flight log: every packet processed since
@@ -457,11 +459,32 @@ fn apply_fault(
             if let Some(sbox) = sut.sbox() {
                 let k = usize::try_from(*k).unwrap_or(usize::MAX);
                 if bug == Some(BugKind::EvictOrdering) {
-                    // Seeded bug: evict the classifier entry but "forget"
-                    // the Global MAT / Local MAT / Event Table teardown.
-                    // The victims' next packets re-record as initial and
-                    // the stale Local-MAT rules duplicate.
-                    sbox.classifier.evict_oldest(k);
+                    // Seeded bug: evict the records but leave the victims'
+                    // recordings staged. Their next packets re-record as
+                    // initial on top of them, and the recordings double.
+                    let rules: Vec<_> = used_fids
+                        .iter()
+                        .filter_map(|&fid| sbox.global.rule(Fid::new(fid)).map(|r| (fid, r)))
+                        .collect();
+                    let mut ops = OpCounter::default();
+                    for fid in sbox.classifier.evict_oldest(k) {
+                        let Some((_, rule)) = rules.iter().find(|(f, _)| *f == fid.value()) else {
+                            continue;
+                        };
+                        for (nf, action) in rule.header_actions() {
+                            sbox.instruments[nf.index()].add_header_action(
+                                fid,
+                                action.clone(),
+                                &mut ops,
+                            );
+                        }
+                        for batch in &rule.batches {
+                            for func in &batch.funcs {
+                                let inst = &sbox.instruments[batch.nf.index()];
+                                inst.add_state_function_handle(fid, func.clone(), &mut ops);
+                            }
+                        }
+                    }
                 } else {
                     sbox.force_evict_flows(k);
                 }
@@ -823,7 +846,7 @@ mod tests {
 
     #[test]
     fn evict_ordering_bug_is_caught() {
-        // The seeded half-teardown eviction leaves stale Local-MAT rules;
+        // The seeded eviction leaves the victims' recordings staged;
         // re-recording doubles them up, which the referee must notice.
         let mut c = case("chain2", Platform::Bess, 1, false);
         c.bug = Some(BugKind::EvictOrdering);

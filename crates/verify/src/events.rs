@@ -50,7 +50,7 @@ impl EventSpec {
         let patch = event.compute_patch();
         EventSpec {
             nf: event.nf.index(),
-            name: event.name.clone(),
+            name: event.name.to_string(),
             patch_actions: patch.header_actions,
             patch_accesses: patch
                 .state_functions

@@ -4,9 +4,19 @@
 # workload, for <pairs> pairs at the benchmark's own run length
 # (BENCHMARK.json `run_seconds`). Pair i runs both sides with seed i, the
 # side that goes first alternating from pair to pair. Prints, per side,
-# the median and quartiles of every end-to-end metric, and how many pairs
-# the change won on each (by the metric's `better` direction), and writes
-# the same summary as JSON to $AB_DIR/summary-<workload>.json.
+# the median and quartiles of every end-to-end metric, how many pairs the
+# change won on each (by the metric's `better` direction; ties count for
+# neither side), the metric's bound from BENCHMARK.json and one verdict,
+# and writes the same summary as JSON to $AB_DIR/summary-<workload>.json.
+# Verdicts, first match wins:
+#   gain          the change wins at least 9 in 10 pairs and its median
+#                 beats the base's by more than the base's interquartile
+#                 range;
+#   regression    the change's median is worse than the base's by more
+#                 than the bound (a fraction of the base's median);
+#   unresolved    either side's IQR/median exceeds the bound, and not
+#                 every change run beats every base run;
+#   within bound  otherwise.
 #
 # The base revision is exported with `git archive` into its own directory
 # and built with its own target directory, so the two builds never share
@@ -62,20 +72,36 @@ def quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
-print(f"{'metric':<18} {'base q1/median/q3':>30} {'change q1/median/q3':>30} {'median':>8} {'wins':>6}")
+def verdict(b, c, qb, qc, wins, bound, higher):
+    gain = (lambda x, y: y - x) if higher else (lambda x, y: x - y)
+    if wins >= 0.9 * len(b) and gain(qb[1], qc[1]) > qb[2] - qb[0]:
+        return "gain"
+    if qb[1] and -gain(qb[1], qc[1]) / abs(qb[1]) > bound:
+        return "regression"
+    spread = lambda q: (q[2] - q[0]) / abs(q[1]) if q[1] else 0.0
+    every = min(gain(x, y) for x in b for y in c) > 0
+    if max(spread(qb), spread(qc)) > bound and not every:
+        return "unresolved"
+    return "within bound"
+
+print(f"{'metric':<18} {'base q1/median/q3':>30} {'change q1/median/q3':>30} {'median':>8} "
+      f"{'wins':>6} {'bound':>6}  verdict")
 summary = {"base_rev": base_rev, "workload": workload, "pairs": pairs,
            "run_seconds": float(seconds), "metrics": {}}
 for m in metrics:
-    name, higher = m["name"], m["better"] == "higher"
+    name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
     b = [r["metrics"][name]["value"] for r in res["base"]]
     c = [r["metrics"][name]["value"] for r in res["change"]]
     wins = sum((y > x) if higher else (y < x) for x, y in zip(b, c))
     qb, qc = quartiles(b), quartiles(c)
     move = (qc[1] / qb[1] - 1) * 100 if qb[1] else float("nan")
+    call = verdict(b, c, qb, qc, wins, bound, higher)
     fmt = lambda q: "/".join(f"{v:.4f}" for v in q)
-    print(f"{name:<18} {fmt(qb):>30} {fmt(qc):>30} {move:>+7.1f}% {wins:>3}/{pairs}")
+    print(f"{name:<18} {fmt(qb):>30} {fmt(qc):>30} {move:>+7.1f}% {wins:>3}/{pairs} "
+          f"{bound:>6.2f}  {call}")
     side = lambda q: dict(zip(("q1", "median", "q3"), q))
-    summary["metrics"][name] = {"base": side(qb), "change": side(qc), "change_wins": wins}
+    summary["metrics"][name] = {"base": side(qb), "change": side(qc), "change_wins": wins,
+                                "bound": bound, "verdict": call}
 json.dump(summary, open(f"{out_dir}/summary-{workload}.json", "w"), indent=2)
 for side, pair in bad:
     print(f"FAIL: {side} run of pair {pair} reported incorrect results or failures")

@@ -111,6 +111,16 @@ const MODELS: &[Model] = &[
         }],
     },
     Model {
+        name: "rec-fires-compose",
+        bound: 2,
+        clean: || Box::new(mat::rec_fires_compose(FireMutation::None)),
+        twins: &[Twin {
+            name: "rec-patch-outside-lock",
+            expected: BugKind::Panic,
+            build: || Box::new(mat::rec_fires_compose(FireMutation::PatchOutsideLock)),
+        }],
+    },
+    Model {
         name: "ev-raise-vs-fire",
         bound: 2,
         clean: || Box::new(mat::ev_raise_vs_fire(RaiseMutation::None)),

@@ -7,8 +7,9 @@
 //! the debug-build payload-access and missed-raise trackers armed — then
 //! handing what was recorded to `speedybox-verify`:
 //!
-//! * per-flow recorded header actions → pass 1 (consolidation soundness);
-//! * every registered Event Table entry → pass 2 (rewrite safety);
+//! * per-flow recorded header actions, read from the flow's record →
+//!   pass 1 (consolidation soundness);
+//! * every event armed in the flow's record → pass 2 (rewrite safety);
 //! * the installed rule's precomputed wavefront schedule → pass 3
 //!   (Table I schedule safety);
 //! * the access tracker's observed-write log → `SBX010`;
@@ -22,11 +23,15 @@
 //! state (Maglev's reroute does), so linting must never run against a chain
 //! about to process traffic.
 
-use speedybox_mat::track;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use speedybox_mat::{track, GlobalRule};
 use speedybox_nf::Nf;
+use speedybox_packet::Fid;
 use speedybox_platform::chains;
 use speedybox_platform::metrics::PathKind;
-use speedybox_platform::Chain;
+use speedybox_platform::{Chain, SpeedyBox};
 use speedybox_traffic::{Workload, WorkloadConfig};
 use speedybox_verify::{
     check_access_log, check_raise_log, check_snapshots, verify_flow, EventSpec, NfActions,
@@ -69,48 +74,13 @@ pub fn lint_nfs(chain_name: &str, nfs: Vec<Box<dyn Nf>>) -> Report {
         .map(|nf| NfStateSpec::new(nf.name(), nf.has_flow_state(), nf.snapshot_state().is_some()))
         .collect();
 
-    // Deterministic workload: enough flows to hit every NF code path
-    // (suspicious payloads included for Snort-bearing chains), enough
-    // packets per flow to exercise the fast path and the access tracker.
-    // Flow-closing packets are left out: the chain would tear the flow's
-    // rules down, and the passes below read them after the run. They
-    // carry no payload, so the access tracker loses nothing.
-    let packets = Workload::generate(&WorkloadConfig {
-        flows: 12,
-        seed: 7,
-        suspicious_fraction: 0.25,
-        ..WorkloadConfig::default()
-    })
-    .packets();
-
-    let mut chain = Chain::speedybox(nfs);
-    let mut fids = std::collections::BTreeSet::new();
-    for packet in packets.into_iter().filter(|p| !p.tcp_flags().closes_flow()) {
-        let fid = packet.five_tuple().map(|t| t.fid());
-        if chain.process(packet).path == PathKind::Initial {
-            fids.extend(fid);
-        }
-    }
+    let (chain, fids) = record_flows(nfs);
     let sbox = chain.sbox().expect("speedybox enabled");
 
     let mut report = Report::new(chain_name);
     for fid in fids {
-        let nf_actions: Vec<NfActions> = sbox
-            .global
-            .locals()
-            .iter()
-            .enumerate()
-            .map(|(i, local)| {
-                NfActions::new(
-                    &names[i],
-                    local.rule(fid).map(|r| r.header_actions).unwrap_or_default(),
-                )
-            })
-            .collect();
-        let events: Vec<EventSpec> =
-            sbox.global.events().events_for(fid).iter().map(EventSpec::from_event).collect();
-        let rule = sbox.global.rule(fid);
-        report.merge(verify_flow(chain_name, &nf_actions, &events, rule.as_deref()));
+        let flow = flow_inputs(sbox, &names, fid);
+        report.merge(verify_flow(chain_name, &flow.nf_actions, &flow.events, flow.rule.as_deref()));
     }
 
     // Close the declared-vs-observed loop: any state function the debug
@@ -121,6 +91,67 @@ pub fn lint_nfs(chain_name: &str, nfs: Vec<Box<dyn Nf>>) -> Report {
     // And the recovery contract: declared flow state must be recoverable.
     report.merge(check_snapshots(chain_name, &state_specs));
     report
+}
+
+/// Runs lint's deterministic workload through a SpeedyBox chain over
+/// `nfs`, returning the chain and the flows that recorded a rule.
+#[must_use]
+pub fn record_flows(nfs: Vec<Box<dyn Nf>>) -> (Chain, BTreeSet<Fid>) {
+    // Deterministic workload: enough flows to hit every NF code path
+    // (suspicious payloads included for Snort-bearing chains), enough
+    // packets per flow to exercise the fast path and the access tracker.
+    // Flow-closing packets are left out: the chain would tear the flow's
+    // record down, and the passes read it after the run. They carry no
+    // payload, so the access tracker loses nothing.
+    let packets = Workload::generate(&WorkloadConfig {
+        flows: 12,
+        seed: 7,
+        suspicious_fraction: 0.25,
+        ..WorkloadConfig::default()
+    })
+    .packets();
+
+    let mut chain = Chain::speedybox(nfs);
+    let mut fids = BTreeSet::new();
+    for packet in packets.into_iter().filter(|p| !p.tcp_flags().closes_flow()) {
+        let fid = packet.five_tuple().map(|t| t.fid());
+        if chain.process(packet).path == PathKind::Initial {
+            fids.extend(fid);
+        }
+    }
+    (chain, fids)
+}
+
+/// One flow's inputs to the verify passes.
+#[derive(Debug)]
+pub struct FlowInputs {
+    /// Each NF's recorded header actions, in chain order (pass 1).
+    pub nf_actions: Vec<NfActions>,
+    /// The events armed in the flow's rule, in registration order
+    /// (pass 2).
+    pub events: Vec<EventSpec>,
+    /// The flow's installed rule (passes 1 and 3).
+    pub rule: Option<Arc<GlobalRule>>,
+}
+
+/// The verify passes' inputs for `fid`, read from its record, where the
+/// flow's recordings and armed events live once installed. `names` are
+/// the chain's NF names, in chain order.
+#[must_use]
+pub fn flow_inputs(sbox: &SpeedyBox, names: &[String], fid: Fid) -> FlowInputs {
+    let rule = sbox.global.rule(fid);
+    let recorded = rule.as_deref().map_or(&[][..], GlobalRule::header_actions);
+    let nf_actions = names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let actions = recorded.iter().filter(|(nf, _)| nf.index() == i).map(|(_, a)| a.clone());
+            NfActions::new(name, actions.collect())
+        })
+        .collect();
+    let armed = rule.as_deref().map_or(&[][..], GlobalRule::armed);
+    let events = armed.iter().map(EventSpec::from_event).collect();
+    FlowInputs { nf_actions, events, rule }
 }
 
 #[cfg(test)]

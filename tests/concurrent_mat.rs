@@ -874,4 +874,10 @@ fn one_shot_event_fires_once_for_racing_readers_of_one_record() {
     assert!(gm.events().is_empty(), "the fired event is deregistered");
     let rule = gm.rule(flow).expect("rewritten rule installed");
     assert!(rule.consolidated.is_drop() && rule.armed().is_empty());
+    // The record is the event's only home: the rewritten rule leaves the
+    // fired one-shot event out, so nothing can fire it again.
+    assert!(
+        rule.armed().iter().all(|event| event.name != "drop-once"),
+        "the fired one-shot event is still armed"
+    );
 }

@@ -62,6 +62,11 @@ fn expiry_tears_down_nf_mat_state() {
     chain.process(udp_packet(6000, 0));
     let fid = udp_packet(6000, 0).five_tuple().unwrap().fid();
     assert!(chain.sbox().unwrap().global.contains(fid));
+    // Install moved the monitor's recording into the flow's record.
+    let rule = chain.sbox().unwrap().global.rule(fid).unwrap();
+    assert_eq!(rule.header_actions().len(), 1);
+    assert_eq!(rule.batches.len(), 1);
+    drop(rule);
     for i in 0..20 {
         chain.process(udp_packet(6001, i));
     }
@@ -70,6 +75,8 @@ fn expiry_tears_down_nf_mat_state() {
     let sbox = chain.sbox().unwrap();
     assert!(!sbox.global.contains(fid));
     assert!(sbox.global.locals().iter().all(|l| l.rule(fid).is_none()));
+    // The record held the flow's recordings, and it is gone.
+    assert!(sbox.global.record(fid).is_none(), "no recording survives the expiry");
 }
 
 #[test]

@@ -1,0 +1,105 @@
+//! Per-flow allocation gate (DESIGN.md §15.4).
+//!
+//! Installs a counting global allocator and meters what one short flow
+//! costs the heap on the paper's chain1 (MazuNAT → Maglev → Monitor →
+//! IPFilter): a SYN, three data segments and a FIN, so each flow is
+//! classified, recorded, installed, served on the fast path and torn
+//! down. The original chain's count is printed beside SpeedyBox's for
+//! reference; SpeedyBox's is gated at batch 1 and batch 32.
+//!
+//! `allocmeter` counts every `realloc` as an allocation with no matching
+//! free, so the gate is on allocations, never on allocations minus frees.
+//!
+//! Like `tests/zero_alloc.rs`, this lives in its own integration-test
+//! binary because the global allocator is process-wide: keep this file to
+//! a single `#[test]`.
+
+#![forbid(unsafe_code)]
+
+use std::sync::Arc;
+
+use allocmeter::CountingAlloc;
+use speedybox_packet::{Magazine, Packet, PacketBuilder, TcpFlags};
+use speedybox_platform::chains::chain1;
+use speedybox_platform::metrics::ProcessedPacket;
+use speedybox_platform::runtime::SboxConfig;
+use speedybox_platform::Chain;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Flows per pass.
+const FLOWS: u16 = 256;
+/// SpeedyBox's bound, in heap allocations per short flow.
+const MAX_ALLOCS_PER_FLOW: f64 = 20.0;
+
+/// The trace: each flow's SYN, three data segments and FIN, flow after
+/// flow, so at most one flow is live at a time.
+fn trace() -> Vec<Packet> {
+    let mut packets = Vec::with_capacity(usize::from(FLOWS) * 5);
+    for f in 0..FLOWS {
+        let segment = |flags: u8, payload: &[u8]| {
+            PacketBuilder::tcp()
+                .src(format!("10.0.{}.1:{}", f / 200, 1024 + f).parse().unwrap())
+                .dst("10.0.0.2:80".parse().unwrap())
+                .flags(flags)
+                .payload(payload)
+                .build()
+        };
+        packets.push(segment(TcpFlags::SYN, b""));
+        for i in 0..3u8 {
+            packets.push(segment(TcpFlags::ACK, &[b'a' + i; 64]));
+        }
+        packets.push(segment(TcpFlags::FIN | TcpFlags::ACK, b""));
+    }
+    packets
+}
+
+/// One pass of `trace` through `chain`, `batch` packets at a time, with
+/// pooled copy-in and every survivor recycled.
+fn pass(chain: &mut Chain, mag: &mut Magazine, trace: &[Packet], batch: usize) {
+    let mut input: Vec<Packet> = Vec::with_capacity(batch);
+    let mut out: Vec<ProcessedPacket> = Vec::with_capacity(batch);
+    for chunk in trace.chunks(batch) {
+        input.extend(chunk.iter().map(|p| mag.copy_packet(p)));
+        if batch == 1 {
+            out.push(chain.process(input.pop().expect("one packet")));
+        } else {
+            chain.process_batch_into(&mut input, &mut out);
+        }
+        for o in out.drain(..) {
+            if let Some(packet) = o.packet {
+                mag.give_packet(packet);
+            }
+        }
+    }
+}
+
+/// Heap allocations per flow of `chain` over one pass after a warm-up
+/// pass.
+fn allocs_per_flow(mut chain: Chain, trace: &[Packet], batch: usize) -> f64 {
+    let mut mag = Magazine::new(Arc::clone(chain.pool()));
+    pass(&mut chain, &mut mag, trace, batch);
+    let before = ALLOC.snapshot();
+    pass(&mut chain, &mut mag, trace, batch);
+    let allocs = ALLOC.snapshot().allocs - before.allocs;
+    allocs as f64 / f64::from(FLOWS)
+}
+
+#[test]
+fn short_flows_stay_within_the_allocation_bound() {
+    let trace = trace();
+    let original = allocs_per_flow(Chain::original(chain1(8).0), &trace, 1);
+    for batch in [1usize, 32] {
+        let config = SboxConfig { batch_size: batch, ..SboxConfig::default() };
+        let sbox = allocs_per_flow(Chain::speedybox_with(chain1(8).0, config), &trace, batch);
+        println!(
+            "flow_alloc batch {batch}: speedybox {sbox:.1} allocations per flow, \
+             original {original:.1}"
+        );
+        assert!(
+            sbox <= MAX_ALLOCS_PER_FLOW,
+            "batch {batch}: {sbox:.1} allocations per short flow exceed {MAX_ALLOCS_PER_FLOW}"
+        );
+    }
+}

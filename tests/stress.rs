@@ -22,7 +22,10 @@ fn nine_nf_chain_with_heavy_flow_churn() {
         ..WorkloadConfig::default()
     });
     let mut chain = Chain::speedybox(ipfilter_chain(9, 50));
-    let stats = chain.run(w.packets());
+    let packets = w.packets();
+    let fids: std::collections::BTreeSet<_> =
+        packets.iter().filter_map(|p| p.five_tuple().ok()).map(|t| t.fid()).collect();
+    let stats = chain.run(packets);
     assert_eq!(stats.dropped, 0);
     assert_eq!(stats.path_counts[1], 500, "one slow-path packet per flow");
     // All flows FIN'd: every table drained.
@@ -30,6 +33,10 @@ fn nine_nf_chain_with_heavy_flow_churn() {
     assert!(sbox.global.is_empty());
     assert!(sbox.classifier.is_empty());
     assert!(sbox.global.locals().iter().all(|l| l.is_empty()));
+    // An installed flow's recordings and armed events live in its record
+    // only: with every record gone, none survives the teardown.
+    assert!(fids.iter().all(|&fid| sbox.global.record(fid).is_none()));
+    assert!(sbox.global.events().is_empty(), "no event staged");
 }
 
 #[test]
