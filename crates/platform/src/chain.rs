@@ -5,7 +5,8 @@
 //! NF manager; only the way packets move between NFs differs. [`Chain`]
 //! does the same: its per-packet step is written once, and a [`Platform`]
 //! value carries only the costs that differ (see DESIGN.md, "One packet
-//! step"):
+//! step"). The step only counts operations; beside it, the lane's ledger
+//! ([`crate::cycles`]) prices each finished packet under its platform:
 //!
 //! * BESS "typically implements an entire service chain as a single
 //!   process on a dedicated core": run-to-completion, one module hop per
@@ -21,17 +22,17 @@
 use std::sync::Arc;
 
 use speedybox_mat::{
-    Batched, Classification, ClassifyScratch, FlowRecord, NfInstrument, OpCounter, PacketClass,
+    Batched, Classification, ClassifyScratch, NfInstrument, OpCounter, PacketClass,
 };
 use speedybox_nf::Nf;
 use speedybox_packet::{Fid, Magazine, Packet, PacketError, PacketPool, PoolStats};
 use speedybox_telemetry::Telemetry;
 
-use crate::cycles::CycleModel;
+use crate::cycles::{Counted, CycleModel, Ledger};
 use crate::metrics::{observe, sync_pool, PathKind, ProcessedPacket, RunStats};
 use crate::runtime::{
-    fast_path, notify_flow_closed, tag_ingress, traverse_chain, FastPathScratch, SboxConfig,
-    SlowPathResult, SpeedyBox,
+    fast_path, notify_flow_closed, tag_ingress, traverse_chain, SboxConfig, SlowPathResult,
+    SpeedyBox,
 };
 use crate::supervisor::{default_log_bound, Supervisor};
 use crate::threaded::Rings;
@@ -94,23 +95,6 @@ impl Platform {
     }
 }
 
-/// A packet's path and price, before its buffer is handed back or
-/// recycled. Its operations accumulate in the caller's `OpCounter`.
-#[derive(Clone, Copy)]
-struct Priced {
-    survived: bool,
-    work: u64,
-    latency: u64,
-    path: PathKind,
-}
-
-impl Priced {
-    /// Adds the cycles of the classification that preceded the arm.
-    fn after(self, cls_cycles: u64) -> Self {
-        Self { work: self.work + cls_cycles, latency: self.latency + cls_cycles, ..self }
-    }
-}
-
 /// Where a lane's NFs run. Of the packet step, only the walk and the FIN
 /// notification depend on it.
 #[derive(Debug)]
@@ -130,18 +114,18 @@ impl Nfs {
     }
 
     /// Runs `packet` through the NFs — recording with `instruments` — and
-    /// returns it once it has left the chain or been dropped. In-process
-    /// NFs are priced under `model`; NF threads hold their own copy of the
-    /// default model, the only one a threaded lane uses.
+    /// returns it once it has left the chain or been dropped. An
+    /// in-process walk leaves each NF's operations in `per_nf`; a ring
+    /// walk, counted on the NF threads, only its totals.
     fn walk(
         &mut self,
         mut packet: Packet,
         instruments: Option<&[NfInstrument]>,
-        model: &CycleModel,
+        per_nf: &mut Vec<OpCounter>,
     ) -> (Packet, SlowPathResult) {
         match self {
             Nfs::InProcess(nfs) => {
-                let res = traverse_chain(nfs, instruments, &mut packet, model);
+                let res = traverse_chain(nfs, instruments, &mut packet, per_nf);
                 (packet, res)
             }
             Nfs::Rings(rings) => rings.walk(packet, instruments.is_some()),
@@ -167,31 +151,23 @@ impl Nfs {
 }
 
 /// Everything one packet step mutates besides the shared SpeedyBox
-/// runtime: the NFs, the cost model, the buffer magazine, fast-path and
-/// batch scratch, the supervisor, and the stage and worker cycle ledgers.
-/// Borrowing it separately from the runtime lets [`crate::workers`]
-/// threads share one runtime while each owns a lane.
+/// runtime: the NFs, the ledger that prices finished packets (with the
+/// platform, the count scratch and the stage and worker totals), the
+/// buffer magazine, batch scratch and the supervisor. Borrowing it
+/// separately from the runtime lets [`crate::workers`] threads share one
+/// runtime while each owns a lane.
 #[derive(Debug)]
 pub(crate) struct Lane {
     nfs: Nfs,
-    platform: Platform,
-    model: CycleModel,
+    ledger: Ledger,
     mag: Magazine,
-    fp_scratch: FastPathScratch,
     /// NF crash/restart supervision (checkpoints + in-flight log).
     supervisor: Option<Supervisor>,
-    /// ONVM per-stage cycle totals: index 0 = manager (RX, classifier,
-    /// Global MAT), 1..=N the NFs. Empty on BESS.
-    stage_cycles: Vec<u64>,
-    /// Per-worker work cycles under FID-slice steering
-    /// (`fid & (workers - 1)`); one slot when running single-worker.
-    worker_cycles: Vec<u64>,
     /// Batch scratch, reused across batches so the steady-state batch
     /// path performs no heap allocation.
     cls_scratch: ClassifyScratch,
     classified: Vec<Result<Batched, PacketError>>,
     ops_scratch: Vec<OpCounter>,
-    before_cycles: Vec<u64>,
     /// FIDs whose record an earlier step of the batch republished or
     /// removed; empty in steady state.
     touched: Vec<Fid>,
@@ -207,31 +183,16 @@ impl Lane {
         workers: usize,
         supervisor: Option<Supervisor>,
     ) -> Self {
-        let mut lane = Self {
+        Self {
+            ledger: Ledger::new(platform, nfs.len(), workers),
             nfs,
-            platform,
-            model: CycleModel::new(),
             mag: Magazine::new(Arc::clone(pool)),
-            fp_scratch: FastPathScratch::default(),
             supervisor,
-            stage_cycles: Vec::new(),
-            worker_cycles: vec![0; workers],
             cls_scratch: ClassifyScratch::default(),
             classified: Vec::new(),
             ops_scratch: Vec::new(),
-            before_cycles: Vec::new(),
             touched: Vec::new(),
-        };
-        lane.set_platform(platform);
-        lane
-    }
-
-    fn set_platform(&mut self, platform: Platform) {
-        self.platform = platform;
-        self.stage_cycles = match platform {
-            Platform::Bess => Vec::new(),
-            Platform::Onvm => vec![0; self.nfs.len() + 1],
-        };
+        }
     }
 
     /// The threaded runtime's rings, for its pipelined original-chain
@@ -245,15 +206,7 @@ impl Lane {
 
     /// Total work attributed to this lane's worker slots.
     pub(crate) fn work_cycles(&self) -> u64 {
-        self.worker_cycles.iter().sum()
-    }
-
-    /// Charges `cycles` to ONVM stage `stage` (0 = manager); BESS has no
-    /// stages.
-    fn charge(&mut self, stage: usize, cycles: u64) {
-        if self.platform == Platform::Onvm {
-            self.stage_cycles[stage] += cycles;
-        }
+        self.ledger.totals().1.iter().sum()
     }
 
     /// The original chain's packet: the ingress FID tag, then the
@@ -261,7 +214,7 @@ impl Lane {
     fn baseline(&mut self, telemetry: &Telemetry, mut packet: Packet) -> ProcessedPacket {
         // Harness bookkeeping: the tag records no operations.
         tag_ingress(&mut packet, &mut OpCounter::default());
-        let (packet, res) = self.nfs.walk(packet, None, &self.model);
+        let (packet, res) = self.nfs.walk(packet, None, &mut self.ledger.walk);
         if packet.tcp_flags().closes_flow() {
             if let Some(fid) = packet.fid() {
                 self.nfs.flow_closed(fid);
@@ -270,20 +223,17 @@ impl Lane {
         self.complete(telemetry, packet, &res)
     }
 
-    /// An original-chain packet back from its walk `res`: the walk is
-    /// priced, then the packet is finished. The threaded runtime's
-    /// pipelined original-chain loop completes each packet here as it
-    /// leaves the rings.
+    /// An original-chain packet back from its walk `res`, finished. The
+    /// threaded runtime's pipelined original-chain loop completes each
+    /// packet here as it leaves the rings.
     pub(crate) fn complete(
         &mut self,
         telemetry: &Telemetry,
         packet: Packet,
         res: &SlowPathResult,
     ) -> ProcessedPacket {
-        let mut ops = OpCounter::default();
-        let priced = self.price(res, None, &mut ops);
         let hint = packet.fid().map_or(0, |f| f.index() as u64);
-        self.finish(telemetry, hint, packet, priced, ops)
+        self.finish(telemetry, hint, packet, res.counted(OpCounter::default(), false), res.ops)
     }
 
     /// A SpeedyBox packet: classification, then [`Lane::step`].
@@ -316,8 +266,7 @@ impl Lane {
             &mut self.cls_scratch,
         );
         self.touched.clear();
-        self.before_cycles.clear();
-        self.before_cycles.extend_from_slice(&self.worker_cycles);
+        self.ledger.open_batch();
         let mut classified = std::mem::take(&mut self.classified);
         for (i, (pkt, cls)) in packets.drain(..).zip(classified.drain(..)).enumerate() {
             let cls_ops = self.ops_scratch[i];
@@ -341,14 +290,7 @@ impl Lane {
         self.classified = classified;
         // Batch-boundary idle eviction (control plane, not packet work).
         sbox.tick_idle_eviction();
-        // Symmetric workers drain their slices of the batch concurrently;
-        // the busiest worker bounds the batch's wall time.
-        self.worker_cycles
-            .iter()
-            .zip(&self.before_cycles)
-            .map(|(after, before)| after - before)
-            .max()
-            .unwrap_or(0)
+        self.ledger.batch_wall()
     }
 
     /// An unparseable packet: dropped at the classifier. It carries no
@@ -361,19 +303,15 @@ impl Lane {
     ) -> ProcessedPacket {
         let mut ops = cls_ops;
         ops.drops += 1;
-        let cycles = self.model.cycles(&ops);
-        self.charge(0, cycles);
-        let priced =
-            Priced { survived: false, work: cycles, latency: cycles, path: PathKind::Initial };
-        self.finish(telemetry, 0, packet, priced, ops)
+        self.finish(telemetry, 0, packet, Counted::Unparsed, ops)
     }
 
     /// The packet step after classification, shared by every platform,
     /// the per-packet and batched paths, and the worker threads. One of
-    /// three arms prices the packet — the uninstrumented walk, the
-    /// instrumented walk plus rule install, or the fast path on the
-    /// classified record — then teardown, `observe` and worker
-    /// attribution follow once. In a batch, the lane's `touched` list
+    /// three arms runs the packet and counts its operations — the
+    /// uninstrumented walk, the instrumented walk plus rule install, or
+    /// the fast path on the classified record — then teardown and
+    /// [`Lane::finish`] follow once. In a batch, the lane's `touched` list
     /// collects the FIDs whose record this step republished or removed,
     /// so later packets of the batch look their record up again.
     fn step(
@@ -407,20 +345,19 @@ impl Lane {
         } else {
             class
         };
-        let cls_cycles = self.model.cycles(&cls_ops);
-        self.charge(0, cls_cycles);
 
         let mut ops = cls_ops;
         let fast = if class == PacketClass::Subsequent {
-            self.fast(sbox, fid, record.as_deref(), &mut packet, &mut ops)
+            fast_path(sbox, &mut packet, fid, record.as_deref(), &mut self.ledger.batches)
         } else {
             None
         };
         let mut republished = teardown;
-        let (packet, priced) = match (class, fast) {
-            (_, Some((priced, relooked))) => {
-                republished |= relooked;
-                (packet, priced)
+        let (packet, counted) = match (class, &fast) {
+            (_, Some(res)) => {
+                republished |= res.relooked();
+                ops.merge(&res.ops);
+                (packet, res.counted(&sbox.config))
             }
             // Collision: a different flow owns this FID's rule slot, so
             // its rule must not be corrupted. Handshake (§III): the
@@ -445,141 +382,64 @@ impl Lane {
         if batched && republished {
             self.touched.push(fid);
         }
-        self.finish(&sbox.telemetry, hint, packet, priced.after(cls_cycles), ops)
+        self.finish(&sbox.telemetry, hint, packet, counted, ops)
     }
 
     /// The walk arms: the packet runs through the original chain,
     /// uninstrumented, or — with `record` — recording its flow's behaviour
-    /// and then installing the flow's consolidated rule.
+    /// and then installing the flow's consolidated rule. `ops` holds the
+    /// classification's operations and gets the walk's and the install's.
     fn walk(
         &mut self,
         packet: Packet,
         record: Option<(&SpeedyBox, Fid)>,
         ops: &mut OpCounter,
-    ) -> (Packet, Priced) {
+    ) -> (Packet, Counted<'static>) {
         let instruments = record.map(|(sbox, _)| sbox.instruments.as_slice());
-        let (packet, res) = self.nfs.walk(packet, instruments, &self.model);
-        let install = record.map(|(sbox, fid)| {
-            let mut install_ops = OpCounter::default();
-            sbox.global.install(fid, &mut install_ops);
-            install_ops
-        });
-        (packet, self.price(&res, install, ops))
-    }
-
-    /// A walk's price: each NF's cycles on its stage, the rule install's
-    /// (if any) on the manager's, and the platform's hops per NF reached.
-    fn price(
-        &mut self,
-        res: &SlowPathResult,
-        install: Option<OpCounter>,
-        ops: &mut OpCounter,
-    ) -> Priced {
-        for (i, &c) in res.per_nf_cycles.iter().enumerate() {
-            self.charge(i + 1, c);
+        let (packet, res) = self.nfs.walk(packet, instruments, &mut self.ledger.walk);
+        // Classification and install run on the manager core.
+        let mut manager = *ops;
+        if let Some((sbox, fid)) = record {
+            sbox.global.install(fid, &mut manager);
         }
-        let mut work = res.per_nf_cycles.iter().sum::<u64>();
+        *ops = manager;
         ops.merge(&res.ops);
-        let path = match install {
-            None => PathKind::Baseline,
-            Some(mut install_ops) => {
-                if self.platform == Platform::Onvm {
-                    // Consolidation "involves inter-core communication":
-                    // one message hop per Local MAT back to the manager.
-                    install_ops.ring_hops += self.nfs.len() as u64;
-                }
-                let install_cycles = self.model.cycles(&install_ops);
-                self.charge(0, install_cycles);
-                work += install_cycles;
-                ops.merge(&install_ops);
-                PathKind::Initial
-            }
-        };
-        let reached = res.per_nf_cycles.iter().filter(|&&c| c > 0).count() as u64;
-        let latency = match self.platform {
-            Platform::Bess => {
-                work += reached * self.model.bess_module_hop;
-                work
-            }
-            Platform::Onvm => {
-                // One ring hop into each NF reached, plus one back to TX
-                // if the packet survived; transit is latency, not work.
-                let hops = reached + u64::from(res.survived);
-                ops.ring_hops += hops;
-                work += hops * self.model.ring_hop;
-                work + hops * self.model.ring_transit
-            }
-        };
-        Priced { survived: res.survived, work, latency, path }
-    }
-
-    /// The fast-path arm: the flow's consolidated rule, read from the
-    /// record the classifier found. `None` if the rule is gone; the flag
-    /// is [`FastPathResult::relooked`](crate::runtime::FastPathResult).
-    fn fast(
-        &mut self,
-        sbox: &SpeedyBox,
-        fid: Fid,
-        record: Option<&FlowRecord>,
-        packet: &mut Packet,
-        ops: &mut OpCounter,
-    ) -> Option<(Priced, bool)> {
-        let res = fast_path(sbox, packet, fid, record, &self.model, &mut self.fp_scratch)?;
-        if self.platform == Platform::Onvm {
-            // The control part runs on the manager core with no data-path
-            // ring hops (the R4 saving); state-function batches are
-            // dispatched to the owning NFs' cores, which keeps the manager
-            // stage — and therefore throughput — independent of chain
-            // depth.
-            let mut manager = res.work_cycles;
-            if sbox.config.parallelize_sf {
-                for &(nf, c) in &self.fp_scratch.attr {
-                    self.stage_cycles[nf.index() + 1] += c;
-                    manager -= c;
-                }
-            }
-            self.stage_cycles[0] += manager;
-        }
-        ops.merge(&res.ops);
-        let priced = Priced {
-            survived: res.survived,
-            work: res.work_cycles,
-            latency: res.latency_cycles,
-            path: PathKind::Subsequent,
-        };
-        Some((priced, res.relooked))
+        (packet, res.counted(manager, record.is_some()))
     }
 
     /// Hands the packet back if it survived (recycling its buffer
-    /// otherwise), then observes it and attributes its work to the worker
-    /// owning `hint`'s FID slice.
+    /// otherwise), has the ledger price it from its counts, and observes
+    /// it. `hint` is the FID whose telemetry shard and worker slice get
+    /// the packet.
     fn finish(
         &mut self,
         telemetry: &Telemetry,
         hint: u64,
         mut packet: Packet,
-        priced: Priced,
-        ops: OpCounter,
+        counted: Counted<'_>,
+        mut ops: OpCounter,
     ) -> ProcessedPacket {
+        let (path, survived) = match counted {
+            Counted::Unparsed => (PathKind::Initial, false),
+            Counted::Walk { survived, installed: true, .. } => (PathKind::Initial, survived),
+            Counted::Walk { survived, installed: false, .. } => (PathKind::Baseline, survived),
+            Counted::Fast { survived, .. } => (PathKind::Subsequent, survived),
+        };
+        let (work_cycles, latency_cycles) = self.ledger.price(hint, counted, &mut ops);
         let outcome = ProcessedPacket {
-            packet: if priced.survived {
+            packet: if survived {
                 packet.clear_fid();
                 Some(packet)
             } else {
                 self.mag.give_packet(packet);
                 None
             },
-            work_cycles: priced.work,
-            latency_cycles: priced.latency,
-            path: priced.path,
+            work_cycles,
+            latency_cycles,
+            path,
             ops,
         };
         observe(telemetry, hint, &outcome);
-        // Masked by the (power-of-two) worker count, so the cast cannot
-        // lose anything the mask keeps.
-        #[allow(clippy::cast_possible_truncation)]
-        let w = (hint as usize) & (self.worker_cycles.len() - 1);
-        self.worker_cycles[w] += outcome.work_cycles;
         outcome
     }
 }
@@ -655,30 +515,24 @@ impl Chain {
     }
 
     /// Moves the chain to `platform` (BESS by default). Call before
-    /// processing: stage totals restart.
+    /// processing: the ledger's totals restart.
     #[must_use]
     pub fn with_platform(mut self, platform: Platform) -> Self {
-        self.lane.set_platform(platform);
-        self
-    }
-
-    /// Replaces the cycle model (calibration experiments).
-    #[must_use]
-    pub fn with_model(mut self, model: CycleModel) -> Self {
-        self.lane.model = model;
+        let workers = self.lane.ledger.totals().1.len();
+        self.lane.ledger = Ledger::new(platform, self.lane.nfs.len(), workers);
         self
     }
 
     /// The cycle model in use.
     #[must_use]
     pub fn model(&self) -> &CycleModel {
-        &self.lane.model
+        &self.lane.ledger.model
     }
 
     /// The platform's processing rate for a run of this chain.
     #[must_use]
     pub fn rate_mpps(&self, stats: &RunStats) -> f64 {
-        self.lane.platform.rate_mpps(stats, &self.lane.model)
+        self.lane.ledger.platform().rate_mpps(stats, self.model())
     }
 
     /// The chain's live telemetry hub.
@@ -899,16 +753,17 @@ impl Chain {
     /// Runs `body`, then fills in the stage, worker and wall cycle totals
     /// it accrued.
     fn measure(&mut self, body: impl FnOnce(&mut Self, &mut RunStats)) -> RunStats {
-        let stages_before = self.lane.stage_cycles.clone();
-        let workers_before = self.lane.worker_cycles.clone();
+        let (stages, workers) = self.lane.ledger.totals();
+        let (stages_before, workers_before) = (stages.to_vec(), workers.to_vec());
         let wall_before = self.worker_wall;
         let mut stats = RunStats::default();
         body(self, &mut stats);
         let delta = |now: &[u64], before: &[u64]| -> Vec<u64> {
             now.iter().zip(before).map(|(a, b)| a - b).collect()
         };
-        stats.stage_cycles = delta(&self.lane.stage_cycles, &stages_before);
-        stats.worker_cycles = delta(&self.lane.worker_cycles, &workers_before);
+        let (stages, workers) = self.lane.ledger.totals();
+        stats.stage_cycles = delta(stages, &stages_before);
+        stats.worker_cycles = delta(workers, &workers_before);
         stats.worker_wall_cycles = self.worker_wall - wall_before;
         stats
     }

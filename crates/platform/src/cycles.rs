@@ -1,4 +1,4 @@
-//! The calibrated cycle model.
+//! The calibrated cycle model, and the ledger that prices packets with it.
 //!
 //! The paper reports absolute CPU cycles measured on an Intel Xeon E5-2660
 //! v4 (2.0 GHz). We cannot reproduce that testbed; instead every component
@@ -12,8 +12,16 @@
 //!   one original NF, crossing to −40 %/−58 % at two/three actions (Fig 4),
 //! * initial packets cost several thousand cycles (ACL linear match for new
 //!   flows, Fig 4's `init` bars).
+//!
+//! The packet step only counts: per NF for in-process walks, per
+//! state-function batch on the fast path. Each lane's [`Ledger`] prices a
+//! finished packet once from those counts, as the paper reads cycles from
+//! the testbed's counters without charging its packet path for it
+//! (DESIGN.md §17).
 
-use speedybox_mat::OpCounter;
+use speedybox_mat::{GlobalRule, OpCounter};
+
+use crate::chain::Platform;
 
 /// Per-operation cycle costs.
 ///
@@ -170,6 +178,167 @@ impl CycleModel {
             return 0.0;
         }
         self.cycles_per_us as f64 / cycles_per_packet
+    }
+}
+
+/// How a finished packet's step went: what [`Ledger::price`] needs
+/// besides the packet's total operations and the ledger's count scratch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Counted<'r> {
+    /// Dropped at the classifier.
+    Unparsed,
+    /// A walk through the NFs, with the flow's rule install if
+    /// `installed`. `reached` NFs counted any operation, and so cost a
+    /// hop; `manager` is what ran on the manager core: the classification
+    /// and the install.
+    Walk { survived: bool, reached: u64, manager: OpCounter, installed: bool },
+    /// The fast path on `rule`: an early drop unless `survived`, header
+    /// actions `compiled`, SF batches on the Table I schedule if
+    /// `parallel`.
+    Fast { survived: bool, compiled: bool, parallel: bool, rule: &'r GlobalRule },
+}
+
+/// Prices each finished packet of one lane, by the DESIGN.md §17 cost
+/// table, and keeps the totals a run reports beside the packets: ONVM's
+/// per-stage cycles and the work per worker. It owns the lane's count
+/// scratch, which the step fills; warm, nothing here allocates.
+///
+/// Cycles are linear in operations, so a packet's work is one pricing of
+/// its total operations plus the terms that are not operations: a BESS
+/// module hop per NF reached, and the fast path's forward dispatch. Its
+/// latency is its work less the Table I wave overlap, plus ONVM ring
+/// transit.
+#[derive(Debug)]
+pub(crate) struct Ledger {
+    pub(crate) model: CycleModel,
+    platform: Platform,
+    /// Operations of each NF an in-process walk reached. A threaded
+    /// lane's stays empty: its NFs count on their own threads.
+    pub(crate) walk: Vec<OpCounter>,
+    /// Operations of each SF batch the fast path ran.
+    pub(crate) batches: Vec<OpCounter>,
+    /// ONVM per-stage totals: 0 = manager (RX, classifier, Global MAT),
+    /// 1..=N the NFs. Empty on BESS.
+    stages: Vec<u64>,
+    /// Work per FID slice (`fid & (workers - 1)`).
+    workers: Vec<u64>,
+    /// `workers` when the current batch opened.
+    batch_start: Vec<u64>,
+}
+
+impl Ledger {
+    /// A ledger for `nfs` NFs on `platform`, attributing work across
+    /// `workers` (a power of two) FID slices.
+    pub(crate) fn new(platform: Platform, nfs: usize, workers: usize) -> Self {
+        Self {
+            model: CycleModel::new(),
+            platform,
+            walk: Vec::new(),
+            batches: Vec::new(),
+            stages: if platform == Platform::Onvm { vec![0; nfs + 1] } else { Vec::new() },
+            workers: vec![0; workers],
+            batch_start: Vec::new(),
+        }
+    }
+
+    /// The platform whose costs the ledger charges.
+    pub(crate) fn platform(&self) -> Platform {
+        self.platform
+    }
+
+    /// The totals so far: ONVM's per-stage cycles, and the work per
+    /// worker.
+    pub(crate) fn totals(&self) -> (&[u64], &[u64]) {
+        (&self.stages, &self.workers)
+    }
+
+    /// Starts a batch for [`Ledger::batch_wall`].
+    pub(crate) fn open_batch(&mut self) {
+        self.batch_start.clone_from(&self.workers);
+    }
+
+    /// The batch's modeled wall time since [`Ledger::open_batch`]:
+    /// symmetric workers drain their slices at once, so the busiest bounds
+    /// it.
+    pub(crate) fn batch_wall(&self) -> u64 {
+        self.workers.iter().zip(&self.batch_start).map(|(now, then)| now - then).max().unwrap_or(0)
+    }
+
+    /// Prices a finished packet of FID hint `hint` that counted `ops` and
+    /// went as `counted` says, charging its stages and its worker; returns
+    /// its work and latency. An ONVM walk's ring hops are the platform's
+    /// operations, added to `ops` here.
+    pub(crate) fn price(
+        &mut self,
+        hint: u64,
+        counted: Counted<'_>,
+        ops: &mut OpCounter,
+    ) -> (u64, u64) {
+        let model = self.model;
+        let onvm = self.platform == Platform::Onvm;
+        let (work, latency, manager) = match counted {
+            Counted::Unparsed => {
+                let work = model.cycles(ops);
+                (work, work, work)
+            }
+            Counted::Walk { reached, .. } if !onvm => {
+                let work = model.cycles(ops) + reached * model.bess_module_hop;
+                (work, work, 0)
+            }
+            Counted::Walk { survived, reached, mut manager, installed } => {
+                // One ring hop into each NF reached, plus one back to TX if
+                // the packet survived; transit is latency, not work.
+                // Consolidation "involves inter-core communication": one
+                // message hop per Local MAT back to the manager.
+                let hops = reached + u64::from(survived);
+                let messages = if installed { self.stages.len() as u64 - 1 } else { 0 };
+                manager.ring_hops += messages;
+                ops.ring_hops += hops + messages;
+                for (stage, nf) in self.stages[1..].iter_mut().zip(&self.walk) {
+                    *stage += model.cycles(nf);
+                }
+                let work = model.cycles(ops);
+                (work, work + hops * model.ring_transit, model.cycles(&manager))
+            }
+            Counted::Fast { survived, compiled, parallel, rule } => {
+                let mut work = model.cycles(ops);
+                if survived {
+                    work += if compiled {
+                        model.compiled_forward_fixed
+                    } else {
+                        model.fastpath_forward_fixed
+                    };
+                }
+                // A wave's batches run at once: the wave adds only its
+                // slowest batch to latency. On ONVM each batch runs on its
+                // owner's core, and the rest stays with the manager.
+                let waves = if survived && parallel { rule.schedule.as_slice() } else { &[] };
+                let (mut dispatched, mut overlap) = (0, 0);
+                for wave in waves {
+                    let (mut sum, mut slowest) = (0, 0);
+                    for &i in wave {
+                        let cycles = model.cycles(&self.batches[i]);
+                        if onvm {
+                            self.stages[rule.batches[i].nf.index() + 1] += cycles;
+                        }
+                        sum += cycles;
+                        slowest = slowest.max(cycles);
+                    }
+                    dispatched += sum;
+                    overlap += sum - slowest;
+                }
+                (work, work - overlap, work - dispatched)
+            }
+        };
+        if let Some(stage) = self.stages.first_mut() {
+            *stage += manager;
+        }
+        // Masked by the (power-of-two) worker count, so the cast cannot
+        // lose anything the mask keeps.
+        #[allow(clippy::cast_possible_truncation)]
+        let w = (hint as usize) & (self.workers.len() - 1);
+        self.workers[w] += work;
+        (work, latency)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Real-threads execution of a fast-path rule's state-function schedule.
 //!
-//! The deterministic model in [`crate::runtime::fast_path`] *accounts* for
+//! The deterministic cycle model in [`crate::cycles`] *accounts* for
 //! parallelism; this executor *performs* it, for wall-clock benchmarks and
 //! as evidence the Table I schedule is actually safe to run concurrently.
 //!

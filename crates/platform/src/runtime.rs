@@ -2,23 +2,24 @@
 //! shared by every execution environment.
 //!
 //! The per-packet step that strings these together lives in
-//! [`crate::chain`], whose [`Platform`](crate::chain::Platform) holds the
-//! platform-specific costs (module hops vs. ring hops, pipelined vs.
-//! run-to-completion rate); the building blocks of steering, recording,
-//! consolidation and fast-path execution are here.
+//! [`crate::chain`]; the building blocks of steering, recording,
+//! consolidation and fast-path execution are here. They count operations
+//! and price nothing: the lane's ledger in [`crate::cycles`] prices each
+//! finished packet under its [`Platform`](crate::chain::Platform)'s costs
+//! (module hops vs. ring hops, pipelined vs. run-to-completion rate).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use speedybox_mat::parallel::schedule_latency;
 use speedybox_mat::{
-    AdmissionPolicy, EventTable, FlowRecord, FlowTable, GlobalMat, LocalMat, NfId, NfInstrument,
-    OpCounter, PacketClass, PacketClassifier, FID_SPACE,
+    AdmissionPolicy, EventTable, FlowRecord, FlowTable, GlobalMat, GlobalRule, LocalMat, NfId,
+    NfInstrument, OpCounter, PacketClass, PacketClassifier, FID_SPACE,
 };
 use speedybox_nf::{Nf, NfContext};
 use speedybox_packet::{Fid, Packet};
 use speedybox_telemetry::Telemetry;
 
-use crate::cycles::CycleModel;
+use crate::cycles::Counted;
 
 /// Which SpeedyBox optimizations are active — the Fig 7 ablation knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,38 +258,48 @@ impl SpeedyBox {
     }
 }
 
-/// Result of a slow-path (or baseline) traversal.
-#[derive(Debug)]
+/// What a walk through the NFs counted (slow path or baseline).
+#[derive(Debug, Clone, Copy)]
 pub struct SlowPathResult {
     /// Whether the packet survived the chain.
     pub survived: bool,
-    /// Model cycles spent inside each NF (instrumentation included), in
-    /// chain order, up to the NF that dropped the packet.
-    pub per_nf_cycles: Vec<u64>,
-    /// Total operations performed.
+    /// NFs reached that counted any operation, up to the NF that dropped
+    /// the packet; each costs its platform a module or ring hop.
+    pub reached: u64,
+    /// Total operations performed, instrumentation included.
     pub ops: OpCounter,
 }
 
 impl SlowPathResult {
-    /// A walk over `len` NFs that has not reached any yet.
-    pub(crate) fn new(len: usize) -> Self {
-        Self { survived: true, per_nf_cycles: Vec::with_capacity(len), ops: OpCounter::default() }
+    /// A walk that has not reached any NF yet.
+    pub(crate) fn new() -> Self {
+        Self { survived: true, reached: 0, ops: OpCounter::default() }
+    }
+
+    /// What the ledger needs to price this walk: `manager` ran on the
+    /// manager core, and the walk `installed` the flow's rule.
+    pub(crate) fn counted(&self, manager: OpCounter, installed: bool) -> Counted<'static> {
+        Counted::Walk { survived: self.survived, reached: self.reached, manager, installed }
     }
 }
 
 /// Runs a packet through the original chain. With `instruments` present the
 /// NFs record their per-flow behaviour (SpeedyBox slow path); without, this
-/// is the paper's uninstrumented baseline.
+/// is the paper's uninstrumented baseline. `per_nf` (cleared first) gets
+/// each NF's operations, in chain order, up to the NF that dropped the
+/// packet.
 pub fn traverse_chain(
     nfs: &mut [Box<dyn Nf>],
     instruments: Option<&[NfInstrument]>,
     packet: &mut Packet,
-    model: &CycleModel,
+    per_nf: &mut Vec<OpCounter>,
 ) -> SlowPathResult {
-    let mut res = SlowPathResult::new(nfs.len());
+    per_nf.clear();
+    let mut res = SlowPathResult::new();
     for (i, nf) in nfs.iter_mut().enumerate() {
         let instrument = instruments.map(|insts| &insts[i]);
-        if !nf_step(nf.as_mut(), instrument, packet, model, &mut res) {
+        per_nf.push(nf_step(nf.as_mut(), instrument, packet, &mut res));
+        if !res.survived {
             break;
         }
     }
@@ -296,60 +307,60 @@ pub fn traverse_chain(
 }
 
 /// One NF of a walk: runs `nf` on `packet` — recording through
-/// `instrument` if given — and adds its cycles and operations to `res`.
-/// Returns whether the packet survived it. [`traverse_chain`] takes a
-/// packet through a whole chain with it, and each of the threaded
-/// runtime's NF threads through its own NF.
+/// `instrument` if given — adds its operations to `res`, and returns them.
+/// [`traverse_chain`] takes a packet through a whole chain with it, and
+/// each of the threaded runtime's NF threads through its own NF.
 #[inline]
 pub(crate) fn nf_step(
     nf: &mut dyn Nf,
     instrument: Option<&NfInstrument>,
     packet: &mut Packet,
-    model: &CycleModel,
     res: &mut SlowPathResult,
-) -> bool {
+) -> OpCounter {
     let mut ops = OpCounter::default();
     let verdict = match instrument {
         Some(inst) => nf.process(packet, &mut NfContext::instrumented(inst, &mut ops)),
         None => nf.process(packet, &mut NfContext::baseline(&mut ops)),
     };
-    res.per_nf_cycles.push(model.cycles(&ops));
+    if ops != OpCounter::default() {
+        res.reached += 1;
+    }
     res.ops.merge(&ops);
     res.survived = verdict.survives();
-    res.survived
+    ops
 }
 
-/// Result of a fast-path execution. Per-batch cycle attribution lives in
-/// the caller's [`FastPathScratch`] (`attr`), not here, so the result
-/// itself is allocation-free.
+/// Result of a fast-path execution.
 #[derive(Debug)]
-pub struct FastPathResult {
+pub struct FastPathResult<'r> {
     /// Whether the packet survived (false = early drop).
     pub survived: bool,
-    /// Total CPU work in model cycles.
-    pub work_cycles: u64,
-    /// Wall latency in model cycles (parallel schedule applied).
-    pub latency_cycles: u64,
     /// Operations performed.
     pub ops: OpCounter,
-    /// An armed condition triggered and the packet was served the flow's
-    /// current rule rather than the one in the caller's record: the record
-    /// may have been republished, so later packets of the flow holding the
-    /// same record must look again.
-    pub relooked: bool,
+    /// The rule served: borrowed from the caller's record, or the flow's
+    /// current rule if an armed condition triggered and the record may
+    /// have been republished (see [`FastPathResult::relooked`]).
+    pub rule: Cow<'r, Arc<GlobalRule>>,
 }
 
-/// Reusable per-worker storage for [`fast_path`]: once warm, fast-path
-/// execution allocates nothing per packet.
-#[derive(Debug, Default)]
-pub struct FastPathScratch {
-    /// Per-batch modeled cycles in schedule order (internal).
-    cycles: Vec<u64>,
-    /// Work per state-function batch `(owning NF, cycles)` for the packet
-    /// most recently executed — pipelined environments read this to
-    /// attribute batch execution to worker cores. Empty after an early
-    /// drop or a fast-path miss.
-    pub attr: Vec<(NfId, u64)>,
+impl FastPathResult<'_> {
+    /// The packet was served the flow's current rule rather than the one
+    /// in the caller's record: later packets of the flow holding the same
+    /// record must look again.
+    #[must_use]
+    pub fn relooked(&self) -> bool {
+        matches!(self.rule, Cow::Owned(_))
+    }
+
+    /// What the ledger needs to price this packet under `config`.
+    pub(crate) fn counted(&self, config: &SboxConfig) -> Counted<'_> {
+        Counted::Fast {
+            survived: self.survived,
+            compiled: config.consolidate_ha && config.compiled,
+            parallel: config.parallelize_sf,
+            rule: &self.rule,
+        }
+    }
 }
 
 /// Executes the consolidated fast path for a subsequent packet from its
@@ -357,37 +368,33 @@ pub struct FastPathScratch {
 ///
 /// Mirrors Fig 1's subsequent-packet walkthrough: the rule's armed event
 /// conditions (inside [`GlobalMat::serve`]), consolidated header action,
-/// then state-function batches on the parallel schedule. Returns `None` if
+/// then state-function batches, each counting into its own entry of
+/// `batches` (cleared first; empty after an early drop). Returns `None` if
 /// no rule is installed (the caller should fall back to the slow path).
-pub fn fast_path(
+pub fn fast_path<'r>(
     sbox: &SpeedyBox,
     packet: &mut Packet,
     fid: Fid,
-    record: Option<&FlowRecord>,
-    model: &CycleModel,
-    scratch: &mut FastPathScratch,
-) -> Option<FastPathResult> {
+    record: Option<&'r FlowRecord>,
+    batches: &mut Vec<OpCounter>,
+) -> Option<FastPathResult<'r>> {
     // Step 1: event check on the record's rule (re-consolidates if an
     // event fired).
-    let mut ctl_ops = OpCounter::default();
-    scratch.attr.clear();
-    let served = sbox.global.serve(fid, record, &mut ctl_ops)?;
-    let relooked = matches!(served, std::borrow::Cow::Owned(_));
-    let rule: &speedybox_mat::GlobalRule = &served;
-    let ctl_cycles = model.cycles(&ctl_ops);
+    let mut ops = OpCounter::default();
+    batches.clear();
+    let rule = sbox.global.serve(fid, record, &mut ops)?;
 
     // Step 2: header actions — compiled micro-op program by default, the
     // interpreted walk under `--interpreted`, per-NF replay in the
     // consolidation ablation.
-    let mut ha_ops = OpCounter::default();
     let cell = sbox.telemetry.shard(fid.index() as u64);
     let survived = if sbox.config.consolidate_ha {
         if sbox.config.compiled {
             cell.add_compiled_hits(1);
-            rule.compiled.run(packet, &mut ha_ops).unwrap_or(false)
+            rule.compiled.run(packet, &mut ops).unwrap_or(false)
         } else {
             cell.add_compiled_fallbacks(1);
-            rule.consolidated.apply(packet, &mut ha_ops).unwrap_or(false)
+            rule.consolidated.apply(packet, &mut ops).unwrap_or(false)
         }
     } else {
         cell.add_compiled_fallbacks(1);
@@ -396,65 +403,27 @@ pub fn fast_path(
         // would have removed.
         let mut alive = true;
         for (_, action) in rule.header_actions() {
-            ha_ops.parses += 1;
-            if !action.apply(packet, &mut ha_ops).unwrap_or(false) {
+            ops.parses += 1;
+            if !action.apply(packet, &mut ops).unwrap_or(false) {
                 alive = false;
                 break;
             }
         }
         alive
     };
-    let ha_cycles = model.cycles(&ha_ops);
-    if !survived {
-        // Early drop: short-circuits before SF dispatch and the fixed
-        // forward overhead.
-        let mut ops = ctl_ops;
-        ops.merge(&ha_ops);
-        let cycles = ctl_cycles + ha_cycles;
-        return Some(FastPathResult {
-            survived: false,
-            work_cycles: cycles,
-            latency_cycles: cycles,
-            ops,
-            relooked,
-        });
-    }
 
-    // Step 3: state-function batches, costed per batch so the Table I
-    // schedule's wall latency (max per wave) can be modeled.
-    scratch.cycles.clear();
-    let mut sf_ops = OpCounter::default();
-    for batch in &rule.batches {
-        let mut ops = OpCounter::default();
-        batch.execute(packet, fid, &mut ops);
-        scratch.cycles.push(model.cycles(&ops));
-        sf_ops.merge(&ops);
+    // Step 3: state-function batches, unless the packet dropped early.
+    // Each batch counts apart, so its wave of the Table I schedule can be
+    // priced.
+    if survived {
+        for batch in &rule.batches {
+            let mut batch_ops = OpCounter::default();
+            batch.execute(packet, fid, &mut batch_ops);
+            ops.merge(&batch_ops);
+            batches.push(batch_ops);
+        }
     }
-    let sf_work: u64 = scratch.cycles.iter().sum();
-    let sf_latency = if sbox.config.parallelize_sf {
-        schedule_latency(&rule.schedule, &scratch.cycles)
-    } else {
-        sf_work
-    };
-
-    // Compiled dispatch is straight-line: its fixed forward overhead
-    // undercuts the interpreted executor's.
-    let fixed = if sbox.config.consolidate_ha && sbox.config.compiled {
-        model.compiled_forward_fixed
-    } else {
-        model.fastpath_forward_fixed
-    };
-    let mut ops = ctl_ops;
-    ops.merge(&ha_ops);
-    ops.merge(&sf_ops);
-    scratch.attr.extend(rule.batches.iter().zip(&scratch.cycles).map(|(b, &c)| (b.nf, c)));
-    Some(FastPathResult {
-        survived: true,
-        work_cycles: ctl_cycles + ha_cycles + sf_work + fixed,
-        latency_cycles: ctl_cycles + ha_cycles + sf_latency + fixed,
-        ops,
-        relooked,
-    })
+    Some(FastPathResult { survived, ops, rule })
 }
 
 /// Classifies a packet under SpeedyBox, returning the assigned FID, the
@@ -494,6 +463,8 @@ mod tests {
     use speedybox_packet::{HeaderField, PacketBuilder};
 
     use super::*;
+    use crate::chain::Platform;
+    use crate::cycles::{CycleModel, Ledger};
 
     fn chain() -> Vec<Box<dyn Nf>> {
         vec![
@@ -508,16 +479,33 @@ mod tests {
         ]
     }
 
+    /// A fast-path packet as a BESS ledger prices it.
+    struct Fast {
+        survived: bool,
+        work_cycles: u64,
+        latency_cycles: u64,
+        /// SF batches the packet ran.
+        batches: usize,
+    }
+
     /// The fast path for `fid`'s record as the table holds it now.
-    fn fast(
-        sbox: &SpeedyBox,
-        packet: &mut Packet,
-        fid: Fid,
-        model: &CycleModel,
-        scratch: &mut FastPathScratch,
-    ) -> Option<FastPathResult> {
+    fn fast(sbox: &SpeedyBox, packet: &mut Packet, fid: Fid) -> Option<Fast> {
         let record = sbox.global.record(fid);
-        fast_path(sbox, packet, fid, record.as_deref(), model, scratch)
+        let mut ledger = Ledger::new(Platform::Bess, sbox.instruments.len(), 1);
+        let res = fast_path(sbox, packet, fid, record.as_deref(), &mut ledger.batches)?;
+        let mut ops = res.ops;
+        let (work_cycles, latency_cycles) = ledger.price(0, res.counted(&sbox.config), &mut ops);
+        let batches = ledger.batches.len();
+        Some(Fast { survived: res.survived, work_cycles, latency_cycles, batches })
+    }
+
+    /// Records `fid`'s flow through `nfs` with `initial` and installs its
+    /// rule.
+    fn record(sbox: &SpeedyBox, nfs: &mut [Box<dyn Nf>], initial: &mut Packet) -> SlowPathResult {
+        let fid = initial.fid().unwrap();
+        let res = traverse_chain(nfs, Some(&sbox.instruments), initial, &mut Vec::new());
+        sbox.global.install(fid, &mut OpCounter::default());
+        res
     }
 
     fn packet(src_port: u16) -> Packet {
@@ -533,20 +521,21 @@ mod tests {
 
     #[test]
     fn slow_path_records_and_fast_path_replays() {
-        let model = CycleModel::new();
         let sbox = SpeedyBox::new(2, SboxConfig::default());
         let mut nfs = chain();
         let mut initial = packet(1000);
         let fid = initial.fid().unwrap();
-        let res = traverse_chain(&mut nfs, Some(&sbox.instruments), &mut initial, &model);
+        let mut per_nf = Vec::new();
+        let res = traverse_chain(&mut nfs, Some(&sbox.instruments), &mut initial, &mut per_nf);
         assert!(res.survived);
-        assert_eq!(res.per_nf_cycles.len(), 2);
-        let mut install_ops = OpCounter::default();
-        sbox.global.install(fid, &mut install_ops);
+        assert_eq!((per_nf.len(), res.reached), (2, 2));
+        let mut total = OpCounter::default();
+        per_nf.iter().for_each(|ops| total.merge(ops));
+        assert_eq!(total, res.ops, "the walk's total is its NFs' sum");
+        sbox.global.install(fid, &mut OpCounter::default());
 
         let mut sub = packet(1000);
-        let mut scratch = FastPathScratch::default();
-        let out = fast(&sbox, &mut sub, fid, &model, &mut scratch).unwrap();
+        let out = fast(&sbox, &mut sub, fid).unwrap();
         assert!(out.survived);
         // Latter NF's modify wins on the fast path, same as sequential.
         assert_eq!(sub.get_field(HeaderField::DstPort).unwrap().as_port(), 2222);
@@ -554,37 +543,24 @@ mod tests {
 
     #[test]
     fn fast_path_without_rule_is_none() {
-        let model = CycleModel::new();
         let sbox = SpeedyBox::new(1, SboxConfig::default());
         let mut p = packet(1000);
-        let mut scratch = FastPathScratch::default();
-        assert!(fast(&sbox, &mut p, Fid::new(7), &model, &mut scratch).is_none());
+        assert!(fast(&sbox, &mut p, Fid::new(7)).is_none());
     }
 
     #[test]
     fn ha_ablation_costs_more() {
-        let model = CycleModel::new();
-        let mut nfs = chain();
-
+        let fid = packet(1000).fid().unwrap();
         let consolidated = SpeedyBox::new(2, SboxConfig::default());
-        let mut initial = packet(1000);
-        let fid = initial.fid().unwrap();
-        traverse_chain(&mut nfs, Some(&consolidated.instruments), &mut initial, &model);
-        let mut ops = OpCounter::default();
-        consolidated.global.install(fid, &mut ops);
-        let mut scratch = FastPathScratch::default();
-        let merged = fast(&consolidated, &mut packet(1000), fid, &model, &mut scratch).unwrap();
+        record(&consolidated, &mut chain(), &mut packet(1000));
+        let merged = fast(&consolidated, &mut packet(1000), fid).unwrap();
 
         let unconsolidated = SpeedyBox::new(
             2,
             SboxConfig { consolidate_ha: false, parallelize_sf: true, ..SboxConfig::default() },
         );
-        let mut nfs2 = chain();
-        let mut initial2 = packet(1000);
-        traverse_chain(&mut nfs2, Some(&unconsolidated.instruments), &mut initial2, &model);
-        let mut ops2 = OpCounter::default();
-        unconsolidated.global.install(fid, &mut ops2);
-        let slow = fast(&unconsolidated, &mut packet(1000), fid, &model, &mut scratch).unwrap();
+        record(&unconsolidated, &mut chain(), &mut packet(1000));
+        let slow = fast(&unconsolidated, &mut packet(1000), fid).unwrap();
 
         assert!(
             slow.work_cycles > merged.work_cycles,
@@ -595,8 +571,8 @@ mod tests {
         // Both produce the same packet bytes.
         let mut a = packet(1000);
         let mut b = packet(1000);
-        fast(&consolidated, &mut a, fid, &model, &mut scratch).unwrap();
-        fast(&unconsolidated, &mut b, fid, &model, &mut scratch).unwrap();
+        fast(&consolidated, &mut a, fid).unwrap();
+        fast(&unconsolidated, &mut b, fid).unwrap();
         assert_eq!(a.as_bytes(), b.as_bytes());
     }
 
@@ -608,14 +584,11 @@ mod tests {
             vec![Box::new(SyntheticNf::forward("d").with_header_action(HeaderAction::Drop))];
         let mut initial = packet(1000);
         let fid = initial.fid().unwrap();
-        let res = traverse_chain(&mut nfs, Some(&sbox.instruments), &mut initial, &model);
+        let res = record(&sbox, &mut nfs, &mut initial);
         assert!(!res.survived);
-        let mut ops = OpCounter::default();
-        sbox.global.install(fid, &mut ops);
-        let mut scratch = FastPathScratch::default();
-        let out = fast(&sbox, &mut packet(1000), fid, &model, &mut scratch).unwrap();
+        let out = fast(&sbox, &mut packet(1000), fid).unwrap();
         assert!(!out.survived);
-        assert!(scratch.attr.is_empty(), "early drop leaves no batch attribution");
+        assert_eq!(out.batches, 0, "early drop runs no state-function batch");
         // Early drop must be cheaper than the forward fixed overhead path.
         assert!(out.work_cycles < model.mat_lookup + model.fastpath_forward_fixed + 500);
     }
@@ -625,7 +598,6 @@ mod tests {
         use speedybox_mat::state_fn::PayloadAccess;
         use speedybox_nf::synthetic::SyntheticSf;
 
-        let model = CycleModel::new();
         let mk_chain = || -> Vec<Box<dyn Nf>> {
             (0..3)
                 .map(|i| {
@@ -638,13 +610,10 @@ mod tests {
 
         let run = |cfg: SboxConfig| {
             let sbox = SpeedyBox::new(3, cfg);
-            let mut nfs = mk_chain();
             let mut initial = packet(1000);
             let fid = initial.fid().unwrap();
-            traverse_chain(&mut nfs, Some(&sbox.instruments), &mut initial, &model);
-            let mut ops = OpCounter::default();
-            sbox.global.install(fid, &mut ops);
-            fast(&sbox, &mut packet(1000), fid, &model, &mut FastPathScratch::default()).unwrap()
+            record(&sbox, &mut mk_chain(), &mut initial);
+            fast(&sbox, &mut packet(1000), fid).unwrap()
         };
 
         let par = run(SboxConfig::default());
@@ -665,13 +634,10 @@ mod tests {
     #[test]
     fn flow_removal_cleans_up() {
         let sbox = SpeedyBox::new(1, SboxConfig::default());
-        let model = CycleModel::new();
         let mut nfs: Vec<Box<dyn Nf>> = vec![Box::new(SyntheticNf::forward("a"))];
         let mut p = packet(1000);
         let fid = p.fid().unwrap();
-        traverse_chain(&mut nfs, Some(&sbox.instruments), &mut p, &model);
-        let mut ops = OpCounter::default();
-        sbox.global.install(fid, &mut ops);
+        record(&sbox, &mut nfs, &mut p);
         assert!(sbox.global.contains(fid));
         sbox.remove_flow(fid);
         assert!(!sbox.global.contains(fid));

@@ -5,8 +5,10 @@
 //! thread per NF, bounded crossbeam channels as the RX/TX rings, and a
 //! manager that hosts the classifier and the Global MAT — the §VI-A
 //! architecture. The manager runs the modeled chain's packet step, priced
-//! as ONVM, with each walk a trip over the rings, so outputs and telemetry
-//! (in model cycles) equal the modeled chain's; the wall clock is kept in
+//! as ONVM, with each walk a trip over the rings: NF threads only count
+//! their operations into the walk, and the manager's lane prices each
+//! finished packet. Outputs and telemetry (in model cycles) equal the
+//! modeled chain's; the wall clock is kept in
 //! [`ThreadedReport::latencies_ns`].
 
 use std::sync::Arc;
@@ -20,7 +22,6 @@ use speedybox_packet::{Fid, Packet, PacketPool, PoolStats};
 use speedybox_telemetry::{Telemetry, TelemetrySnapshot};
 
 use crate::chain::{Lane, Nfs, Platform};
-use crate::cycles::CycleModel;
 use crate::metrics::{sync_pool, ProcessedPacket};
 use crate::runtime::{nf_step, tag_ingress, SboxConfig, SlowPathResult, SpeedyBox};
 
@@ -40,8 +41,8 @@ struct Walk {
     pkt: Packet,
     /// NFs record the flow's behaviour (a SpeedyBox flow-initial packet).
     instrumented: bool,
-    /// The walk as [`traverse_chain`](crate::runtime::traverse_chain)
-    /// reports it, filled in NF by NF.
+    /// The walk's counts as [`traverse_chain`](crate::runtime::traverse_chain)
+    /// reports them, filled in NF by NF.
     res: SlowPathResult,
     /// The pipelined original chain's bookkeeping, carried through.
     ticket: Option<Ticket>,
@@ -87,13 +88,11 @@ pub(crate) struct Rings {
 }
 
 impl Rings {
-    /// One thread per NF, chained by rings, each pricing its NF's work
-    /// under `model`. With `instruments`, NF `i` records through
-    /// `instruments[i]` when a walk asks it to.
+    /// One thread per NF, chained by rings. With `instruments`, NF `i`
+    /// records through `instruments[i]` when a walk asks it to.
     fn spawn(
         nfs: Vec<Box<dyn Nf>>,
         instruments: Option<&[NfInstrument]>,
-        model: CycleModel,
     ) -> (Self, Vec<JoinHandle<()>>) {
         let len = nfs.len();
         let (done_tx, done) = bounded(RING_CAPACITY);
@@ -104,7 +103,7 @@ impl Rings {
             let instrument = instruments.map(|insts| insts[i].clone());
             let (next, done) = (first.take(), done_tx.clone());
             handles.push(thread::spawn(move || {
-                nf_thread(nf, instrument.as_ref(), &model, &rx, next.as_ref(), &done)
+                nf_thread(nf, instrument.as_ref(), &rx, next.as_ref(), &done)
             }));
             first = Some(tx);
         }
@@ -120,7 +119,7 @@ impl Rings {
     }
 
     fn send(&self, pkt: Packet, instrumented: bool, ticket: Option<Ticket>) {
-        let walk = Walk { pkt, instrumented, res: SlowPathResult::new(self.len), ticket };
+        let walk = Walk { pkt, instrumented, res: SlowPathResult::new(), ticket };
         match &self.entry {
             Entry::FirstNf(first) => first.send(Msg::Walk(walk)).expect("NF threads alive"),
             Entry::Loopback(tx) => tx.send(walk).expect("TX ring open"),
@@ -156,12 +155,12 @@ impl Rings {
 }
 
 /// One NF's thread: takes each walk that reaches it one [`nf_step`]
-/// further and passes it on, to the next NF or — once it leaves the chain
-/// or is dropped — to the TX ring. Exits when its RX ring closes.
+/// further, counting its NF's operations into the walk, and passes it on,
+/// to the next NF or — once it leaves the chain or is dropped — to the TX
+/// ring. Exits when its RX ring closes.
 fn nf_thread(
     mut nf: Box<dyn Nf>,
     instrument: Option<&NfInstrument>,
-    model: &CycleModel,
     rx: &Receiver<Msg>,
     next: Option<&Sender<Msg>>,
     done: &Sender<Walk>,
@@ -170,9 +169,8 @@ fn nf_thread(
         match msg {
             Msg::Walk(mut walk) => {
                 let instrument = instrument.filter(|_| walk.instrumented);
-                let survived =
-                    nf_step(nf.as_mut(), instrument, &mut walk.pkt, model, &mut walk.res);
-                match next.filter(|_| survived) {
+                nf_step(nf.as_mut(), instrument, &mut walk.pkt, &mut walk.res);
+                match next.filter(|_| walk.res.survived) {
                     Some(next) => {
                         let _ = next.send(Msg::Walk(walk));
                     }
@@ -293,9 +291,8 @@ pub fn run_threaded_on(
     // private single-shard hub, as a modeled original chain does.
     let telemetry = sbox.map_or_else(|| Arc::new(Telemetry::new(1)), |s| Arc::clone(&s.telemetry));
     let pool = Arc::new(PacketPool::default());
-    // NF threads price their work with the default model, as the lane does.
     let instruments = sbox.map(|s| s.instruments.as_slice());
-    let (rings, handles) = Rings::spawn(nfs, instruments, CycleModel::new());
+    let (rings, handles) = Rings::spawn(nfs, instruments);
     let mut lane = Lane::new(Nfs::Rings(rings), Platform::Onvm, &pool, 1, None);
     let mut got = Collected {
         delivered: (0..total).map(|_| None).collect(),
@@ -373,8 +370,8 @@ pub fn run_threaded_on(
     }
 }
 
-/// Prices, observes and collects an original-chain packet back from the
-/// rings.
+/// Finishes — prices and observes — and collects an original-chain packet
+/// back from the rings.
 fn complete(lane: &mut Lane, telemetry: &Telemetry, got: &mut Collected, walk: Walk) {
     let ticket = walk.ticket.expect("pipelined packets carry a ticket");
     let outcome = lane.complete(telemetry, walk.pkt, &walk.res);

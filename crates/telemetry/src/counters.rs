@@ -105,11 +105,11 @@ impl OpTotals {
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct CounterShard {
-    // Data-path outcomes.
-    packets: AtomicU64,
+    // Data-path outcomes. Each packet is counted once, by its delivery
+    // outcome and its path's latency histogram; the packet and path totals
+    // are derived from those at snapshot time.
     delivered: AtomicU64,
     dropped: AtomicU64,
-    paths: [AtomicU64; 3],
     latency: [AtomicHistogram; 3],
     // Classifier lifecycle.
     flows_opened: AtomicU64,
@@ -225,17 +225,15 @@ impl CounterShard {
         self.pool_depth.store(depth, Relaxed);
     }
 
-    /// Records a finished packet: path mix, delivery outcome and latency
-    /// (model cycles).
+    /// Records a finished packet: delivery outcome, and latency (model
+    /// cycles) in its path's histogram.
     #[inline]
     pub fn record_packet(&self, path: PathClass, latency: u64, delivered: bool) {
-        self.packets.fetch_add(1, Relaxed);
         if delivered {
             self.delivered.fetch_add(1, Relaxed);
         } else {
             self.dropped.fetch_add(1, Relaxed);
         }
-        self.paths[path.index()].fetch_add(1, Relaxed);
         self.latency[path.index()].record(latency);
     }
 
@@ -251,14 +249,14 @@ impl CounterShard {
 
     /// Folds this shard's current values into a snapshot.
     pub(crate) fn drain_into(&self, s: &mut TelemetrySnapshot) {
-        s.packets += self.packets.load(Relaxed);
-        s.delivered += self.delivered.load(Relaxed);
-        s.dropped += self.dropped.load(Relaxed);
-        for (dst, src) in s.paths.iter_mut().zip(&self.paths) {
-            *dst += src.load(Relaxed);
-        }
-        for (dst, src) in s.latency.iter_mut().zip(&self.latency) {
-            dst.merge(&src.snapshot());
+        let (delivered, dropped) = (self.delivered.load(Relaxed), self.dropped.load(Relaxed));
+        s.packets += delivered + dropped;
+        s.delivered += delivered;
+        s.dropped += dropped;
+        for ((path, latency), src) in s.paths.iter_mut().zip(&mut s.latency).zip(&self.latency) {
+            let hist = src.snapshot();
+            *path += hist.count;
+            latency.merge(&hist);
         }
         s.flows_opened += self.flows_opened.load(Relaxed);
         s.flows_closed += self.flows_closed.load(Relaxed);

@@ -33,10 +33,10 @@ pub fn bucket_upper(i: usize) -> u64 {
 /// A lock-free log2 histogram. All updates use relaxed atomics: the
 /// counters are monotone and independently meaningful, so no ordering
 /// between them is required — a snapshot taken while writers are active
-/// is a consistent *lower bound*, and exact once writers quiesce.
+/// is a consistent *lower bound*, and exact once writers quiesce. The
+/// observation count is the buckets' sum, taken at snapshot time.
 pub struct AtomicHistogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -64,7 +64,6 @@ impl AtomicHistogram {
     pub fn new() -> Self {
         Self {
             buckets: [0u64; BUCKETS].map(AtomicU64::new),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -75,7 +74,6 @@ impl AtomicHistogram {
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
         self.sum.fetch_add(value, Relaxed);
         self.min.fetch_min(value, Relaxed);
         self.max.fetch_max(value, Relaxed);
@@ -90,7 +88,7 @@ impl AtomicHistogram {
         }
         HistogramSnapshot {
             buckets,
-            count: self.count.load(Relaxed),
+            count: buckets.iter().sum(),
             sum: self.sum.load(Relaxed),
             min: self.min.load(Relaxed),
             max: self.max.load(Relaxed),
@@ -105,7 +103,7 @@ impl AtomicHistogram {
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (bucket `i` covers `[2^i, 2^(i+1))`).
     pub buckets: [u64; BUCKETS],
-    /// Total observations.
+    /// Total observations: the buckets' sum.
     pub count: u64,
     /// Sum of all observed values.
     pub sum: u64,

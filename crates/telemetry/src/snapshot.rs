@@ -12,13 +12,14 @@ use std::fmt::Write as _;
 /// the property the proptest suite locks in.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySnapshot {
-    /// Packets that finished processing (delivered or dropped).
+    /// Packets that finished processing: `delivered + dropped`.
     pub packets: u64,
     /// Packets that left the chain alive.
     pub delivered: u64,
     /// Packets dropped anywhere in the chain.
     pub dropped: u64,
-    /// Per-path packet counts, indexed by [`PathClass::index`].
+    /// Per-path packet counts, indexed by [`PathClass::index`]: each
+    /// path's latency count.
     pub paths: [u64; 3],
     /// Per-path latency histograms, in model cycles (every runtime).
     pub latency: [HistogramSnapshot; 3],

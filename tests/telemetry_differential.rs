@@ -51,7 +51,7 @@ fn assert_matches(stats: &RunStats, snap: &TelemetrySnapshot, label: &str) {
             "{label}: latency min"
         );
     }
-    // The abstract-operation mirror must be exact for all 17 kinds.
+    // The abstract-operation mirror must be exact for all 19 kinds.
     let expected = stats.ops.telemetry_totals();
     for (i, name) in OP_NAMES.iter().enumerate() {
         assert_eq!(snap.ops.0[i], expected.0[i], "{label}: op {name}");
