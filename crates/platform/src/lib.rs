@@ -21,7 +21,9 @@
 //! * [`supervisor`] — NF crash/restart checkpoints and replay;
 //! * [`parallel_exec`] — real-threads execution of the Table I
 //!   state-function schedule;
-//! * [`cycles::CycleModel`] — abstract-operation → cycle calibration;
+//! * [`cycles::CycleModel`] — abstract-operation → cycle calibration,
+//!   which each lane's ledger applies to a packet's counts once it is
+//!   finished;
 //! * [`chains`] — the paper's evaluation chains, prebuilt.
 //!
 //! # Quickstart
