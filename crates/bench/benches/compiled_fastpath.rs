@@ -4,7 +4,7 @@
 //! action with full trailing recomputes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use speedybox_mat::{compile, consolidate, HeaderAction, OpCounter};
+use speedybox_mat::{consolidate, GlobalRule, HeaderAction, OpCounter};
 use speedybox_packet::{HeaderField, Packet, PacketBuilder};
 use speedybox_platform::chains::ipfilter_chain;
 use speedybox_platform::runtime::SboxConfig;
@@ -40,8 +40,9 @@ fn bench_chain_modes(c: &mut Criterion) {
     g.finish();
 }
 
-/// The header-action step in isolation: `CompiledProgram::run` vs
-/// `ConsolidatedAction::apply` on a representative NAT+LB rewrite.
+/// The header-action step in isolation: the rule's compiled program run
+/// over its operands (`BoundProgram::run`) vs `ConsolidatedAction::apply`
+/// on a representative NAT+LB rewrite.
 fn bench_rule_apply(c: &mut Criterion) {
     let action = consolidate(&[
         HeaderAction::modify(HeaderField::DstIp, Ipv4Addr::new(10, 9, 9, 9)),
@@ -49,7 +50,7 @@ fn bench_rule_apply(c: &mut Criterion) {
         HeaderAction::modify(HeaderField::SrcIp, Ipv4Addr::new(172, 16, 0, 1)),
         HeaderAction::Forward,
     ]);
-    let program = compile(&action);
+    let program = GlobalRule::new(action.clone(), vec![], vec![]).compiled;
     let template = packet(0);
     c.bench_function("rule_apply/compiled", |b| {
         b.iter(|| {

@@ -89,6 +89,27 @@ impl HeaderAction {
         }
     }
 
+    /// This action with each modify's value replaced by `f(value)`, in
+    /// write order; other kinds carry no value.
+    #[must_use]
+    pub(crate) fn map_values(mut self, mut f: impl FnMut(FieldValue) -> FieldValue) -> Self {
+        if let HeaderAction::Modify(writes) = &mut self {
+            for (_, value) in writes {
+                *value = f(*value);
+            }
+        }
+        self
+    }
+
+    /// The modify's values, in write order (none for other kinds).
+    pub(crate) fn values(&self) -> impl Iterator<Item = FieldValue> + '_ {
+        let writes = match self {
+            HeaderAction::Modify(writes) => writes.as_slice(),
+            _ => &[],
+        };
+        writes.iter().map(|&(_, value)| value)
+    }
+
     /// Applies this action to a packet the way the *original* (slow-path)
     /// chain would: immediately and in isolation.
     ///
@@ -99,6 +120,18 @@ impl HeaderAction {
     /// # Errors
     /// Propagates packet manipulation failures (e.g. decap with no AH).
     pub fn apply(&self, packet: &mut Packet, ops: &mut OpCounter) -> Result<bool> {
+        self.apply_with(packet, ops, |value| value)
+    }
+
+    /// [`HeaderAction::apply`] writing `bind(value)` for each modify's
+    /// value: how a template's action, whose values are operand slots,
+    /// runs with a flow's operands ([`crate::template`]).
+    pub(crate) fn apply_with(
+        &self,
+        packet: &mut Packet,
+        ops: &mut OpCounter,
+        bind: impl Fn(FieldValue) -> FieldValue,
+    ) -> Result<bool> {
         match self {
             HeaderAction::Forward => Ok(true),
             HeaderAction::Drop => {
@@ -107,7 +140,7 @@ impl HeaderAction {
             }
             HeaderAction::Modify(writes) => {
                 for (field, value) in writes {
-                    packet.set_field(*field, *value)?;
+                    packet.set_field(*field, bind(*value))?;
                     ops.field_writes += 1;
                 }
                 // Each NF on the original path leaves a valid packet

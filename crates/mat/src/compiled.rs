@@ -11,6 +11,11 @@
 //! precomputed into byte templates so the hot path copies instead of
 //! serializing.
 //!
+//! A program holds no field values. Each word write reads an operand
+//! slot, so one program serves every flow of a rule shape, each with its
+//! own operands ([`crate::template`]). [`compile`] lowers an action in
+//! template form, whose modify values are those slots.
+//!
 //! Byte-identity contract: `run` produces the same frame bytes as
 //! [`ConsolidatedAction::apply`] for any packet whose *ingress* checksums
 //! are valid (the incremental patch extends a correct checksum; a full
@@ -56,7 +61,7 @@ pub enum MicroOp {
         template: [u8; AH_LEN],
     },
     /// Masked big-endian write of one aligned 8-byte window:
-    /// `new = (old & !mask) | (value & mask)`.
+    /// `new = (old & !mask) | ((operands[slot] << shift) & mask)`.
     WriteWord {
         /// Which header the offset is relative to.
         anchor: Anchor,
@@ -65,8 +70,10 @@ pub enum MicroOp {
         offset: usize,
         /// Bits to replace (big-endian window order).
         mask: u64,
-        /// Replacement bits, pre-shifted into window position.
-        value: u64,
+        /// Left shift that moves the operand into window position.
+        shift: u32,
+        /// The operand holding the field value.
+        slot: usize,
         /// Whether the rewritten bytes are covered by the IPv4 header
         /// checksum.
         ip_csum: bool,
@@ -86,9 +93,8 @@ pub enum MicroOp {
 
 /// A consolidated action lowered to straight-line micro-ops.
 ///
-/// Built once per rule install or Event-Table rewrite (see
-/// [`GlobalRule::new`](crate::GlobalRule::new)); executed per packet by
-/// [`CompiledProgram::run`].
+/// Built once per rule shape ([`crate::template`]); executed per packet
+/// by [`CompiledProgram::run`] over a flow's operands.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompiledProgram {
     ops: Vec<MicroOp>,
@@ -117,7 +123,8 @@ impl CompiledProgram {
         self.ops.is_empty()
     }
 
-    /// Executes the program against a packet.
+    /// Executes the program against a packet, each word write taking its
+    /// value from `operands`.
     ///
     /// Returns `false` if the packet is dropped. Semantically equivalent to
     /// [`ConsolidatedAction::apply`] (see the module docs for the ingress
@@ -127,7 +134,15 @@ impl CompiledProgram {
     /// # Errors
     /// Propagates packet manipulation failures exactly as the interpreted
     /// path does (e.g. decap of a packet carrying no AH).
-    pub fn run(&self, packet: &mut Packet, ops: &mut OpCounter) -> Result<bool> {
+    ///
+    /// # Panics
+    /// Panics if a word write's slot is past the end of `operands`.
+    pub fn run(
+        &self,
+        operands: &[FieldValue],
+        packet: &mut Packet,
+        ops: &mut OpCounter,
+    ) -> Result<bool> {
         // Anchor table, resolved lazily at the first WriteWord so it sees
         // the post-encap/decap layout.
         let mut layout: Option<HeaderLayout> = None;
@@ -150,7 +165,7 @@ impl CompiledProgram {
                     packet.encap_ah_template(template)?;
                     ops.encaps += 1;
                 }
-                MicroOp::WriteWord { anchor, offset, mask, value, ip_csum, l4_csum } => {
+                MicroOp::WriteWord { anchor, offset, mask, shift, slot, ip_csum, l4_csum } => {
                     let lay = match layout {
                         Some(l) => l,
                         None => {
@@ -174,7 +189,7 @@ impl CompiledProgram {
                     let mut bytes = [0u8; 8];
                     bytes.copy_from_slice(window);
                     let old = u64::from_be_bytes(bytes);
-                    let new = (old & !mask) | (value & mask);
+                    let new = (old & !mask) | ((operands[*slot].raw() << shift) & mask);
                     window.copy_from_slice(&new.to_be_bytes());
                     if *ip_csum {
                         ip_old += word_sum(old);
@@ -247,31 +262,32 @@ pub(crate) fn word_contribution(field: HeaderField, value: FieldValue) -> u32 {
     }
 }
 
-/// Lowers one merged field write to a masked word write.
+/// Lowers one merged field write, of the operand in `slot`, to a masked
+/// word write.
 ///
 /// Every window is 8 bytes at an even anchor-relative offset, so its four
 /// 16-bit words line up with IPv4-header and pseudo-header checksum words,
 /// and all windows stay in-bounds for the minimal 42-byte UDP frame.
-fn lower_field(field: HeaderField, value: FieldValue) -> MicroOp {
-    let raw = value.raw();
+fn lower_field(field: HeaderField, slot: usize) -> MicroOp {
     let (ip_csum, l4_csum) = checksum_domains(field);
-    let (anchor, offset, mask, value) = match field {
+    let (anchor, offset, mask, shift) = match field {
         // Bytes 0..6 of the frame; window tail overlaps the source MAC.
-        HeaderField::DstMac => (Anchor::Frame, 0, 0xFFFF_FFFF_FFFF_0000, raw << 16),
+        HeaderField::DstMac => (Anchor::Frame, 0, 0xFFFF_FFFF_FFFF_0000, 16),
         // Bytes 6..12 of the frame; window tail overlaps the ethertype.
-        HeaderField::SrcMac => (Anchor::Frame, 6, 0xFFFF_FFFF_FFFF_0000, raw << 16),
-        HeaderField::Tos => (Anchor::L3, 0, 0x00FF_0000_0000_0000, raw << 48),
-        HeaderField::Ttl => (Anchor::L3, 8, 0xFF00_0000_0000_0000, raw << 56),
-        HeaderField::SrcIp => (Anchor::L3, 12, 0xFFFF_FFFF_0000_0000, raw << 32),
-        HeaderField::DstIp => (Anchor::L3, 16, 0xFFFF_FFFF_0000_0000, raw << 32),
-        HeaderField::SrcPort => (Anchor::L4, 0, 0xFFFF_0000_0000_0000, raw << 48),
-        HeaderField::DstPort => (Anchor::L4, 0, 0x0000_FFFF_0000_0000, raw << 32),
+        HeaderField::SrcMac => (Anchor::Frame, 6, 0xFFFF_FFFF_FFFF_0000, 16),
+        HeaderField::Tos => (Anchor::L3, 0, 0x00FF_0000_0000_0000, 48),
+        HeaderField::Ttl => (Anchor::L3, 8, 0xFF00_0000_0000_0000, 56),
+        HeaderField::SrcIp => (Anchor::L3, 12, 0xFFFF_FFFF_0000_0000, 32),
+        HeaderField::DstIp => (Anchor::L3, 16, 0xFFFF_FFFF_0000_0000, 32),
+        HeaderField::SrcPort => (Anchor::L4, 0, 0xFFFF_0000_0000_0000, 48),
+        HeaderField::DstPort => (Anchor::L4, 0, 0x0000_FFFF_0000_0000, 32),
     };
-    MicroOp::WriteWord { anchor, offset, mask, value, ip_csum, l4_csum }
+    MicroOp::WriteWord { anchor, offset, mask, shift, slot, ip_csum, l4_csum }
 }
 
-/// Lowers a consolidated action into a compiled program (paper §V-B, done
-/// once per rule install or Event-Table rewrite instead of per packet).
+/// Lowers a consolidated action in template form — each modify's value is
+/// the operand slot it reads — into a compiled program (paper §V-B, done
+/// once per rule shape instead of per packet).
 #[must_use]
 pub fn compile(action: &ConsolidatedAction) -> CompiledProgram {
     if action.is_drop() {
@@ -293,8 +309,8 @@ pub fn compile(action: &ConsolidatedAction) -> CompiledProgram {
         ops.push(MicroOp::PushEncap { template });
     }
     let (mut ip, mut l4) = (false, false);
-    for (field, value) in action.modifies() {
-        let op = lower_field(*field, *value);
+    for &(field, slot) in action.modifies() {
+        let op = lower_field(field, usize::try_from(slot.raw()).unwrap_or(usize::MAX));
         if let MicroOp::WriteWord { ip_csum, l4_csum, .. } = op {
             ip |= ip_csum;
             l4 |= l4_csum;
@@ -333,15 +349,26 @@ mod tests {
             .build()
     }
 
+    /// `action` lowered in template form, with its own values as the
+    /// operands.
+    fn lowered(action: &ConsolidatedAction) -> (CompiledProgram, Vec<FieldValue>) {
+        let mut operands = Vec::new();
+        let slotted = action.clone().map_values(|value| {
+            operands.push(value);
+            FieldValue::new(operands.len() as u64 - 1)
+        });
+        (compile(&slotted), operands)
+    }
+
     /// Runs both paths on clones of `pkt` and asserts byte identity.
     fn assert_paths_agree(action: &ConsolidatedAction, pkt: &Packet) {
-        let program = compile(action);
+        let (program, operands) = lowered(action);
         let mut interpreted = pkt.clone();
         let mut compiled = pkt.clone();
         let mut iops = OpCounter::default();
         let mut cops = OpCounter::default();
         let a = action.apply(&mut interpreted, &mut iops).unwrap();
-        let b = program.run(&mut compiled, &mut cops).unwrap();
+        let b = program.run(&operands, &mut compiled, &mut cops).unwrap();
         assert_eq!(a, b);
         assert_eq!(interpreted.as_bytes(), compiled.as_bytes());
         // The compiled path never counts interpreted op kinds and vice
@@ -359,7 +386,7 @@ mod tests {
         let mut p = tcp_pkt();
         let before = p.as_bytes().to_vec();
         let mut ops = OpCounter::default();
-        assert!(program.run(&mut p, &mut ops).unwrap());
+        assert!(program.run(&[], &mut p, &mut ops).unwrap());
         assert_eq!(p.as_bytes(), &before[..]);
         assert_eq!(ops, OpCounter::default());
     }
@@ -370,7 +397,7 @@ mod tests {
         assert_eq!(program.ops(), &[MicroOp::Drop]);
         let mut p = tcp_pkt();
         let mut ops = OpCounter::default();
-        assert!(!program.run(&mut p, &mut ops).unwrap());
+        assert!(!program.run(&[], &mut p, &mut ops).unwrap());
         assert_eq!(ops.drops, 1);
     }
 
@@ -443,7 +470,7 @@ mod tests {
         let mut ops = OpCounter::default();
         // No AH on the packet: both paths must fail identically.
         let interpreted = decap.apply(&mut tcp_pkt(), &mut ops).unwrap_err();
-        let compiled = program.run(&mut tcp_pkt(), &mut ops).unwrap_err();
+        let compiled = program.run(&[], &mut tcp_pkt(), &mut ops).unwrap_err();
         assert_eq!(interpreted, compiled);
     }
 
@@ -454,10 +481,10 @@ mod tests {
             HeaderAction::modify(HeaderField::DstPort, 80u16),
             HeaderAction::Encap(EncapSpec::new(3)),
         ]);
-        let program = compile(&action);
+        let (program, operands) = lowered(&action);
         let mut p = tcp_pkt();
         let mut ops = OpCounter::default();
-        assert!(program.run(&mut p, &mut ops).unwrap());
+        assert!(program.run(&operands, &mut p, &mut ops).unwrap());
         assert_eq!(ops.word_writes, 2);
         assert_eq!(ops.checksum_patches, 1);
         assert_eq!(ops.encaps, 1);
@@ -474,7 +501,8 @@ mod tests {
         for pkt in [tcp_pkt(), udp_pkt()] {
             let mut p = pkt;
             let mut ops = OpCounter::default();
-            assert!(compile(&action).run(&mut p, &mut ops).unwrap());
+            let (program, operands) = lowered(&action);
+            assert!(program.run(&operands, &mut p, &mut ops).unwrap());
             assert!(p.verify_checksums().unwrap());
         }
     }

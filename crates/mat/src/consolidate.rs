@@ -60,6 +60,16 @@ impl ConsolidatedAction {
         &self.net_encaps
     }
 
+    /// This action with each merged write's value replaced by
+    /// `f(value)`, in order.
+    #[must_use]
+    pub fn map_values(mut self, mut f: impl FnMut(FieldValue) -> FieldValue) -> Self {
+        for (_, value) in &mut self.modifies {
+            *value = f(*value);
+        }
+        self
+    }
+
     /// True if applying this action would leave the packet untouched.
     #[must_use]
     pub fn is_noop(&self) -> bool {
@@ -79,6 +89,18 @@ impl ConsolidatedAction {
     /// # Errors
     /// Propagates packet manipulation failures.
     pub fn apply(&self, packet: &mut Packet, ops: &mut OpCounter) -> Result<bool> {
+        self.apply_with(packet, ops, |value| value)
+    }
+
+    /// [`ConsolidatedAction::apply`] writing `bind(value)` for each
+    /// modify's value: how a template's action, whose values are operand
+    /// slots, runs with a flow's operands ([`crate::template`]).
+    pub(crate) fn apply_with(
+        &self,
+        packet: &mut Packet,
+        ops: &mut OpCounter,
+        bind: impl Fn(FieldValue) -> FieldValue,
+    ) -> Result<bool> {
         if self.drop {
             ops.drops += 1;
             return Ok(false);
@@ -93,18 +115,19 @@ impl ConsolidatedAction {
         }
         let (mut ip_old, mut ip_new) = (0u32, 0u32);
         let (mut l4_old, mut l4_new) = (0u32, 0u32);
-        for (field, value) in &self.modifies {
-            let old = packet.get_field(*field)?;
-            let (ip, l4) = crate::compiled::checksum_domains(*field);
+        for &(field, value) in &self.modifies {
+            let value = bind(value);
+            let old = packet.get_field(field)?;
+            let (ip, l4) = crate::compiled::checksum_domains(field);
             if ip {
-                ip_old += crate::compiled::word_contribution(*field, old);
-                ip_new += crate::compiled::word_contribution(*field, *value);
+                ip_old += crate::compiled::word_contribution(field, old);
+                ip_new += crate::compiled::word_contribution(field, value);
             }
             if l4 {
-                l4_old += crate::compiled::word_contribution(*field, old);
-                l4_new += crate::compiled::word_contribution(*field, *value);
+                l4_old += crate::compiled::word_contribution(field, old);
+                l4_new += crate::compiled::word_contribution(field, value);
             }
-            packet.set_field(*field, *value)?;
+            packet.set_field(field, value)?;
             ops.field_writes += 1;
         }
         if !self.is_noop() {

@@ -375,11 +375,16 @@ impl<T: Send + Sync> FlowTable<T> {
         self.shards[handle.shard as usize].slot(handle.slot).touch.load(SeqCst)
     }
 
-    /// Clears `slot` (which must hold `fid`), returning the retired value.
-    /// Caller holds the shard writer lock.
-    fn clear_slot(&self, s: usize, w: &mut ShardWriter, slot: u32) -> Option<(Fid, Pinned<T>)> {
+    /// Clears `slot`, whose value the caller loaded as `val`, returning
+    /// the retired value. Caller holds the shard writer lock.
+    fn clear_slot(
+        &self,
+        s: usize,
+        w: &mut ShardWriter,
+        slot: u32,
+        val: Arc<SlotVal<T>>,
+    ) -> Option<(Fid, Pinned<T>)> {
         let shard = &self.shards[s];
-        let val = shard.slot(slot).val.load();
         let fid = val.as_ref().as_ref()?.0;
         // Retires the old (Fid, T) into the slot's RCU retired list — the
         // same pending/collect path as a value replacement.
@@ -394,12 +399,13 @@ impl<T: Send + Sync> FlowTable<T> {
 
     /// Pops this shard's true LRU entry off the wheel (truth-checking and
     /// rescheduling busy flows), without evicting it. Caller holds the
-    /// writer lock. Returns `(slot, touch)`.
-    fn pop_victim(&self, s: usize, w: &mut ShardWriter) -> Option<(u32, u64)> {
+    /// writer lock. Returns `(slot, touch, value)`.
+    fn pop_victim(&self, s: usize, w: &mut ShardWriter) -> Option<(u32, u64, Arc<SlotVal<T>>)> {
         let shard = &self.shards[s];
         while let Some(item) = w.wheel.pop_earliest() {
             let slot = shard.slot(item.slot);
-            if slot.val.load().is_none() {
+            let val = slot.val.load();
+            if val.is_none() {
                 continue; // stale item for a freed slot
             }
             let touch = slot.touch.load(SeqCst);
@@ -409,7 +415,7 @@ impl<T: Send + Sync> FlowTable<T> {
                 w.wheel.schedule(item.slot, touch);
                 continue;
             }
-            return Some((item.slot, touch));
+            return Some((item.slot, touch, val));
         }
         None
     }
@@ -485,8 +491,9 @@ impl<T: Send + Sync> FlowTable<T> {
             // (global pressure from other shards): admit rather than
             // starve the FID slice; overshoot is bounded by the shard
             // count.
-            AdmissionPolicy::EvictOldest => Ok(self.pop_victim(s, w).map(|(slot, touch)| {
-                let (fid, value) = self.clear_slot(s, w, slot).expect("victim slot is occupied");
+            AdmissionPolicy::EvictOldest => Ok(self.pop_victim(s, w).map(|(slot, touch, val)| {
+                let (fid, value) =
+                    self.clear_slot(s, w, slot, val).expect("victim slot is occupied");
                 Evicted { fid, value, touch }
             })),
         }
@@ -585,7 +592,7 @@ impl<T: Send + Sync> FlowTable<T> {
         }
         // Stale wheel items for the freed slot are dropped lazily by the
         // eviction truth checks.
-        self.clear_slot(s, &mut w, slot).map(|(_, v)| v)
+        self.clear_slot(s, &mut w, slot, current).map(|(_, v)| v)
     }
 
     /// Evicts every entry idle for more than `max_idle` ticks at `now`
@@ -604,7 +611,8 @@ impl<T: Send + Sync> FlowTable<T> {
             w.wheel.advance(target, &mut due);
             for item in &due {
                 let slot = shard.slot(item.slot);
-                if slot.val.load().is_none() {
+                let val = slot.val.load();
+                if val.is_none() {
                     continue; // stale item for a freed slot
                 }
                 let touch = slot.touch.load(SeqCst);
@@ -614,7 +622,7 @@ impl<T: Send + Sync> FlowTable<T> {
                     w.wheel.schedule(item.slot, touch);
                     continue;
                 }
-                if let Some((fid, value)) = self.clear_slot(s, &mut w, item.slot) {
+                if let Some((fid, value)) = self.clear_slot(s, &mut w, item.slot, val) {
                     out.push(Evicted { fid, value, touch });
                 }
             }
@@ -633,7 +641,7 @@ impl<T: Send + Sync> FlowTable<T> {
             let mut best: Option<(u64, usize, u32)> = None;
             for s in 0..self.shards.len() {
                 let mut w = self.shards[s].writer.lock();
-                if let Some((slot, touch)) = self.pop_victim(s, &mut w) {
+                if let Some((slot, touch, _)) = self.pop_victim(s, &mut w) {
                     let restore_at = touch.max(w.wheel.now() + 1);
                     w.wheel.schedule(slot, restore_at);
                     if best.is_none_or(|(bt, bs, _)| (touch, s) < (bt, bs)) {
@@ -648,11 +656,12 @@ impl<T: Send + Sync> FlowTable<T> {
             // Re-verify under the re-taken lock: the candidate may have
             // been touched or removed in between.
             let shard = &self.shards[s];
-            if shard.slot(slot).val.load().is_none() {
+            let val = shard.slot(slot).val.load();
+            if val.is_none() {
                 continue;
             }
             let touch = shard.slot(slot).touch.load(SeqCst);
-            if let Some((fid, value)) = self.clear_slot(s, &mut w, slot) {
+            if let Some((fid, value)) = self.clear_slot(s, &mut w, slot, val) {
                 out.push(Evicted { fid, value, touch });
             }
         }

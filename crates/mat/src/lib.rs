@@ -12,8 +12,9 @@
 //!   and wavefront scheduling for cross-NF parallelism ([`parallel`]),
 //! * the per-NF **Local MAT** populated through the paper's four
 //!   instrumentation APIs ([`local`], [`api`]),
-//! * the **Global MAT** holding the consolidated fast-path rules
-//!   ([`global`]),
+//! * the **Global MAT** holding the consolidated fast-path rules, each a
+//!   shared rule template plus the flow's own operands ([`global`],
+//!   [`template`]),
 //! * the **Event Table** and the NF-raised **signals** that keep stateful
 //!   NF behaviour correct on the fast path ([`event`]),
 //! * the **Packet Classifier** that assigns 20-bit FIDs and steers
@@ -69,6 +70,7 @@ pub mod ops;
 pub mod parallel;
 pub mod record;
 pub mod state_fn;
+pub mod template;
 pub mod timer_wheel;
 pub mod track;
 
@@ -90,6 +92,7 @@ pub use ops::OpCounter;
 pub use parallel::{can_parallelize, schedule_batches};
 pub use record::{FlowRecord, FlowRecords};
 pub use state_fn::{PayloadAccess, SfContext, StateFunction};
+pub use template::{BoundProgram, RuleTemplate};
 pub use timer_wheel::{TimerWheel, WheelItem};
 pub use track::{AccessViolation, MissedRaise};
 

@@ -144,22 +144,23 @@ impl LocalMat {
         entry(&mut self.staged.lock(), fid).state_functions = funcs;
     }
 
-    /// Ends the flow's walk at this NF: moves its staged header actions,
-    /// tagged with this NF, onto `actions` and returns its state
-    /// functions, leaving nothing staged. Install's drain.
-    pub(crate) fn take(
+    /// Ends the flow's walk at this NF: moves its staged header actions
+    /// onto `actions` and its state functions onto `funcs`, each tagged
+    /// with this NF, leaving nothing staged. The entry keeps its buffers
+    /// for the next walk. Install's drain.
+    pub(crate) fn drain(
         &self,
         fid: Fid,
         actions: &mut Vec<(NfId, HeaderAction)>,
-    ) -> Vec<StateFunction> {
+        funcs: &mut Vec<(NfId, StateFunction)>,
+    ) {
         let mut staged = self.staged.lock();
-        let Some(at) = staged.iter().position(|s| s.fid == Some(fid)) else {
-            return Vec::new();
+        let Some(entry) = staged.iter_mut().find(|s| s.fid == Some(fid)) else {
+            return;
         };
-        let entry = &mut staged[at];
         entry.fid = None;
         actions.extend(entry.rule.header_actions.drain(..).map(|action| (self.nf, action)));
-        std::mem::take(&mut entry.rule.state_functions)
+        funcs.extend(entry.rule.state_functions.drain(..).map(|func| (self.nf, func)));
     }
 
     /// A snapshot of the flow's staged rule, if it is mid-walk.
@@ -261,21 +262,24 @@ mod tests {
     }
 
     #[test]
-    fn take_drains_and_reuses_the_entry() {
+    fn drain_empties_and_reuses_the_entry() {
         let mat = LocalMat::new(NfId::new(2));
         let mut ops = OpCounter::default();
         mat.add_header_action(fid(1), HeaderAction::Forward, &mut ops);
         let sf = StateFunction::new("f", PayloadAccess::Ignore, |_| {});
         mat.add_state_function(fid(1), sf, &mut ops);
-        let mut actions = Vec::new();
-        let funcs = mat.take(fid(1), &mut actions);
+        let (mut actions, mut funcs) = (Vec::new(), Vec::new());
+        mat.drain(fid(1), &mut actions, &mut funcs);
         assert_eq!(actions, vec![(NfId::new(2), HeaderAction::Forward)]);
         assert_eq!(funcs.len(), 1);
+        assert_eq!(funcs[0].0, NfId::new(2));
         assert!(mat.is_empty(), "install leaves nothing staged");
-        assert!(mat.take(fid(1), &mut actions).is_empty());
-        assert_eq!(actions.len(), 1, "a second drain moves nothing");
+        mat.drain(fid(1), &mut actions, &mut funcs);
+        assert_eq!((actions.len(), funcs.len()), (1, 1), "a second drain moves nothing");
         mat.add_header_action(fid(2), HeaderAction::Drop, &mut ops);
-        assert_eq!(mat.staged.lock().len(), 1, "the next walk reuses the vacant entry");
+        let staged = mat.staged.lock();
+        assert_eq!(staged.len(), 1, "the next walk reuses the vacant entry");
+        assert!(staged[0].rule.state_functions.capacity() > 0, "and its buffers");
     }
 
     #[test]

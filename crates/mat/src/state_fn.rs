@@ -115,6 +115,12 @@ impl StateFunction {
         &self.0.name
     }
 
+    /// The function's identity: the address of the handler every clone
+    /// shares. Rule templates key on it ([`crate::template`]).
+    pub(crate) fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0).cast::<()>() as usize
+    }
+
     /// Declared payload access.
     #[must_use]
     pub fn access(&self) -> PayloadAccess {

@@ -16,7 +16,7 @@ use speedybox_mat::action::{EncapSpec, HeaderAction};
 use speedybox_mat::compile;
 use speedybox_mat::consolidate::consolidate;
 use speedybox_mat::event::{Event, RulePatch, Signal};
-use speedybox_mat::global::{FastPathOutcome, GlobalMat};
+use speedybox_mat::global::{FastPathOutcome, GlobalMat, GlobalRule};
 use speedybox_mat::local::{LocalMat, NfId};
 use speedybox_mat::ops::OpCounter;
 use speedybox_mat::state_fn::{PayloadAccess, StateFunction};
@@ -74,10 +74,11 @@ fn udp_packet() -> Packet {
 }
 
 /// Runs both execution paths over `base` and asserts byte-identical output
-/// and identical forward/drop verdicts.
+/// and identical forward/drop verdicts: the action interpreted, and its
+/// template's program run over its values.
 fn assert_equivalent(actions: &[HeaderAction], base: &Packet) {
     let consolidated = consolidate(actions);
-    let program = compile(&consolidated);
+    let program = GlobalRule::new(consolidated.clone(), vec![], vec![]).compiled;
     let mut interpreted = base.clone();
     let mut compiled = base.clone();
     let mut iops = OpCounter::default();
@@ -162,13 +163,13 @@ proptest! {
         // First fast-path packet fires the event and re-consolidates.
         gm.process(&mut first, &mut ops).unwrap();
         let rule = gm.rule(fid).expect("rule still installed");
-        prop_assert_eq!(&compile(&rule.consolidated), &rule.compiled);
+        prop_assert_eq!(&compile(rule.action()), rule.program());
         assert_equivalent(std::slice::from_ref(&patched), &tcp_packet());
         // The live table now applies the patched action.
         let (mut next, _) = fid_packet();
         let mut expect = next.clone();
         let mut eops = OpCounter::default();
-        let survived = rule.consolidated.apply(&mut expect, &mut eops).unwrap();
+        let survived = rule.consolidated().apply(&mut expect, &mut eops).unwrap();
         let outcome = gm.process(&mut next, &mut ops).unwrap();
         match outcome {
             FastPathOutcome::Forwarded => {

@@ -12,6 +12,7 @@
 //! Snort never modifies packets, so its header action is `forward` and its
 //! inspection is a payload-`READ` state function.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -348,13 +349,23 @@ impl Engine {
 #[derive(Debug, Clone)]
 pub struct SnortLite {
     engine: Arc<Engine>,
+    // SPEEDYBOX-INTEGRATION-BEGIN (snort/inspectors: 1 line)
+    /// One inspection state function per candidate-rule set, built when a
+    /// flow first selects the set and recorded for every flow that does.
+    inspectors: HashMap<Vec<usize>, StateFunction>,
+    // SPEEDYBOX-INTEGRATION-END
 }
 
 impl SnortLite {
     /// Builds the IDS from parsed rules.
     #[must_use]
     pub fn new(rules: Vec<Rule>) -> Self {
-        Self { engine: Arc::new(Engine::new(rules)) }
+        Self {
+            engine: Arc::new(Engine::new(rules)),
+            // SPEEDYBOX-INTEGRATION-BEGIN (snort/inspectors: 1 line)
+            inspectors: HashMap::new(),
+            // SPEEDYBOX-INTEGRATION-END
+        }
     }
 
     /// Builds the IDS from rule text, one rule per line; `#` comments and
@@ -426,23 +437,22 @@ impl Nf for SnortLite {
         if let Some(ri) = self.engine.inspect(payload, &candidates) {
             self.engine.record(&self.engine.rules[ri], fid);
         }
-        // SPEEDYBOX-INTEGRATION-BEGIN (snort: 17 lines)
+        // SPEEDYBOX-INTEGRATION-BEGIN (snort: 16 lines)
         if let Some(inst) = ctx.instrument {
             let fid = inst.extract_fid(packet).unwrap_or_default();
             inst.add_header_action(fid, HeaderAction::Forward, ctx.ops);
-            let engine = Arc::clone(&self.engine);
-            let flow_candidates = candidates;
-            inst.add_state_function_handle(
-                fid,
+            let engine = &self.engine;
+            let inspect = self.inspectors.entry(candidates).or_insert_with_key(|candidates| {
+                let (engine, candidates) = (Arc::clone(engine), candidates.clone());
                 StateFunction::new("snort.inspect", PayloadAccess::Read, move |sfctx| {
                     let payload = sfctx.packet.payload().unwrap_or(&[]);
                     sfctx.ops.payload_bytes_scanned += payload.len() as u64;
-                    if let Some(ri) = engine.inspect(payload, &flow_candidates) {
+                    if let Some(ri) = engine.inspect(payload, &candidates) {
                         engine.record(&engine.rules[ri], sfctx.fid);
                     }
-                }),
-                ctx.ops,
-            );
+                })
+            });
+            inst.add_state_function_handle(fid, inspect.clone(), ctx.ops);
         }
         // SPEEDYBOX-INTEGRATION-END
         NfVerdict::Forward
@@ -735,6 +745,33 @@ mod tests {
         assert_eq!(rule.header_actions, vec![HeaderAction::Forward]);
         assert_eq!(rule.state_functions.len(), 1);
         assert_eq!(rule.state_functions[0].access(), PayloadAccess::Read);
+    }
+
+    #[test]
+    fn flows_selecting_one_candidate_set_share_its_state_function() {
+        use std::sync::Arc as StdArc;
+
+        use speedybox_mat::{EventTable, LocalMat, NfId, NfInstrument};
+
+        let mut nf = ids();
+        let inst = NfInstrument::new(
+            StdArc::new(LocalMat::new(NfId::new(0))),
+            StdArc::new(EventTable::new()),
+        );
+        let mut ops = speedybox_mat::OpCounter::default();
+        // Two port-80 flows select the same rules; a port-443 flow drops
+        // the port-80 alert.
+        for (src, dst) in [(1000, 80), (1001, 80), (1002, 443)] {
+            let mut p = PacketBuilder::tcp()
+                .src(format!("10.0.0.1:{src}").parse().unwrap())
+                .dst(format!("10.0.0.2:{dst}").parse().unwrap())
+                .payload(b"clean")
+                .build();
+            p.set_fid(p.five_tuple().unwrap().fid());
+            nf.process(&mut p, &mut NfContext::instrumented(&inst, &mut ops));
+        }
+        assert_eq!(nf.inspectors.len(), 2, "one state function per candidate set");
+        assert_eq!(inst.local_mat().len(), 3, "each flow recorded one");
     }
 
     #[test]

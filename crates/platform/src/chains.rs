@@ -341,6 +341,36 @@ mod tests {
     }
 
     #[test]
+    fn chain1_flows_share_one_template_until_torn_down() {
+        use speedybox_packet::{PacketBuilder, TcpFlags};
+
+        use crate::Chain;
+
+        let segment = |f: u16, flags: u8| {
+            PacketBuilder::tcp()
+                .src(format!("10.0.{}.1:{}", f / 200, 1024 + f).parse().unwrap())
+                .dst("10.0.0.2:80".parse().unwrap())
+                .flags(flags)
+                .payload(b"x")
+                .build()
+        };
+        let mut chain = Chain::speedybox(chain1(8).0);
+        for f in 0..256 {
+            chain.process(segment(f, TcpFlags::SYN));
+        }
+        let global = &chain.sbox().expect("speedybox").global;
+        assert_eq!(global.len(), 256, "every flow installed its rule");
+        assert_eq!(global.templates(), 1, "chain1's flows share one template");
+        for f in 0..256 {
+            chain.process(segment(f, TcpFlags::FIN | TcpFlags::ACK));
+        }
+        let global = &chain.sbox().expect("speedybox").global;
+        assert!(global.is_empty(), "FIN tore every flow down");
+        global.collect_generations();
+        assert_eq!(global.templates(), 0, "and the cache with them");
+    }
+
+    #[test]
     fn handles_observe_chain_state() {
         use speedybox_packet::PacketBuilder;
 

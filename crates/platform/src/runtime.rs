@@ -394,22 +394,14 @@ pub fn fast_path<'r>(
             rule.compiled.run(packet, &mut ops).unwrap_or(false)
         } else {
             cell.add_compiled_fallbacks(1);
-            rule.consolidated.apply(packet, &mut ops).unwrap_or(false)
+            rule.interpret(packet, &mut ops).unwrap_or(false)
         }
     } else {
         cell.add_compiled_fallbacks(1);
         // Ablation: replay each NF's recorded header actions, kept in the
-        // rule, sequentially, paying the per-NF re-parse the consolidation
-        // would have removed.
-        let mut alive = true;
-        for (_, action) in rule.header_actions() {
-            ops.parses += 1;
-            if !action.apply(packet, &mut ops).unwrap_or(false) {
-                alive = false;
-                break;
-            }
-        }
-        alive
+        // rule's template, sequentially, paying the per-NF re-parse the
+        // consolidation would have removed.
+        rule.replay(packet, &mut ops)
     };
 
     // Step 3: state-function batches, unless the packet dropped early.

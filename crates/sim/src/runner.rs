@@ -472,11 +472,7 @@ fn apply_fault(
                             continue;
                         };
                         for (nf, action) in rule.header_actions() {
-                            sbox.instruments[nf.index()].add_header_action(
-                                fid,
-                                action.clone(),
-                                &mut ops,
-                            );
+                            sbox.instruments[nf.index()].add_header_action(fid, action, &mut ops);
                         }
                         for batch in &rule.batches {
                             for func in &batch.funcs {
@@ -679,7 +675,7 @@ fn probes_as_drop(sbox: &SpeedyBox, frame: &[u8]) -> bool {
     let Some(rule) = sbox.global.prepare(fid, &mut ops) else {
         return false;
     };
-    matches!(rule.consolidated.apply(&mut probe, &mut ops), Ok(false))
+    matches!(rule.interpret(&mut probe, &mut ops), Ok(false))
 }
 
 /// Emulates the seeded "forgot the trailing checksum fix-up" bug by

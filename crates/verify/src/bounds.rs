@@ -140,10 +140,11 @@ pub fn check_program_bounds(chain: &str, program: &CompiledProgram) -> Report {
     report
 }
 
-/// SBX012 over a rule's compiled program.
+/// SBX012 over a rule template's compiled program (the windows depend on
+/// the shape alone, not on the flow's operands).
 #[must_use]
 pub fn check_bounds(chain: &str, rule: &GlobalRule) -> Report {
-    check_program_bounds(chain, &rule.compiled)
+    check_program_bounds(chain, rule.program())
 }
 
 #[cfg(test)]
@@ -211,7 +212,8 @@ mod tests {
             anchor: Anchor::L4,
             offset: 10,
             mask: 0xFFFF_0000_0000_0000,
-            value: 0,
+            shift: 0,
+            slot: 0,
             ip_csum: false,
             l4_csum: true,
         }]);
@@ -229,7 +231,8 @@ mod tests {
             anchor: Anchor::L4,
             offset: 4096,
             mask: 0,
-            value: 0,
+            shift: 0,
+            slot: 0,
             ip_csum: false,
             l4_csum: false,
         };
@@ -253,7 +256,8 @@ mod tests {
                 anchor: Anchor::L4,
                 offset: 0,
                 mask: 0xFFFF_0000_0000_0000,
-                value: 0,
+                shift: 0,
+                slot: 0,
                 ip_csum: false,
                 l4_csum: true,
             },
@@ -262,7 +266,8 @@ mod tests {
                 anchor: Anchor::L4,
                 offset: 0,
                 mask: 0x0000_FFFF_0000_0000,
-                value: 0,
+                shift: 0,
+                slot: 0,
                 ip_csum: false,
                 l4_csum: true,
             },

@@ -2,21 +2,22 @@
 //!
 //! The fast path executes a [`speedybox_mat::CompiledProgram`] — straight-line
 //! masked word writes with incremental checksum patches — lowered from the
-//! rule's [`speedybox_mat::ConsolidatedAction`]. A lowering bug would make
-//! the compiled and interpreted paths disagree at runtime, so this pass runs
-//! both over concrete sample packets (TCP and UDP; pre-encapsulated when the
-//! rule nets out to a decap) and demands byte-identical output and identical
-//! forward/drop verdicts.
+//! rule template's [`speedybox_mat::ConsolidatedAction`] and run over the
+//! flow's operands. A lowering bug would make the compiled and interpreted
+//! paths disagree at runtime, so this pass runs both, each with the flow's
+//! operands, over concrete sample packets (TCP and UDP; pre-encapsulated
+//! when the rule nets out to a decap) and demands byte-identical output
+//! and identical forward/drop verdicts.
 
-use speedybox_mat::{GlobalRule, OpCounter};
-use speedybox_packet::{Packet, PacketBuilder};
+use speedybox_mat::{CompiledProgram, ConsolidatedAction, GlobalRule, OpCounter};
+use speedybox_packet::{FieldValue, Packet, PacketBuilder};
 
 use crate::diag::{LintCode, Report, Span};
 
 /// Sample packets covering both L4 protocols the lowering special-cases
 /// (TCP checksums vs UDP's zero-means-none rule), with enough AH layers
-/// pushed for the rule's net decaps to succeed.
-fn sample_packets(rule: &GlobalRule) -> Vec<Packet> {
+/// pushed for the action's net decaps to succeed.
+fn sample_packets(action: &ConsolidatedAction) -> Vec<Packet> {
     let mut samples = vec![
         PacketBuilder::tcp()
             .src("192.168.7.21:4321".parse().unwrap())
@@ -29,7 +30,7 @@ fn sample_packets(rule: &GlobalRule) -> Vec<Packet> {
             .payload(b"sbx011-probe")
             .build(),
     ];
-    let decaps = rule.consolidated.net_decaps();
+    let decaps = action.net_decaps();
     for pkt in &mut samples {
         for layer in 0..decaps {
             let spi = 0x5b0 + u32::try_from(layer).expect("decap depth fits u32");
@@ -39,18 +40,33 @@ fn sample_packets(rule: &GlobalRule) -> Vec<Packet> {
     samples
 }
 
-/// Checks that `rule.compiled` and interpreting `rule.consolidated` agree
-/// on every sample packet; divergences are reported as SBX011 errors.
+/// Checks that the rule's compiled program and its interpreted
+/// consolidated action agree on every sample packet, each run with the
+/// flow's operands; divergences are reported as SBX011 errors.
 #[must_use]
 pub fn check_compiled(chain: &str, rule: &GlobalRule) -> Report {
+    check_template(chain, rule.action(), rule.program(), rule.operands())
+}
+
+/// SBX011 over a template's parts: `program` against interpreting
+/// `action`, both in template form and both reading `operands`.
+#[must_use]
+pub fn check_template(
+    chain: &str,
+    action: &ConsolidatedAction,
+    program: &CompiledProgram,
+    operands: &[FieldValue],
+) -> Report {
     let mut report = Report::new(chain);
-    for (i, sample) in sample_packets(rule).into_iter().enumerate() {
+    let slot = |value: FieldValue| usize::try_from(value.raw()).expect("operand slot fits usize");
+    let bound = action.clone().map_values(|value| operands[slot(value)]);
+    for (i, sample) in sample_packets(action).into_iter().enumerate() {
         let mut interpreted = sample.clone();
         let mut compiled = sample;
         let mut iops = OpCounter::default();
         let mut cops = OpCounter::default();
-        let ires = rule.consolidated.apply(&mut interpreted, &mut iops);
-        let cres = rule.compiled.run(&mut compiled, &mut cops);
+        let ires = bound.apply(&mut interpreted, &mut iops);
+        let cres = program.run(operands, &mut compiled, &mut cops);
         match (ires, cres) {
             (Ok(isurv), Ok(csurv)) if isurv != csurv => report.push(
                 LintCode::CompiledDivergence,
@@ -126,23 +142,20 @@ mod tests {
 
     #[test]
     fn corrupted_program_is_flagged() {
-        let mut rule = rule_of(&[HeaderAction::modify(HeaderField::DstPort, 8080u16)]);
+        let rule = rule_of(&[HeaderAction::modify(HeaderField::DstPort, 8080u16)]);
         // Sabotage the compiled side: swap in the program for a different
-        // consolidated action.
-        rule.compiled = speedybox_mat::compile(&consolidate(&[HeaderAction::modify(
-            HeaderField::DstPort,
-            9999u16,
-        )]));
-        let report = check_compiled("t", &rule);
+        // consolidated action, which writes its operand to another field.
+        let other = rule_of(&[HeaderAction::modify(HeaderField::SrcPort, 9999u16)]);
+        let report = check_template("t", rule.action(), other.program(), rule.operands());
         assert!(report.has_code(LintCode::CompiledDivergence), "{}", report.render_text());
         assert!(report.has_errors());
     }
 
     #[test]
     fn verdict_divergence_is_flagged() {
-        let mut rule = rule_of(&[HeaderAction::Drop]);
-        rule.compiled = speedybox_mat::CompiledProgram::default();
-        let report = check_compiled("t", &rule);
+        let rule = rule_of(&[HeaderAction::Drop]);
+        let empty = CompiledProgram::default();
+        let report = check_template("t", rule.action(), &empty, rule.operands());
         assert!(report.has_code(LintCode::CompiledDivergence), "{}", report.render_text());
     }
 }

@@ -50,7 +50,7 @@ pub mod snapshots;
 pub mod symbolic;
 
 pub use bounds::{check_bounds, check_program_bounds};
-pub use compiled::check_compiled;
+pub use compiled::{check_compiled, check_template};
 pub use diag::{Diagnostic, LintCode, Report, Severity, Span};
 pub use events::{check_event_rewrites, check_raise_log, EventSpec};
 pub use schedule::{check_access_log, check_rule_schedule, check_schedule};

@@ -140,7 +140,7 @@ pub struct FlowInputs {
 #[must_use]
 pub fn flow_inputs(sbox: &SpeedyBox, names: &[String], fid: Fid) -> FlowInputs {
     let rule = sbox.global.rule(fid);
-    let recorded = rule.as_deref().map_or(&[][..], GlobalRule::header_actions);
+    let recorded = rule.as_deref().map(GlobalRule::header_actions).unwrap_or_default();
     let nf_actions = names
         .iter()
         .enumerate()

@@ -81,6 +81,55 @@ fn concurrent_installs_lose_nothing() {
     }
 }
 
+/// Installs of one rule shape racing on four threads share one template:
+/// each flow keeps only its own operands. After settling, the cache holds
+/// exactly the template the live rules use, and nothing once they are
+/// torn down.
+#[test]
+fn racing_installs_of_one_shape_share_one_template() {
+    use speedybox::mat::state_fn::PayloadAccess;
+    use speedybox::mat::StateFunction;
+    use speedybox::packet::HeaderField;
+
+    let total = THREADS as u32 * FLOWS_PER_THREAD;
+    let locals: Vec<Arc<LocalMat>> =
+        (0..2).map(|i| Arc::new(LocalMat::new(NfId::new(i)))).collect();
+    let gm = GlobalMat::with_shards(locals.clone(), 8);
+    let count = StateFunction::new("count", PayloadAccess::Ignore, |_| {});
+    let port = |fid: u32| 1024 + fid as u16;
+    std::thread::scope(|s| {
+        for t in 0..THREADS as u32 {
+            let (gm, locals, count) = (&gm, &locals, &count);
+            s.spawn(move || {
+                let mut ops = OpCounter::default();
+                for i in 0..FLOWS_PER_THREAD {
+                    let fid = t * FLOWS_PER_THREAD + i;
+                    let rewrite = HeaderAction::modify(HeaderField::DstPort, port(fid));
+                    locals[0].add_header_action(Fid::new(fid), rewrite, &mut ops);
+                    locals[1].add_state_function(Fid::new(fid), count.clone(), &mut ops);
+                    gm.install(Fid::new(fid), &mut ops);
+                }
+            });
+        }
+    });
+    gm.collect_generations();
+    assert_eq!(gm.len(), total as usize, "every install retained exactly once");
+    assert_eq!(gm.templates(), 1, "one shape, one template");
+    let template = gm.rule(Fid::new(0)).expect("installed").template().clone();
+    for fid in 0..total {
+        let rule = gm.rule(Fid::new(fid)).expect("installed");
+        assert!(Arc::ptr_eq(rule.template(), &template), "fid {fid} has a template of its own");
+        assert_eq!(rule.operands(), [port(fid).into()], "fid {fid} keeps its own operand");
+    }
+    drop(template);
+    for fid in 0..total {
+        gm.remove_flow(Fid::new(fid));
+    }
+    gm.collect_generations();
+    assert!(gm.is_empty() && gm.pending_generations() == 0);
+    assert_eq!(gm.templates(), 0, "no template outlives the rules that used it");
+}
+
 #[test]
 fn concurrent_install_remove_partition() {
     // FIDs [0, total) start installed and get removed concurrently while
@@ -873,7 +922,7 @@ fn one_shot_event_fires_once_for_racing_readers_of_one_record() {
     assert_eq!(patches.load(Ordering::Relaxed), 1, "the patch was computed once");
     assert!(gm.events().is_empty(), "the fired event is deregistered");
     let rule = gm.rule(flow).expect("rewritten rule installed");
-    assert!(rule.consolidated.is_drop() && rule.armed().is_empty());
+    assert!(rule.consolidated().is_drop() && rule.armed().is_empty());
     // The record is the event's only home: the rewritten rule leaves the
     // fired one-shot event out, so nothing can fire it again.
     assert!(

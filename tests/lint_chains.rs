@@ -60,7 +60,7 @@ fn lint_reads_what_the_walk_recorded() {
             flow.nf_actions.iter().flat_map(|nf| nf.actions.iter().cloned()).collect();
         assert_eq!(
             consolidate(&recorded),
-            rule.consolidated,
+            rule.consolidated(),
             "{fid}: recordings and rule disagree"
         );
         assert!(
