@@ -1,12 +1,17 @@
-//! Multi-pattern payload inspection: a from-scratch Aho–Corasick automaton.
+//! Multi-pattern payload inspection: a from-scratch Aho–Corasick automaton,
+//! flattened into a dense DFA.
 //!
 //! Snort's content matching is multi-pattern string search over the packet
 //! payload; this module provides the same primitive for [`crate::snort`]
-//! without pulling in a third-party matcher. Classic construction: a byte
-//! trie plus BFS failure links, with output sets merged along failure
-//! chains.
+//! without pulling in a third-party matcher. Construction is the classic
+//! one — a byte trie plus BFS failure links, with output sets merged along
+//! failure chains — but the trie and links are only temporaries: the
+//! automaton keeps one transition per (state, byte) with the failure links
+//! folded in, so a search makes one table load per payload byte, and it
+//! skips runs of bytes that cannot leave the root.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// A match found in the haystack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,21 +22,8 @@ pub struct Match {
     pub end: usize,
 }
 
-#[derive(Debug, Clone, Default)]
-struct Node {
-    /// Child state per byte; sparse (most payload bytes miss).
-    children: Vec<(u8, u32)>,
-    /// Failure link.
-    fail: u32,
-    /// Patterns ending at this state.
-    outputs: Vec<usize>,
-}
-
-impl Node {
-    fn child(&self, byte: u8) -> Option<u32> {
-        self.children.iter().find(|(b, _)| *b == byte).map(|(_, s)| *s)
-    }
-}
+/// Set on a transition whose target state has outputs.
+const MATCH: u32 = 1 << 31;
 
 /// An Aho–Corasick multi-pattern matcher over byte strings.
 ///
@@ -45,69 +37,81 @@ impl Node {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AhoCorasick {
-    nodes: Vec<Node>,
+    /// `table[s * 256 + byte]`: the state after `byte` in state `s`, stored
+    /// as its row offset `next * 256`, with [`MATCH`] set when the next
+    /// state has outputs. The root is state 0.
+    table: Vec<u32>,
+    /// Patterns ending at state `s`: `outputs[out_start[s]..out_start[s + 1]]`,
+    /// the state's own patterns first, then those along its failure chain.
+    out_start: Vec<usize>,
+    outputs: Vec<usize>,
+    /// Bytes on which the root moves to another state. Every other byte
+    /// keeps the root, which has no outputs, so a search skips it.
+    leaves_root: [bool; 256],
     pattern_count: usize,
 }
 
 impl AhoCorasick {
     /// Builds the automaton from `patterns`. Empty patterns are ignored
     /// (they would match everywhere and Snort forbids empty `content`).
+    ///
+    /// # Panics
+    /// Panics past 2^23 states (8 GiB of table), far beyond any rule set.
     #[must_use]
     pub fn new(patterns: &[Vec<u8>]) -> Self {
-        let mut nodes = vec![Node::default()];
-        // Phase 1: trie.
-        for (id, pat) in patterns.iter().enumerate() {
-            if pat.is_empty() {
-                continue;
-            }
-            let mut state = 0u32;
+        // Phase 1: the trie, one dense row per state. No trie edge enters
+        // the root, so 0 marks a missing child.
+        let mut table = vec![0u32; 256];
+        let mut outputs: Vec<Vec<usize>> = vec![Vec::new()];
+        for (id, pat) in patterns.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
+            let mut state = 0usize;
             for &byte in pat {
-                state = match nodes[state as usize].child(byte) {
-                    Some(next) => next,
-                    None => {
-                        let next = u32::try_from(nodes.len())
-                            .expect("automaton size bounded by total pattern bytes");
-                        nodes.push(Node::default());
-                        nodes[state as usize].children.push((byte, next));
-                        next
-                    }
-                };
-            }
-            nodes[state as usize].outputs.push(id);
-        }
-        // Phase 2: BFS failure links + output merging.
-        let mut queue = VecDeque::new();
-        let root_children: Vec<(u8, u32)> = nodes[0].children.clone();
-        for (_, child) in &root_children {
-            nodes[*child as usize].fail = 0;
-            queue.push_back(*child);
-        }
-        while let Some(state) = queue.pop_front() {
-            let children: Vec<(u8, u32)> = nodes[state as usize].children.clone();
-            for (byte, child) in children {
-                queue.push_back(child);
-                // Walk failure links of the parent until a state with a
-                // `byte` transition (or the root) is found.
-                let mut f = nodes[state as usize].fail;
-                loop {
-                    if let Some(next) = nodes[f as usize].child(byte) {
-                        if next != child {
-                            nodes[child as usize].fail = next;
-                        }
-                        break;
-                    }
-                    if f == 0 {
-                        nodes[child as usize].fail = 0;
-                        break;
-                    }
-                    f = nodes[f as usize].fail;
+                let slot = state * 256 + usize::from(byte);
+                if table[slot] == 0 {
+                    table[slot] = u32::try_from(outputs.len())
+                        .ok()
+                        .filter(|&n| n < MATCH >> 8)
+                        .expect("automaton under 2^23 states");
+                    table.resize(table.len() + 256, 0);
+                    outputs.push(Vec::new());
                 }
-                let fail = nodes[child as usize].fail;
-                let inherited = nodes[fail as usize].outputs.clone();
-                nodes[child as usize].outputs.extend(inherited);
+                state = table[slot] as usize;
+            }
+            outputs[state].push(id);
+        }
+        // Phase 2: BFS. Popping a state completes its row: a trie child is
+        // kept and gets its failure link, and a missing one takes the
+        // failure state's transition, whose row (shallower) is complete.
+        let mut fail = vec![0usize; outputs.len()];
+        let mut queue = VecDeque::from([0usize]);
+        while let Some(state) = queue.pop_front() {
+            for byte in 0..256 {
+                let slot = state * 256 + byte;
+                let via_fail = if state == 0 { 0 } else { table[fail[state] * 256 + byte] };
+                let child = table[slot] as usize;
+                if child == 0 {
+                    table[slot] = via_fail;
+                } else {
+                    fail[child] = via_fail as usize;
+                    let inherited = outputs[fail[child]].clone();
+                    outputs[child].extend(inherited);
+                    queue.push_back(child);
+                }
             }
         }
-        Self { nodes, pattern_count: patterns.len() }
+        // Flatten: row offsets, match flags and one output list.
+        let leaves_root = std::array::from_fn(|byte| table[byte] != 0);
+        for next in &mut table {
+            let flag = if outputs[*next as usize].is_empty() { 0 } else { MATCH };
+            *next = (*next << 8) | flag;
+        }
+        let mut out_start = Vec::with_capacity(outputs.len() + 1);
+        out_start.push(0);
+        for list in &outputs {
+            out_start.push(out_start[out_start.len() - 1] + list.len());
+        }
+        let outputs = outputs.concat();
+        Self { table, out_start, outputs, leaves_root, pattern_count: patterns.len() }
     }
 
     /// Number of patterns the automaton was built from.
@@ -116,30 +120,63 @@ impl AhoCorasick {
         self.pattern_count
     }
 
-    fn step(&self, state: u32, byte: u8) -> u32 {
-        let mut s = state;
-        loop {
-            if let Some(next) = self.nodes[s as usize].child(byte) {
-                return next;
+    /// Calls `f` with every pattern occurrence in `haystack`, in end-offset
+    /// order, without allocating; stops at the first `Break` and returns
+    /// its value.
+    pub fn for_each_match<B>(
+        &self,
+        haystack: &[u8],
+        mut f: impl FnMut(Match) -> ControlFlow<B>,
+    ) -> Option<B> {
+        let mut row = 0usize;
+        let mut i = 0;
+        while i < haystack.len() {
+            if row == 0 {
+                i += self.root_exit(&haystack[i..])?;
             }
-            if s == 0 {
-                return 0;
+            let next = self.table[row + usize::from(haystack[i])];
+            i += 1;
+            row = (next & !MATCH) as usize;
+            if next & MATCH != 0 {
+                let state = row >> 8;
+                for &pattern in &self.outputs[self.out_start[state]..self.out_start[state + 1]] {
+                    if let ControlFlow::Break(b) = f(Match { pattern, end: i }) {
+                        return Some(b);
+                    }
+                }
             }
-            s = self.nodes[s as usize].fail;
         }
+        None
+    }
+
+    /// The offset of the first byte in `bytes` that leaves the root. Runs
+    /// at the root are short in text, where pattern-starting letters are
+    /// common, and long in binary or letter-free payloads: it tests the
+    /// first eight bytes one by one, then eight bytes per branch.
+    fn root_exit(&self, bytes: &[u8]) -> Option<usize> {
+        let leaves = |b: &u8| self.leaves_root[usize::from(*b)];
+        let head = bytes.len().min(8);
+        if let Some(at) = bytes[..head].iter().position(leaves) {
+            return Some(at);
+        }
+        let mut base = head;
+        for chunk in bytes[head..].chunks_exact(8) {
+            if chunk.iter().fold(false, |any, b| any | leaves(b)) {
+                break;
+            }
+            base += 8;
+        }
+        bytes[base..].iter().position(leaves).map(|at| base + at)
     }
 
     /// Finds all pattern occurrences in `haystack`, in end-offset order.
     #[must_use]
     pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
         let mut out = Vec::new();
-        let mut state = 0u32;
-        for (i, &byte) in haystack.iter().enumerate() {
-            state = self.step(state, byte);
-            for &pattern in &self.nodes[state as usize].outputs {
-                out.push(Match { pattern, end: i + 1 });
-            }
-        }
+        self.for_each_match(haystack, |m| {
+            out.push(m);
+            ControlFlow::<()>::Continue(())
+        });
         out
     }
 
@@ -147,14 +184,7 @@ impl AhoCorasick {
     /// when presence is all that matters).
     #[must_use]
     pub fn find_first(&self, haystack: &[u8]) -> Option<Match> {
-        let mut state = 0u32;
-        for (i, &byte) in haystack.iter().enumerate() {
-            state = self.step(state, byte);
-            if let Some(&pattern) = self.nodes[state as usize].outputs.first() {
-                return Some(Match { pattern, end: i + 1 });
-            }
-        }
-        None
+        self.for_each_match(haystack, ControlFlow::Break)
     }
 
     /// Returns the set of distinct pattern indices present in `haystack`,
@@ -196,6 +226,64 @@ mod tests {
         let ac = AhoCorasick::new(&pats(&["bc", "abcd"]));
         let found = ac.matching_patterns(b"xabcdx");
         assert_eq!(found, vec![0, 1]);
+    }
+
+    #[test]
+    fn outputs_list_own_patterns_before_inherited_ones() {
+        // At "she" the state's own pattern comes first, then "he" from
+        // its failure state.
+        let ac = AhoCorasick::new(&pats(&["he", "she"]));
+        assert_eq!(
+            ac.find_all(b"she"),
+            vec![Match { pattern: 1, end: 3 }, Match { pattern: 0, end: 3 }]
+        );
+        assert_eq!(ac.find_first(b"she"), Some(Match { pattern: 1, end: 3 }));
+    }
+
+    #[test]
+    fn table_has_one_row_per_state() {
+        // The five default Snort contents share no prefix: 30 bytes of
+        // trie plus the root.
+        let ac = AhoCorasick::new(&pats(&["evil", "XFIL", "probe", "healthcheck", "beacon"]));
+        assert_eq!(ac.table.len(), 31 * 256);
+        let leaving: Vec<u8> = (0..=255u8).filter(|&b| ac.leaves_root[usize::from(b)]).collect();
+        assert_eq!(leaving, b"Xbehp".to_vec());
+    }
+
+    #[test]
+    fn root_skip_resumes_mid_pattern_after_a_miss() {
+        // A partial match falls back to the root, and the skip must not
+        // pass the byte that starts the next attempt.
+        let ac = AhoCorasick::new(&pats(&["abc"]));
+        assert_eq!(ac.find_all(b"zzabzabcab"), vec![Match { pattern: 0, end: 8 }]);
+        assert_eq!(ac.find_all(b"aabc"), vec![Match { pattern: 0, end: 4 }]);
+    }
+
+    #[test]
+    fn root_skip_finds_a_match_at_every_offset() {
+        // Long runs that keep the root, with the pattern on each side of
+        // every eight-byte step of the skip.
+        let ac = AhoCorasick::new(&pats(&["abc"]));
+        for at in 0..37 {
+            let mut hay = vec![b'z'; 40];
+            hay[at..at + 3].copy_from_slice(b"abc");
+            assert_eq!(ac.find_all(&hay), vec![Match { pattern: 0, end: at + 3 }], "at {at}");
+        }
+    }
+
+    #[test]
+    fn for_each_match_stops_at_break() {
+        let ac = AhoCorasick::new(&pats(&["a"]));
+        let mut seen = 0;
+        let stopped = ac.for_each_match(b"aaaa", |m| {
+            seen += 1;
+            if m.end == 2 {
+                ControlFlow::Break(m.end)
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!((stopped, seen), (Some(2), 2));
     }
 
     #[test]

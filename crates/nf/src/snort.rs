@@ -12,8 +12,10 @@
 //! Snort never modifies packets, so its header action is `forward` and its
 //! inspection is a payload-`READ` state function.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -103,12 +105,11 @@ impl ContentSpec {
         if self.pattern.is_empty() {
             return true;
         }
-        let start = self.offset.min(payload.len());
         let end = match self.depth {
-            Some(d) => (self.offset + d).min(payload.len()),
+            Some(d) => self.offset.saturating_add(d).min(payload.len()),
             None => payload.len(),
         };
-        let window = &payload[start..end];
+        let window = payload.get(self.offset..end).unwrap_or_default();
         if window.len() < self.pattern.len() {
             return false;
         }
@@ -285,16 +286,43 @@ pub struct LogEntry {
     pub fid: Fid,
 }
 
+/// A logged firing in the engine's compact form: the rule's index and the
+/// flow. [`SnortLite::log`] builds each [`LogEntry`] when the log is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Firing {
+    rule: usize,
+    fid: Fid,
+}
+
+/// What the automaton's hits decide for one rule, precomputed.
+#[derive(Debug, Clone, Copy)]
+struct Prefilter {
+    /// The rule has a case-sensitive content, so it cannot match unless
+    /// one of its patterns hit.
+    needs_hit: bool,
+    /// The rule's only condition is one case-sensitive content with no
+    /// position constraint, so a hit is the match.
+    hit_is_match: bool,
+}
+
+thread_local! {
+    /// One bit per rule: a case-sensitive pattern of the rule occurs in the
+    /// payload being inspected. Per thread, because the threaded runtime
+    /// inspects from an NF thread and from the fast path at once.
+    static HIT_RULES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Shared inspection state: automaton, rules and output log.
 #[derive(Debug)]
 struct Engine {
     rules: Vec<Rule>,
-    /// One automaton over all rules' first content patterns; rule
-    /// confirmation checks the remaining patterns.
+    prefilters: Vec<Prefilter>,
+    /// One automaton over all rules' case-sensitive content patterns; rule
+    /// confirmation checks the rest.
     automaton: AhoCorasick,
     /// Pattern index -> rule index.
     pattern_rule: Vec<usize>,
-    log: Mutex<Vec<LogEntry>>,
+    log: Mutex<Vec<Firing>>,
 }
 
 impl Engine {
@@ -315,32 +343,47 @@ impl Engine {
             }
         }
         let automaton = AhoCorasick::new(&patterns);
-        Self { rules, automaton, pattern_rule, log: Mutex::new(Vec::new()) }
+        let prefilters = rules
+            .iter()
+            .map(|r| Prefilter {
+                needs_hit: r.contents.iter().any(|c| !c.nocase),
+                hit_is_match: r.pcres.is_empty()
+                    && matches!(
+                        r.contents.as_slice(),
+                        [ContentSpec { nocase: false, offset: 0, depth: None, .. }]
+                    ),
+            })
+            .collect();
+        Self { rules, prefilters, automaton, pattern_rule, log: Mutex::new(Vec::new()) }
     }
 
     /// Inspects a payload against the candidate rule set; returns the first
-    /// matching rule index (rule order = priority, as in Snort).
+    /// matching rule index (rule order = priority, as in Snort). Allocates
+    /// nothing once the thread's bitset covers the rules.
     fn inspect(&self, payload: &[u8], candidates: &[usize]) -> Option<usize> {
-        let hits = self.automaton.matching_patterns(payload);
-        let mut prefiltered: Vec<usize> = hits.iter().map(|&p| self.pattern_rule[p]).collect();
-        prefiltered.sort_unstable();
-        prefiltered.dedup();
-        candidates.iter().copied().find(|&ri| {
-            let rule = &self.rules[ri];
-            let has_cs_content = rule.contents.iter().any(|c| !c.nocase);
-            if has_cs_content && !prefiltered.contains(&ri) {
-                return false; // fast reject: no pattern appeared at all
-            }
-            rule.matches_payload(payload)
+        HIT_RULES.with_borrow_mut(|hit| {
+            hit.clear();
+            hit.resize(self.rules.len().div_ceil(64), 0);
+            self.automaton.for_each_match(payload, |m| {
+                let ri = self.pattern_rule[m.pattern];
+                hit[ri / 64] |= 1 << (ri % 64);
+                ControlFlow::<()>::Continue(())
+            });
+            candidates.iter().copied().find(|&ri| {
+                let pf = self.prefilters[ri];
+                if hit[ri / 64] & (1 << (ri % 64)) != 0 {
+                    pf.hit_is_match || self.rules[ri].matches_payload(payload)
+                } else {
+                    // Fast reject when none of its patterns appeared.
+                    !pf.needs_hit && self.rules[ri].matches_payload(payload)
+                }
+            })
         })
     }
 
-    fn record(&self, rule: &Rule, fid: Fid) {
-        match rule.action {
-            RuleAction::Pass => {}
-            RuleAction::Alert | RuleAction::Log => {
-                self.log.lock().push(LogEntry { action: rule.action, msg: rule.msg.clone(), fid });
-            }
+    fn record(&self, ri: usize, fid: Fid) {
+        if self.rules[ri].action != RuleAction::Pass {
+            self.log.lock().push(Firing { rule: ri, fid });
         }
     }
 }
@@ -349,6 +392,8 @@ impl Engine {
 #[derive(Debug, Clone)]
 pub struct SnortLite {
     engine: Arc<Engine>,
+    /// The current packet's candidate rules, in rule order.
+    candidates: Vec<usize>,
     // SPEEDYBOX-INTEGRATION-BEGIN (snort/inspectors: 1 line)
     /// One inspection state function per candidate-rule set, built when a
     /// flow first selects the set and recorded for every flow that does.
@@ -362,6 +407,7 @@ impl SnortLite {
     pub fn new(rules: Vec<Rule>) -> Self {
         Self {
             engine: Arc::new(Engine::new(rules)),
+            candidates: Vec::new(),
             // SPEEDYBOX-INTEGRATION-BEGIN (snort/inspectors: 1 line)
             inspectors: HashMap::new(),
             // SPEEDYBOX-INTEGRATION-END
@@ -386,7 +432,16 @@ impl SnortLite {
     /// Snapshot of the alert/log output (for the §VII-C equivalence tests).
     #[must_use]
     pub fn log(&self) -> Vec<LogEntry> {
-        self.engine.log.lock().clone()
+        let rules = &self.engine.rules;
+        self.engine
+            .log
+            .lock()
+            .iter()
+            .map(|f| {
+                let rule = &rules[f.rule];
+                LogEntry { action: rule.action, msg: rule.msg.clone(), fid: f.fid }
+            })
+            .collect()
     }
 
     /// Clears the output log.
@@ -401,16 +456,15 @@ impl SnortLite {
     }
 
     /// Selects the rules whose header constraints accept this flow — the
-    /// per-flow "rule matching function" Snort assigns at flow setup.
-    fn candidates(&self, packet: &Packet) -> Vec<usize> {
-        let Ok(t) = packet.five_tuple() else { return Vec::new() };
-        self.engine
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.matches_header(t.protocol, t.src_port, t.dst_port))
-            .map(|(i, _)| i)
-            .collect()
+    /// per-flow "rule matching function" Snort assigns at flow setup —
+    /// into `self.candidates`.
+    fn select_candidates(&mut self, packet: &Packet) {
+        self.candidates.clear();
+        if let Ok(t) = packet.five_tuple() {
+            let rules = &self.engine.rules;
+            let accepts = |&i: &usize| rules[i].matches_header(t.protocol, t.src_port, t.dst_port);
+            self.candidates.extend((0..rules.len()).filter(accepts));
+        }
     }
 }
 
@@ -429,26 +483,26 @@ impl Nf for SnortLite {
         ctx.ops.hash_lookups += 1;
         ctx.ops.hash_updates += 1;
         ctx.ops.state_updates += 1;
-        let candidates = self.candidates(packet);
+        self.select_candidates(packet);
         ctx.ops.acl_rules_scanned += self.engine.rules.len() as u64;
         let payload = packet.payload().unwrap_or(&[]);
         ctx.ops.payload_bytes_scanned += payload.len() as u64;
         let fid = packet.fid().unwrap_or_default();
-        if let Some(ri) = self.engine.inspect(payload, &candidates) {
-            self.engine.record(&self.engine.rules[ri], fid);
+        if let Some(ri) = self.engine.inspect(payload, &self.candidates) {
+            self.engine.record(ri, fid);
         }
         // SPEEDYBOX-INTEGRATION-BEGIN (snort: 16 lines)
         if let Some(inst) = ctx.instrument {
             let fid = inst.extract_fid(packet).unwrap_or_default();
             inst.add_header_action(fid, HeaderAction::Forward, ctx.ops);
-            let engine = &self.engine;
-            let inspect = self.inspectors.entry(candidates).or_insert_with_key(|candidates| {
+            let (engine, set) = (&self.engine, self.candidates.clone());
+            let inspect = self.inspectors.entry(set).or_insert_with_key(|candidates| {
                 let (engine, candidates) = (Arc::clone(engine), candidates.clone());
                 StateFunction::new("snort.inspect", PayloadAccess::Read, move |sfctx| {
                     let payload = sfctx.packet.payload().unwrap_or(&[]);
                     sfctx.ops.payload_bytes_scanned += payload.len() as u64;
                     if let Some(ri) = engine.inspect(payload, &candidates) {
-                        engine.record(&engine.rules[ri], sfctx.fid);
+                        engine.record(ri, sfctx.fid);
                     }
                 })
             });
@@ -467,7 +521,7 @@ impl Nf for SnortLite {
     }
 
     fn restore_state(&mut self, snapshot: &StateSnapshot) -> bool {
-        let Some(log) = snapshot.downcast::<Vec<LogEntry>>() else {
+        let Some(log) = snapshot.downcast::<Vec<Firing>>() else {
             return false;
         };
         *self.engine.log.lock() = log.clone();
@@ -612,6 +666,19 @@ mod tests {
         assert!(rule.matches_payload(b"xxxxxxxxxGET"), "starts at 9, ends at 12 = offset+depth");
         assert!(!rule.matches_payload(b"xxxxxxxxxxGET"), "ends past offset+depth");
         assert!(!rule.matches_payload(b"xx"), "window shorter than pattern");
+    }
+
+    #[test]
+    fn offset_plus_depth_past_usize_never_matches() {
+        let text = r#"alert tcp any any -> any any (msg:"far"; content:"GET"; offset:18446744073709551610; depth:10;)"#;
+        let rule: Rule = text.parse().unwrap();
+        assert!(!rule.matches_payload(b"GET / HTTP/1.1"));
+        assert!(!rule.matches_payload(b""));
+        let mut nf = SnortLite::from_rules_text(text).unwrap();
+        let mut ops = speedybox_mat::OpCounter::default();
+        let mut p = tcp_packet(80, b"GET / HTTP/1.1");
+        nf.process(&mut p, &mut NfContext::baseline(&mut ops));
+        assert!(nf.log().is_empty());
     }
 
     #[test]

@@ -2,11 +2,15 @@
 
 use std::collections::HashSet;
 use std::net::SocketAddrV4;
+use std::sync::Arc;
 
 use proptest::prelude::*;
+use speedybox_mat::state_fn::SfContext;
 use speedybox_mat::OpCounter;
+use speedybox_mat::{EventTable, LocalMat, NfId, NfInstrument};
 use speedybox_nf::maglev::Maglev;
 use speedybox_nf::mazunat::MazuNat;
+use speedybox_nf::snort::{LogEntry, Rule, RuleAction, SnortLite};
 use speedybox_nf::{AhoCorasick, Nf, NfContext, Regex};
 use speedybox_packet::{HeaderField, Packet, PacketBuilder};
 
@@ -23,6 +27,108 @@ fn backends(n: usize) -> Vec<(String, SocketAddrV4)> {
 
 /// Primes for the Maglev table size, as the Maglev paper requires.
 const PRIMES: [usize; 5] = [53, 101, 211, 251, 509];
+
+/// Checks `find_all`, `find_first` and `matching_patterns` against naive
+/// substring search.
+fn assert_matches_naive(patterns: &[Vec<u8>], haystack: &[u8]) {
+    let ac = AhoCorasick::new(patterns);
+    let mut want: Vec<(usize, usize)> = patterns
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| {
+            haystack
+                .windows(p.len())
+                .enumerate()
+                .filter(move |(_, w)| w == p)
+                .map(move |(at, _)| (at + p.len(), i))
+        })
+        .collect();
+    want.sort_unstable();
+    let mut got: Vec<(usize, usize)> =
+        ac.find_all(haystack).iter().map(|m| (m.end, m.pattern)).collect();
+    got.sort_unstable();
+    assert_eq!(got, want, "find_all");
+    // The first match ends earliest; any pattern ending there will do.
+    match ac.find_first(haystack) {
+        Some(m) => {
+            assert!(m.end == want[0].0 && want.contains(&(m.end, m.pattern)), "find_first {m:?}")
+        }
+        None => assert!(want.is_empty(), "find_first missed {:?}", want[0]),
+    }
+    let mut present: Vec<usize> = want.iter().map(|&(_, i)| i).collect();
+    present.sort_unstable();
+    present.dedup();
+    assert_eq!(ac.matching_patterns(haystack), present, "matching_patterns");
+}
+
+/// A Snort rule line drawn from the language subset: an action, port
+/// constraints, and one or two contents over a four-letter alphabet, each
+/// case-sensitive or `nocase`, with or without `offset`/`depth`.
+fn snort_rule() -> impl Strategy<Value = String> {
+    let content = (
+        prop::collection::vec(prop::sample::select(b"abAB".to_vec()), 1..4),
+        prop::bool::ANY,
+        0u8..4,
+        0usize..6,
+        1usize..10,
+    )
+        .prop_map(|(pattern, nocase, position, offset, depth)| {
+            let mut opts = format!("content:\"{}\";", String::from_utf8(pattern).unwrap());
+            if nocase {
+                opts.push_str(" nocase;");
+            }
+            if position & 1 != 0 {
+                opts.push_str(&format!(" offset:{offset};"));
+            }
+            if position & 2 != 0 {
+                opts.push_str(&format!(" depth:{depth};"));
+            }
+            opts
+        });
+    (
+        prop::sample::select(vec!["pass", "alert", "log"]),
+        prop::sample::select(vec!["any", "1000"]),
+        prop::sample::select(vec!["any", "80", "443"]),
+        prop::collection::vec(content, 1..3),
+    )
+        .prop_map(|(action, src, dst, contents)| {
+            format!("{action} tcp any {src} -> any {dst} (msg:\"m\"; {})", contents.join(" "))
+        })
+}
+
+/// The packet of flow `flow` (two source ports by two destination ports)
+/// carrying `payload`, with its FID set.
+fn snort_packet(flow: u8, payload: &[u8]) -> Packet {
+    let src = 1000 + u16::from(flow & 1);
+    let dst = if flow & 2 == 0 { 80 } else { 443 };
+    let mut p = PacketBuilder::tcp()
+        .src(format!("10.0.0.1:{src}").parse().unwrap())
+        .dst(format!("10.0.0.2:{dst}").parse().unwrap())
+        .payload(payload)
+        .build();
+    p.set_fid(p.five_tuple().unwrap().fid());
+    p
+}
+
+/// What SnortLite must log for `packets`: for each, the first rule in rule
+/// order whose header and payload conditions hold, if it is not `pass`.
+fn naive_snort_log(rules: &[Rule], packets: &[(u8, Vec<u8>)]) -> Vec<LogEntry> {
+    packets
+        .iter()
+        .filter_map(|(flow, payload)| {
+            let p = snort_packet(*flow, payload);
+            let t = p.five_tuple().unwrap();
+            let rule = rules.iter().find(|r| {
+                r.matches_header(t.protocol, t.src_port, t.dst_port) && r.matches_payload(payload)
+            })?;
+            (rule.action != RuleAction::Pass).then(|| LogEntry {
+                action: rule.action,
+                msg: rule.msg.clone(),
+                fid: p.fid().unwrap(),
+            })
+        })
+        .collect()
+}
 
 proptest! {
     /// The Maglev lookup table is always fully populated and near-balanced
@@ -110,15 +216,17 @@ proptest! {
         patterns in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..6), 1..6),
         haystack in prop::collection::vec(any::<u8>(), 0..300),
     ) {
-        let ac = AhoCorasick::new(&patterns);
-        let got = ac.matching_patterns(&haystack);
-        let want: Vec<usize> = patterns
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| haystack.windows(p.len()).any(|w| w == p.as_slice()))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(got, want);
+        assert_matches_naive(&patterns, &haystack);
+    }
+
+    /// The same over a three-letter alphabet, where matches overlap and
+    /// partial matches fall back through failure links often.
+    #[test]
+    fn aho_corasick_matches_naive_on_a_small_alphabet(
+        patterns in prop::collection::vec(prop::collection::vec(prop::sample::select(b"abc".to_vec()), 1..5), 1..6),
+        haystack in prop::collection::vec(prop::sample::select(b"abcx".to_vec()), 0..120),
+    ) {
+        assert_matches_naive(&patterns, &haystack);
     }
 
     /// The regex compiler is total (arbitrary patterns either compile or
@@ -187,5 +295,49 @@ proptest! {
                 assigned.insert(port, dst);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// SnortLite's prefiltered inspection logs what naive rule evaluation
+    /// logs, on the original NF and through each flow's recorded state
+    /// function.
+    #[test]
+    fn snort_inspection_matches_naive_rule_evaluation(
+        lines in prop::collection::vec(snort_rule(), 1..7),
+        packets in prop::collection::vec(
+            (0u8..4, prop::collection::vec(prop::sample::select(b"abABx".to_vec()), 0..24)),
+            1..24,
+        ),
+    ) {
+        let rules: Vec<Rule> = lines.iter().map(|l| l.parse().unwrap()).collect();
+        let want = naive_snort_log(&rules, &packets);
+        let mut nf = SnortLite::new(rules);
+        let mut ops = OpCounter::default();
+        for (flow, payload) in &packets {
+            nf.process(&mut snort_packet(*flow, payload), &mut NfContext::baseline(&mut ops));
+        }
+        prop_assert_eq!(nf.log(), want, "original NF; rules {:?}", lines);
+
+        // Record each flow's state function from an empty initial packet.
+        let inst = NfInstrument::new(Arc::new(LocalMat::new(NfId::new(0))), Arc::new(EventTable::new()));
+        let inspectors: Vec<_> = (0..4u8)
+            .map(|flow| {
+                let mut initial = snort_packet(flow, b"");
+                nf.process(&mut initial, &mut NfContext::instrumented(&inst, &mut ops));
+                let rule = inst.local_mat().rule(initial.fid().unwrap()).unwrap();
+                rule.state_functions[0].clone()
+            })
+            .collect();
+        nf.clear_log();
+        for (flow, payload) in &packets {
+            let mut p = snort_packet(*flow, payload);
+            let fid = p.fid().unwrap();
+            let mut sfctx = SfContext { packet: &mut p, fid, ops: &mut ops, len_adjust: 0 };
+            inspectors[usize::from(*flow)].invoke(&mut sfctx);
+        }
+        prop_assert_eq!(nf.log(), want, "state function; rules {:?}", lines);
     }
 }
