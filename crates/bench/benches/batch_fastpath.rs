@@ -1,12 +1,12 @@
 //! Batched fast-path throughput: single-packet processing vs the batched
-//! entry point (`Chain::process_batch_into`, which classifies a whole batch
-//! up front), plus the shard-count ablation for the classifier/Global-MAT
-//! lock tables.
+//! entry point (`Chain::process_batch_into`, which runs each packet's
+//! per-packet step in order), plus the shard-count ablation for the
+//! classifier/Global-MAT flow table.
 //!
-//! The claim under test: at batch 32 the batched fast path is at least as
-//! fast as per-packet processing (it amortizes one lock acquisition per
-//! shard per batch and one clock update per batch), and shard count is a
-//! pure scalability knob with no single-threaded penalty.
+//! The claim under test: at batch 32 the batched entry point is as fast
+//! as per-packet processing (it shares only the idle-eviction tick, the
+//! pool sync and the modeled wall interval across a batch), and shard
+//! count is a pure scalability knob with no single-threaded penalty.
 
 #![allow(clippy::cast_possible_truncation)] // bench data built from loop indices
 

@@ -143,38 +143,6 @@ pub struct Classification {
     pub record: Option<Pinned<FlowRecord>>,
 }
 
-/// A parsed packet awaiting steering: its flow, its clock tick and the
-/// TCP flags steering reads (parsed once).
-#[derive(Debug, Clone, Copy)]
-pub struct Pending {
-    fid: Fid,
-    tuple: FiveTuple,
-    now: u64,
-    is_syn: bool,
-    closes: bool,
-}
-
-/// One packet of a batch, as [`PacketClassifier::classify_batch_into`]
-/// leaves it.
-#[derive(Debug)]
-pub enum Batched {
-    /// Steered up front.
-    Now(Classification),
-    /// Steered at its turn by [`PacketClassifier::steer_pending`]: an
-    /// earlier packet of the batch closes a flow, and this packet belongs
-    /// to that flow or would open a record the teardown may make room for.
-    Deferred(Pending),
-}
-
-/// Reusable intermediate storage for
-/// [`PacketClassifier::classify_batch_into`]; hold one per worker and the
-/// classifier allocates nothing per batch once the vectors are warm.
-#[derive(Debug, Default)]
-pub struct ClassifyScratch {
-    pending: Vec<(usize, Pending)>,
-    closing: Vec<Fid>,
-}
-
 impl PacketClassifier {
     /// Creates an empty classifier with the default shard count and an
     /// unbounded (full-FID-space) flow table.
@@ -212,23 +180,11 @@ impl PacketClassifier {
         self.flows.shard_count()
     }
 
-    /// The flow-table capacity (live-flow bound).
-    #[must_use]
-    pub fn max_flows(&self) -> usize {
-        self.flows.capacity()
-    }
-
     /// Enables the paper's §III handshake-aware initial-packet definition.
     #[must_use]
     pub fn handshake_aware(mut self) -> Self {
         self.handshake_aware = true;
         self
-    }
-
-    /// Whether handshake-aware steering is active.
-    #[must_use]
-    pub fn is_handshake_aware(&self) -> bool {
-        self.handshake_aware
     }
 
     /// Attaches a telemetry sink for flow lifecycle counters.
@@ -256,7 +212,9 @@ impl PacketClassifier {
 
     /// Classifies a packet: computes and attaches the FID, decides
     /// initial vs. subsequent, flags flow teardown, and hands back the
-    /// flow's record.
+    /// flow's record. Wait-free for already-tracked flows (one
+    /// direct-index lookup, a relaxed recency stamp and a flag load; the
+    /// compare-and-swap runs only for a flow's first packet).
     ///
     /// The FID is derived from the packet's 5-tuple *at chain entry*; NFs
     /// downstream may rewrite headers but the metadata FID stays put.
@@ -268,49 +226,64 @@ impl PacketClassifier {
         packet: &mut Packet,
         ops: &mut OpCounter,
     ) -> Result<Classification, PacketError> {
-        let mut pending = Self::parse(packet, ops)?;
-        pending.now = self.flows.tick(1);
-        Ok(self.steer_pending(&pending))
-    }
-
-    /// Parses the 5-tuple and TCP flags once, attaches the FID and counts
-    /// the classification op (it covers the parse + hash + table probe +
-    /// FID attach, priced as a unit by the cycle model). The clock tick is
-    /// left for the caller to draw.
-    fn parse(packet: &mut Packet, ops: &mut OpCounter) -> Result<Pending, PacketError> {
         let tuple = packet.five_tuple()?;
         let fid = tuple.fid();
+        // One op covers the parse, hash, table probe and FID attach,
+        // priced as a unit by the cycle model.
         ops.classifications += 1;
         packet.set_fid(fid);
         let flags = packet.tcp_flags();
-        Ok(Pending { fid, tuple, now: 0, is_syn: flags.syn(), closes: flags.closes_flow() })
-    }
-
-    /// Steers a parsed packet at the clock tick it drew: every packet of
-    /// the per-packet path, and a batch packet left [`Batched::Deferred`]
-    /// once its turn comes.
-    #[must_use]
-    pub fn steer_pending(&self, packet: &Pending) -> Classification {
-        self.steer(packet, false).expect("steering that may open a record always resolves")
-    }
-
-    /// The steering decision proper. Wait-free for already-tracked flows
-    /// (one direct-index lookup, a relaxed recency stamp and a flag load;
-    /// the compare-and-swap runs only for a flow's first packet); a
-    /// flow's first packet takes the table's writer path to open its
-    /// record, or to claim one the control plane installed. With
-    /// `defer_open`, a packet that would open a record is left unsteered
-    /// (`None`).
-    fn steer(&self, p: &Pending, defer_open: bool) -> Option<Classification> {
-        let Pending { fid, tuple, now, is_syn, closes } = *p;
+        let closes_flow = flags.closes_flow();
         let cell = self.cell(fid);
-        let record = loop {
+        let Some(record) = self.open(fid, tuple, self.flows.tick(1), cell) else {
+            let class = PacketClass::Rejected;
+            return Ok(Classification { fid, class, closes_flow, record: None });
+        };
+        let recorded = record.recorded.load(Relaxed);
+        let class = if record.owner != Some(tuple) {
+            PacketClass::Collision
+        } else if self.handshake_aware && flags.syn() && !recorded {
+            // §III: handshake packets precede the "initial packet";
+            // they ride the original chain without recording.
+            PacketClass::Handshake
+        } else if !recorded
+            && record.recorded.compare_exchange(false, true, Relaxed, Relaxed).is_ok()
+        {
+            // The CAS guarantees exactly one packet is steered Initial per
+            // flow record even under concurrent classification; the load
+            // before it keeps every later packet off the locked
+            // instruction.
+            PacketClass::Initial
+        } else {
+            PacketClass::Subsequent
+        };
+        if let Some(cell) = cell {
+            match class {
+                PacketClass::Collision => cell.add_fid_collisions(1),
+                PacketClass::Handshake => cell.add_handshake_packets(1),
+                _ => {}
+            }
+        }
+        Ok(Classification { fid, class, closes_flow, record: Some(record) })
+    }
+
+    /// The FID's record, stamped at clock tick `now`. A flow's first
+    /// packet takes the table's writer path to open its record, or to
+    /// claim one the control plane installed; `None` when the table
+    /// rejects the flow.
+    fn open(
+        &self,
+        fid: Fid,
+        tuple: FiveTuple,
+        now: u64,
+        cell: Option<&CounterShard>,
+    ) -> Option<Pinned<FlowRecord>> {
+        loop {
             let record = match self.flows.lookup(fid) {
                 Some((handle, record)) => {
                     self.flows.touch(handle, now);
                     record
                 }
-                None if defer_open => return None,
                 None => match self
                     .flows
                     .open_with(fid, now, || FlowRecord::new(Some(tuple), false, None))
@@ -337,18 +310,12 @@ impl PacketClassifier {
                         if let Some(cell) = cell {
                             cell.add_flows_rejected(1);
                         }
-                        let class = PacketClass::Rejected;
-                        return Some(Classification {
-                            fid,
-                            class,
-                            closes_flow: closes,
-                            record: None,
-                        });
+                        return None;
                     }
                 },
             };
             if record.owner.is_some() {
-                break record;
+                return Some(record);
             }
             // The control plane installed this record before any packet
             // arrived: the flow's first packet claims it, as if opening it.
@@ -359,93 +326,8 @@ impl PacketClassifier {
                 if let Some(cell) = cell {
                     cell.add_flows_opened(1);
                 }
-                break claimed;
+                return Some(claimed);
             }
-        };
-        let recorded = record.recorded.load(Relaxed);
-        let class = if record.owner != Some(tuple) {
-            PacketClass::Collision
-        } else if self.handshake_aware && is_syn && !recorded {
-            // §III: handshake packets precede the "initial packet";
-            // they ride the original chain without recording.
-            PacketClass::Handshake
-        } else if !recorded
-            && record.recorded.compare_exchange(false, true, Relaxed, Relaxed).is_ok()
-        {
-            // The CAS guarantees exactly one packet is steered Initial per
-            // flow record even under concurrent classification; the load
-            // before it keeps every later packet off the locked
-            // instruction.
-            PacketClass::Initial
-        } else {
-            PacketClass::Subsequent
-        };
-        if let Some(cell) = cell {
-            match class {
-                PacketClass::Collision => cell.add_fid_collisions(1),
-                PacketClass::Handshake => cell.add_handshake_packets(1),
-                _ => {}
-            }
-        }
-        Some(Classification { fid, class, closes_flow: closes, record: Some(record) })
-    }
-
-    /// Classifies a batch of packets, drawing one clock advance for the
-    /// whole batch and steering every packet up front, so the batch's
-    /// record lookups overlap their cache misses.
-    ///
-    /// Equivalent to calling [`PacketClassifier::classify`] on each packet
-    /// in slice order, with the caller tearing a closing flow down before
-    /// the next packet — same clock values, same steering, same per-packet
-    /// op counts — because steering that the teardown could change waits
-    /// for it: once a packet closes its flow (FIN/RST, non-colliding), a
-    /// later packet of that flow, or one that would open a new record, is
-    /// returned as [`Batched::Deferred`] and steered at its turn with
-    /// [`PacketClassifier::steer_pending`], after the caller has torn the
-    /// closing flow down. Without a closing packet nothing is deferred.
-    ///
-    /// Per-flow packet order is preserved: same flow → same FID → same
-    /// shard, and each shard processes its packets in slice order.
-    ///
-    /// Results are appended to `out` (cleared first) and all intermediate
-    /// state lives in `scratch`, so a warm caller reclassifies batch after
-    /// batch without touching the allocator.
-    ///
-    /// # Panics
-    /// Panics if `ops.len() != packets.len()`.
-    pub fn classify_batch_into(
-        &self,
-        packets: &mut [Packet],
-        ops: &mut [OpCounter],
-        out: &mut Vec<Result<Batched, PacketError>>,
-        scratch: &mut ClassifyScratch,
-    ) {
-        assert_eq!(packets.len(), ops.len(), "one OpCounter per packet");
-        let ClassifyScratch { pending, closing } = scratch;
-        pending.clear();
-        closing.clear();
-        out.clear();
-        for (idx, packet) in packets.iter_mut().enumerate() {
-            match Self::parse(packet, &mut ops[idx]) {
-                Err(e) => out.push(Err(e)),
-                Ok(p) => {
-                    pending.push((idx, p));
-                    out.push(Ok(Batched::Deferred(p)));
-                }
-            }
-        }
-        // One clock advance for the whole batch; packet i gets the tick it
-        // would have drawn classifying sequentially (parse failures draw
-        // none, as in the per-packet path).
-        let base = self.flows.tick(pending.len() as u64);
-        for (j, (idx, p)) in pending.iter_mut().enumerate() {
-            p.now = base + j as u64;
-            let steered =
-                if closing.contains(&p.fid) { None } else { self.steer(p, !closing.is_empty()) };
-            if p.closes && steered.as_ref().is_none_or(|c| c.class != PacketClass::Collision) {
-                closing.push(p.fid);
-            }
-            out[*idx] = Ok(steered.map_or(Batched::Deferred(*p), Batched::Now));
         }
     }
 

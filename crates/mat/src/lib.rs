@@ -76,9 +76,7 @@ pub mod track;
 
 pub use action::{EncapSpec, HeaderAction};
 pub use api::NfInstrument;
-pub use classifier::{
-    Batched, Classification, ClassifyScratch, PacketClass, PacketClassifier, Pending,
-};
+pub use classifier::{Classification, PacketClass, PacketClassifier};
 pub use compiled::{compile, Anchor, CompiledProgram, MicroOp};
 pub use consolidate::{consolidate, ConsolidatedAction};
 pub use error::MatError;

@@ -139,11 +139,6 @@ impl LocalMat {
         entry(&mut self.staged.lock(), fid).header_actions = actions;
     }
 
-    /// Replaces the flow's staged state functions.
-    pub fn set_state_functions(&self, fid: Fid, funcs: Vec<StateFunction>) {
-        entry(&mut self.staged.lock(), fid).state_functions = funcs;
-    }
-
     /// Ends the flow's walk at this NF: moves its staged header actions
     /// onto `actions` and its state functions onto `funcs`, each tagged
     /// with this NF, leaving nothing staged. The entry keeps its buffers
@@ -167,12 +162,6 @@ impl LocalMat {
     #[must_use]
     pub fn rule(&self, fid: Fid) -> Option<LocalRule> {
         find(&mut self.staged.lock(), fid).map(|rule| rule.clone())
-    }
-
-    /// True if the flow is mid-walk here.
-    #[must_use]
-    pub fn contains(&self, fid: Fid) -> bool {
-        find(&mut self.staged.lock(), fid).is_some()
     }
 
     /// Drops the flow's staged recordings (an unfinished walk's
@@ -245,9 +234,8 @@ mod tests {
         let mat = LocalMat::new(NfId::new(0));
         let mut ops = OpCounter::default();
         mat.add_header_action(fid(1), HeaderAction::Drop, &mut ops);
+        assert!(mat.rule(fid(1)).is_some());
         assert!(mat.rule(fid(2)).is_none());
-        assert!(mat.contains(fid(1)));
-        assert!(!mat.contains(fid(2)));
     }
 
     #[test]

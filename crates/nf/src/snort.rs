@@ -171,6 +171,8 @@ pub enum RuleParseError {
     BadPort(String),
     /// A rule without any `content` option (SnortLite requires one).
     NoContent,
+    /// A `content` option with an empty pattern, which Snort refuses.
+    EmptyContent,
     /// A content modifier (`nocase`/`offset`/`depth`) with no preceding
     /// `content`.
     DanglingModifier(String),
@@ -186,6 +188,7 @@ impl fmt::Display for RuleParseError {
             RuleParseError::BadProtocol(p) => write!(f, "unknown protocol: {p}"),
             RuleParseError::BadPort(p) => write!(f, "bad port: {p}"),
             RuleParseError::NoContent => f.write_str("rule has no content pattern"),
+            RuleParseError::EmptyContent => f.write_str("content pattern is empty"),
             RuleParseError::DanglingModifier(m) => {
                 write!(f, "content modifier without a content: {m}")
             }
@@ -195,6 +198,15 @@ impl fmt::Display for RuleParseError {
 }
 
 impl std::error::Error for RuleParseError {}
+
+/// The content that `modifier` applies to: the rule's most recent one, as
+/// in Snort.
+fn modified<'a>(
+    contents: &'a mut [ContentSpec],
+    modifier: &str,
+) -> Result<&'a mut ContentSpec, RuleParseError> {
+    contents.last_mut().ok_or_else(|| RuleParseError::DanglingModifier(modifier.into()))
+}
 
 impl FromStr for Rule {
     type Err = RuleParseError;
@@ -239,31 +251,23 @@ impl FromStr for Rule {
             // Flag options (no value), then key:value options. Modifiers
             // apply to the most recent content, as in Snort.
             if opt == "nocase" {
-                contents
-                    .last_mut()
-                    .ok_or_else(|| RuleParseError::DanglingModifier("nocase".into()))?
-                    .nocase = true;
+                modified(&mut contents, "nocase")?.nocase = true;
                 continue;
             }
             let (key, value) = opt.split_once(':').ok_or_else(bad)?;
             let value = value.trim().trim_matches('"');
             match key.trim() {
+                "content" if value.is_empty() => return Err(RuleParseError::EmptyContent),
                 "content" => contents.push(ContentSpec::plain(value.as_bytes())),
                 "pcre" => pcres.push(Regex::new(value).map_err(RuleParseError::BadPcre)?),
                 "msg" => msg = value.to_owned(),
                 "offset" => {
                     let n = value.parse().map_err(|_| bad())?;
-                    contents
-                        .last_mut()
-                        .ok_or_else(|| RuleParseError::DanglingModifier("offset".into()))?
-                        .offset = n;
+                    modified(&mut contents, "offset")?.offset = n;
                 }
                 "depth" => {
                     let n = value.parse().map_err(|_| bad())?;
-                    contents
-                        .last_mut()
-                        .ok_or_else(|| RuleParseError::DanglingModifier("depth".into()))?
-                        .depth = Some(n);
+                    modified(&mut contents, "depth")?.depth = Some(n);
                 }
                 _ => {} // unknown options tolerated, as in Snort
             }
@@ -588,6 +592,12 @@ mod tests {
             "alert tcp any nope -> any any (content:\"x\";)".parse::<Rule>(),
             Err(RuleParseError::BadPort(_))
         ));
+    }
+
+    #[test]
+    fn empty_content_is_refused() {
+        let rule = "alert tcp any any -> any any (msg:\"empty\"; content:\"\";)";
+        assert!(matches!(rule.parse::<Rule>(), Err(RuleParseError::EmptyContent)));
     }
 
     #[test]

@@ -21,11 +21,9 @@
 
 use std::sync::Arc;
 
-use speedybox_mat::{
-    Batched, Classification, ClassifyScratch, NfInstrument, OpCounter, PacketClass,
-};
+use speedybox_mat::{Classification, NfInstrument, OpCounter, PacketClass};
 use speedybox_nf::Nf;
-use speedybox_packet::{Fid, Magazine, Packet, PacketError, PacketPool, PoolStats};
+use speedybox_packet::{Fid, Magazine, Packet, PacketPool, PoolStats};
 use speedybox_telemetry::Telemetry;
 
 use crate::cycles::{Counted, CycleModel, Ledger};
@@ -153,9 +151,9 @@ impl Nfs {
 /// Everything one packet step mutates besides the shared SpeedyBox
 /// runtime: the NFs, the ledger that prices finished packets (with the
 /// platform, the count scratch and the stage and worker totals), the
-/// buffer magazine, batch scratch and the supervisor. Borrowing it
-/// separately from the runtime lets [`crate::workers`] threads share one
-/// runtime while each owns a lane.
+/// buffer magazine and the supervisor. Borrowing it separately from the
+/// runtime lets [`crate::workers`] threads share one runtime while each
+/// owns a lane.
 #[derive(Debug)]
 pub(crate) struct Lane {
     nfs: Nfs,
@@ -163,14 +161,6 @@ pub(crate) struct Lane {
     mag: Magazine,
     /// NF crash/restart supervision (checkpoints + in-flight log).
     supervisor: Option<Supervisor>,
-    /// Batch scratch, reused across batches so the steady-state batch
-    /// path performs no heap allocation.
-    cls_scratch: ClassifyScratch,
-    classified: Vec<Result<Batched, PacketError>>,
-    ops_scratch: Vec<OpCounter>,
-    /// FIDs whose record an earlier step of the batch republished or
-    /// removed; empty in steady state.
-    touched: Vec<Fid>,
 }
 
 impl Lane {
@@ -188,10 +178,6 @@ impl Lane {
             nfs,
             mag: Magazine::new(Arc::clone(pool)),
             supervisor,
-            cls_scratch: ClassifyScratch::default(),
-            classified: Vec::new(),
-            ops_scratch: Vec::new(),
-            touched: Vec::new(),
         }
     }
 
@@ -241,15 +227,14 @@ impl Lane {
         let mut cls_ops = OpCounter::default();
         match sbox.classifier.classify(&mut packet, &mut cls_ops) {
             Err(_) => self.drop_unparsed(&sbox.telemetry, packet, cls_ops),
-            Ok(cls) => self.step(sbox, packet, cls, cls_ops, false),
+            Ok(cls) => self.step(sbox, packet, cls, cls_ops),
         }
     }
 
-    /// A batch of SpeedyBox packets: all classified up front (their record
-    /// lookups overlap), then each packet's [`Lane::step`] in order, then
-    /// one idle-eviction tick. Drains `packets` into `out` (cleared
-    /// first); warm, it allocates nothing. Returns the batch's modeled
-    /// wall time: the busiest worker's share of its work.
+    /// A batch of SpeedyBox packets: each packet's [`Lane::process`] in
+    /// order, then one idle-eviction tick. Drains `packets` into `out`
+    /// (cleared first). Returns the batch's modeled wall time: the busiest
+    /// worker's share of its work.
     pub(crate) fn batch(
         &mut self,
         sbox: &SpeedyBox,
@@ -257,37 +242,10 @@ impl Lane {
         out: &mut Vec<ProcessedPacket>,
     ) -> u64 {
         out.clear();
-        self.ops_scratch.clear();
-        self.ops_scratch.resize(packets.len(), OpCounter::default());
-        sbox.classifier.classify_batch_into(
-            packets,
-            &mut self.ops_scratch,
-            &mut self.classified,
-            &mut self.cls_scratch,
-        );
-        self.touched.clear();
         self.ledger.open_batch();
-        let mut classified = std::mem::take(&mut self.classified);
-        for (i, (pkt, cls)) in packets.drain(..).zip(classified.drain(..)).enumerate() {
-            let cls_ops = self.ops_scratch[i];
-            let cls = match cls {
-                Err(_) => {
-                    out.push(self.drop_unparsed(&sbox.telemetry, pkt, cls_ops));
-                    continue;
-                }
-                Ok(Batched::Deferred(pending)) => sbox.classifier.steer_pending(&pending),
-                Ok(Batched::Now(mut c)) => {
-                    // An earlier step republished or removed this flow's
-                    // record: the classified one is stale.
-                    if self.touched.contains(&c.fid) {
-                        c.record = sbox.global.record(c.fid);
-                    }
-                    c
-                }
-            };
-            out.push(self.step(sbox, pkt, cls, cls_ops, true));
+        for packet in packets.drain(..) {
+            out.push(self.process(sbox, packet));
         }
-        self.classified = classified;
         // Batch-boundary idle eviction (control plane, not packet work).
         sbox.tick_idle_eviction();
         self.ledger.batch_wall()
@@ -307,20 +265,16 @@ impl Lane {
     }
 
     /// The packet step after classification, shared by every platform,
-    /// the per-packet and batched paths, and the worker threads. One of
-    /// three arms runs the packet and counts its operations — the
-    /// uninstrumented walk, the instrumented walk plus rule install, or
-    /// the fast path on the classified record — then teardown and
-    /// [`Lane::finish`] follow once. In a batch, the lane's `touched` list
-    /// collects the FIDs whose record this step republished or removed,
-    /// so later packets of the batch look their record up again.
+    /// every batch size, and the worker threads. One of three arms runs
+    /// the packet and counts its operations — the uninstrumented walk, the
+    /// instrumented walk plus rule install, or the fast path on the
+    /// classified record — then teardown and [`Lane::finish`] follow once.
     fn step(
         &mut self,
         sbox: &SpeedyBox,
         mut packet: Packet,
         cls: Classification,
         cls_ops: OpCounter,
-        batched: bool,
     ) -> ProcessedPacket {
         let Classification { fid, class, closes_flow, record } = cls;
         let hint = fid.index() as u64;
@@ -352,10 +306,8 @@ impl Lane {
         } else {
             None
         };
-        let mut republished = teardown;
         let (packet, counted) = match (class, &fast) {
             (_, Some(res)) => {
-                republished |= res.relooked();
                 ops.merge(&res.ops);
                 (packet, res.counted(&sbox.config))
             }
@@ -370,7 +322,6 @@ impl Lane {
             // evicted (e.g. by FID collision cleanup): record, then
             // consolidate into the Global MAT.
             (PacketClass::Initial | PacketClass::Subsequent, None) => {
-                republished = true;
                 self.walk(packet, Some((sbox, fid)), &mut ops)
             }
         };
@@ -378,9 +329,6 @@ impl Lane {
         if teardown {
             sbox.remove_flow(fid);
             self.nfs.flow_closed(fid);
-        }
-        if batched && republished {
-            self.touched.push(fid);
         }
         self.finish(&sbox.telemetry, hint, packet, counted, ops)
     }
@@ -681,14 +629,13 @@ impl Chain {
     }
 
     /// Processes a batch of packets: drains `packets` and appends each
-    /// outcome to `out` (cleared first). SpeedyBox classifies the batch
-    /// up front (its record lookups overlap) and serves each fast-path
-    /// packet from the record its classification found; per-packet
+    /// outcome to `out` (cleared first). SpeedyBox classifies and steps
+    /// each packet in order, as [`Chain::process`] does, so per-packet
     /// results (bytes, paths, op counts, cycles) are identical to calling
-    /// [`Chain::process`] in order. Each packet's work is attributed to
-    /// the worker owning its FID slice; the batch's modeled wall time is
-    /// the busiest worker's share. All batch scratch lives in the chain,
-    /// so in the steady state (capacities warmed, pool populated) a call
+    /// it in order; the batch shares one idle-eviction tick and one pool
+    /// sync. Each packet's work is attributed to the worker owning its FID
+    /// slice; the batch's modeled wall time is the busiest worker's share.
+    /// In the steady state (capacities warmed, pool populated) a call
     /// touches the heap zero times; `tests/zero_alloc.rs` enforces this.
     /// Every call, an empty one included, folds pool counters into
     /// telemetry.

@@ -192,28 +192,6 @@ impl RunStats {
         }
         model.rate_mpps(self.worker_wall_cycles as f64 / self.sent as f64)
     }
-
-    /// Mean latency restricted to fast-path (subsequent) packets — the
-    /// steady-state number the paper's per-packet figures report.
-    #[must_use]
-    pub fn subsequent_only(&self) -> RunStatsView<'_> {
-        RunStatsView { stats: self }
-    }
-}
-
-/// Helper view exposing derived numbers (kept separate so `RunStats` stays
-/// a plain data bag).
-#[derive(Debug, Clone, Copy)]
-pub struct RunStatsView<'a> {
-    stats: &'a RunStats,
-}
-
-impl RunStatsView<'_> {
-    /// Number of fast-path packets in the run.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.stats.path_counts[2]
-    }
 }
 
 #[cfg(test)]

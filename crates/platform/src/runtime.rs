@@ -36,10 +36,11 @@ pub struct SboxConfig {
     /// first post-handshake packet records the flow's rule. Off by
     /// default.
     pub handshake_aware: bool,
-    /// Fast-path batch size: environments classify packets in groups of
-    /// this many, so a batch's flow-record lookups overlap. `1` (the
-    /// default) is the per-packet path; results are identical at any
-    /// batch size.
+    /// Packets per batch: environments hand packets to the chain in groups
+    /// of this many, each packet classified and stepped in order, and a
+    /// batch shares one idle-eviction tick, one pool sync and one modeled
+    /// worker-wall interval. `1` (the default) is a batch per packet;
+    /// results are identical at any batch size.
     pub batch_size: usize,
     /// Shard count of the flow table the classifier and the Global MAT
     /// share (rounded up to a power of two). Sharding never changes
@@ -339,19 +340,11 @@ pub struct FastPathResult<'r> {
     pub ops: OpCounter,
     /// The rule served: borrowed from the caller's record, or the flow's
     /// current rule if an armed condition triggered and the record may
-    /// have been republished (see [`FastPathResult::relooked`]).
+    /// have been republished.
     pub rule: Cow<'r, Arc<GlobalRule>>,
 }
 
 impl FastPathResult<'_> {
-    /// The packet was served the flow's current rule rather than the one
-    /// in the caller's record: later packets of the flow holding the same
-    /// record must look again.
-    #[must_use]
-    pub fn relooked(&self) -> bool {
-        matches!(self.rule, Cow::Owned(_))
-    }
-
     /// What the ledger needs to price this packet under `config`.
     pub(crate) fn counted(&self, config: &SboxConfig) -> Counted<'_> {
         Counted::Fast {

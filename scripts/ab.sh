@@ -8,6 +8,9 @@
 # change won on each (by the metric's `better` direction; ties count for
 # neither side), the metric's bound from BENCHMARK.json and one verdict,
 # and writes the same summary as JSON to $AB_DIR/summary-<workload>.json.
+# Both sides build with the caller's RUSTFLAGS (e.g. a link layout such as
+# `-C link-arg=-Wl,--sort-section=name`); the table header and the
+# summary's "rustflags" record them.
 # Verdicts, first match wins:
 #   gain          the change wins at least 9 in 10 pairs and its median
 #                 beats the base's by more than the base's interquartile
@@ -24,8 +27,9 @@
 # "failed" > 0.
 #
 # Usage: scripts/ab.sh <base-rev> <workload> <pairs>
-#   AB_DIR   scratch directory for the base checkout, builds and run
-#            outputs (default: target/ab)
+#   AB_DIR     scratch directory for the base checkout, builds and run
+#              outputs (default: target/ab)
+#   RUSTFLAGS  passed to both builds and recorded in the summary
 set -euo pipefail
 if [ $# -ne 3 ]; then
   echo "usage: scripts/ab.sh <base-rev> <workload> <pairs>" >&2
@@ -57,10 +61,11 @@ for i in $(seq 1 "$pairs"); do
   if [ $((i % 2)) -eq 1 ]; then run base "$i"; run change "$i"; else run change "$i"; run base "$i"; fi
 done
 
-python3 - "$dir/runs" "$pairs" "$base_rev" "$workload" "$seconds" "$dir" <<'EOF'
+python3 - "$dir/runs" "$pairs" "$base_rev" "$workload" "$seconds" "$dir" "${RUSTFLAGS:-}" <<'EOF'
 import json, statistics, sys
 
-runs, pairs, base_rev, workload, seconds, out_dir = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
+runs, pairs, base_rev, workload, seconds, out_dir, rustflags = (
+    sys.argv[1], int(sys.argv[2]), *sys.argv[3:])
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 load = lambda side, i: json.load(open(f"{runs}/{side}-{i}.json"))
 res = {side: [load(side, i) for i in range(1, pairs + 1)] for side in ("base", "change")}
@@ -84,10 +89,11 @@ def verdict(b, c, qb, qc, wins, bound, higher):
         return "unresolved"
     return "within bound"
 
+print(f"{workload}: {pairs} pairs against {base_rev}, both sides built with RUSTFLAGS={rustflags!r}")
 print(f"{'metric':<18} {'base q1/median/q3':>30} {'change q1/median/q3':>30} {'median':>8} "
       f"{'wins':>6} {'bound':>6}  verdict")
 summary = {"base_rev": base_rev, "workload": workload, "pairs": pairs,
-           "run_seconds": float(seconds), "metrics": {}}
+           "run_seconds": float(seconds), "rustflags": rustflags, "metrics": {}}
 for m in metrics:
     name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
     b = [r["metrics"][name]["value"] for r in res["base"]]

@@ -1,12 +1,13 @@
 //! Differential suite for the sharded/batched fast path.
 //!
-//! The sharded classifier + Global MAT and the batched entry point
-//! (`Chain::process_batch_into`, which classifies a batch up front) are
-//! pure lock-granularity optimizations: for any workload they must
-//! produce **byte-identical packet outputs**, identical per-NF counters
-//! (Monitor totals, Snort logs, NAT mappings), and identical Event Table
-//! firings compared to the per-packet path (`batch_size == 1`, which is
-//! the seed code path).
+//! The flow table's shard count sets only lock granularity, and the
+//! batched entry point (`Chain::process_batch_into`) runs each packet's
+//! per-packet classify-and-step in order, sharing only the idle-eviction
+//! tick, the pool sync and the modeled wall interval. For any workload
+//! both must produce **byte-identical packet outputs**, identical per-NF
+//! counters (Monitor totals, Snort logs, NAT mappings), identical Event
+//! Table firings and identical telemetry counters compared to the
+//! per-packet path (`batch_size == 1`).
 //! These properties are fuzzed here over the paper's two real-world
 //! chains with randomized flow mixes, batch sizes, and shard counts.
 
@@ -15,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use speedybox::mat::{Event, NfId, RulePatch, Signal};
+use speedybox::mat::{Event, NfId, RulePatch, Signal, FID_SPACE};
 use speedybox::packet::{Fid, Packet};
 use speedybox::platform::chains::{chain1, chain2, Chain2Handles};
 use speedybox::platform::runtime::SboxConfig;
@@ -34,8 +35,8 @@ fn workload(flows: usize, seed: u64) -> Vec<Packet> {
     .packets()
 }
 
-fn sbox_config(batch_size: usize, shards: usize) -> SboxConfig {
-    SboxConfig { batch_size, shards, ..SboxConfig::default() }
+fn sbox_config(batch_size: usize, shards: usize, max_flows: usize) -> SboxConfig {
+    SboxConfig { batch_size, shards, max_flows, ..SboxConfig::default() }
 }
 
 /// Registers a one-shot counting event on every 3rd distinct flow of the
@@ -81,11 +82,19 @@ struct Observation {
     nat_mappings: usize,
     event_fires: u64,
     event_checks: u64,
+    /// The telemetry hub's scalar counters: flow lifecycle, fast-path
+    /// hits and misses, rule installs and removals, pool traffic.
+    telemetry: Vec<(&'static str, u64)>,
 }
 
-fn run_chain1(packets: &[Packet], batch_size: usize, shards: usize) -> Observation {
+fn run_chain1(
+    packets: &[Packet],
+    batch_size: usize,
+    shards: usize,
+    max_flows: usize,
+) -> Observation {
     let (nfs, handles) = chain1(4);
-    let mut chain = Chain::speedybox_with(nfs, sbox_config(batch_size, shards));
+    let mut chain = Chain::speedybox_with(nfs, sbox_config(batch_size, shards, max_flows));
     let fires = register_counting_events(
         chain.sbox().expect("speedybox enabled").global.events(),
         packets,
@@ -103,6 +112,7 @@ fn run_chain1(packets: &[Packet], batch_size: usize, shards: usize) -> Observati
         nat_mappings: handles.nat.mapping_count(),
         event_fires: fires.load(Ordering::Relaxed),
         event_checks: stats.ops.event_checks,
+        telemetry: chain.telemetry().snapshot().scalars().to_vec(),
     }
 }
 
@@ -110,8 +120,8 @@ fn run_chain1(packets: &[Packet], batch_size: usize, shards: usize) -> Observati
 /// platforms are covered; Snort logs stand in for the NAT observation.
 fn run_chain2(packets: &[Packet], batch_size: usize, shards: usize) -> (Observation, Vec<String>) {
     let (nfs, Chain2Handles { snort, monitor }) = chain2();
-    let mut chain =
-        Chain::speedybox_with(nfs, sbox_config(batch_size, shards)).with_platform(Platform::Onvm);
+    let mut chain = Chain::speedybox_with(nfs, sbox_config(batch_size, shards, FID_SPACE))
+        .with_platform(Platform::Onvm);
     let fires = register_counting_events(
         chain.sbox().expect("speedybox enabled").global.events(),
         packets,
@@ -130,6 +140,7 @@ fn run_chain2(packets: &[Packet], batch_size: usize, shards: usize) -> (Observat
         nat_mappings: 0,
         event_fires: fires.load(Ordering::Relaxed),
         event_checks: stats.ops.event_checks,
+        telemetry: chain.telemetry().snapshot().scalars().to_vec(),
     };
     (obs, logs)
 }
@@ -147,8 +158,8 @@ proptest! {
         shards in prop_oneof![Just(1usize), Just(4usize), Just(16usize)],
     ) {
         let packets = workload(flows, seed);
-        let base = run_chain1(&packets, 1, 16);
-        let sharded = run_chain1(&packets, batch, shards);
+        let base = run_chain1(&packets, 1, 16, FID_SPACE);
+        let sharded = run_chain1(&packets, batch, shards, FID_SPACE);
         prop_assert!(base.event_fires > 0, "events must actually fire");
         prop_assert_eq!(base, sharded);
     }
@@ -177,10 +188,10 @@ proptest! {
 #[test]
 fn batch_size_sweep_is_invariant() {
     let packets = workload(24, 7);
-    let base1 = run_chain1(&packets, 1, 16);
+    let base1 = run_chain1(&packets, 1, 16, FID_SPACE);
     let (base2, logs2) = run_chain2(&packets, 1, 16);
     for batch in [2, 3, 8, 17, 32, 256] {
-        assert_eq!(base1, run_chain1(&packets, batch, 4), "chain1 batch {batch}");
+        assert_eq!(base1, run_chain1(&packets, batch, 4, FID_SPACE), "chain1 batch {batch}");
         let (obs, logs) = run_chain2(&packets, batch, 4);
         assert_eq!(base2, obs, "chain2 batch {batch}");
         assert_eq!(logs2, logs, "chain2 logs batch {batch}");
@@ -214,8 +225,8 @@ fn fin_then_reopen_inside_one_batch_matches_per_packet() {
     for platform in Platform::ALL {
         let run = |batch: usize| {
             let (nfs, _) = chain1(4);
-            let mut chain =
-                Chain::speedybox_with(nfs, sbox_config(batch, 16)).with_platform(platform);
+            let mut chain = Chain::speedybox_with(nfs, sbox_config(batch, 16, FID_SPACE))
+                .with_platform(platform);
             let stats = chain.run(trace.iter().cloned());
             let outputs: Vec<Vec<u8>> =
                 stats.outputs.iter().map(|p| p.as_bytes().to_vec()).collect();
@@ -227,4 +238,27 @@ fn fin_then_reopen_inside_one_batch_matches_per_packet() {
             assert_eq!(run(batch), per_packet, "{platform:?} batch {batch}");
         }
     }
+}
+
+/// Forty flows through a four-flow table on one shard, so capacity
+/// eviction displaces flows mid-batch: a flow evicted by an earlier packet
+/// of the batch records again, and a closing flow's teardown frees a slot
+/// that a later packet of the batch opens. Batch 32 must take the
+/// per-packet sequence of opens, evictions, installs and teardowns, in
+/// outputs, paths, NF state and every telemetry counter.
+#[test]
+fn batched_matches_per_packet_under_capacity_pressure() {
+    let (mut evicting, mut diverged) = (0, Vec::new());
+    for seed in 1..=20 {
+        let packets = workload(40, seed);
+        let per_packet = run_chain1(&packets, 1, 1, 4);
+        if !per_packet.telemetry.contains(&("flows_evicted", 0)) {
+            evicting += 1;
+        }
+        if run_chain1(&packets, 32, 1, 4) != per_packet {
+            diverged.push(seed);
+        }
+    }
+    assert!(evicting >= 10, "only {evicting} of 20 seeds evicted a flow");
+    assert!(diverged.is_empty(), "batch 32 diverged from per-packet on seeds {diverged:?}");
 }
