@@ -266,8 +266,9 @@ pub struct GlobalMat {
     /// One rule template per recorded shape; locked by installs and
     /// rewrites only.
     templates: Templates,
-    /// Optional telemetry sink: fast-path hit/miss, rule install/rewrite/
-    /// removal counters. Relaxed atomics; no effect on processing.
+    /// Optional telemetry sink: rule install/rewrite/removal counters, and
+    /// the fast-path hit/miss and compiled counts of `prepare` and
+    /// `process`. Relaxed atomics; no effect on processing.
     sink: Option<Arc<Telemetry>>,
     /// Whether header actions execute as compiled micro-op programs
     /// (default) or through the interpreted [`ConsolidatedAction::apply`]
@@ -634,6 +635,12 @@ impl GlobalMat {
     /// borrowed from `record` unless an event republished it — or `None`
     /// if the flow has no rule installed.
     ///
+    /// Counts the served rule's own hit, and a rewrite if an event fired,
+    /// but not the lookup's hit or miss: the caller counts that where it
+    /// counts the packet, a packet lane in its own cell
+    /// (`speedybox_telemetry::LaneCounters`), [`GlobalMat::prepare`] and
+    /// [`GlobalMat::process`] on the hub's shards.
+    ///
     /// Debug builds also evaluate every armed condition whose signal did
     /// not move and log each that holds as a missed raise
     /// ([`crate::track::take_missed_raises`]).
@@ -672,12 +679,6 @@ impl GlobalMat {
             }
             self.flows.get(fid)?.rule.clone().map(Cow::Owned)
         });
-        if let Some(cell) = self.cell(fid) {
-            match &served {
-                Some(_) => cell.add_fastpath_hits(1),
-                None => cell.add_fastpath_misses(1),
-            }
-        }
         if let Some(rule) = &served {
             rule.record_hit();
         }
@@ -686,10 +687,25 @@ impl GlobalMat {
 
     /// [`GlobalMat::serve`] for a flow by FID: one record lookup, then the
     /// armed events' signal check. Returns the up-to-date rule, or `None`
-    /// if the flow has no rule installed.
+    /// if the flow has no rule installed. Counts the lookup's hit or miss
+    /// on the hub's shard for `fid`: this is the entry for callers that
+    /// own no packet lane (probes, tests, benchmark replicas).
     pub fn prepare(&self, fid: Fid, ops: &mut OpCounter) -> Option<Arc<GlobalRule>> {
         let record = self.flows.get(fid);
-        self.serve(fid, record.as_deref(), ops).map(Cow::into_owned)
+        let served = self.serve(fid, record.as_deref(), ops).map(Cow::into_owned);
+        self.count_lookup(fid, served.is_some());
+        served
+    }
+
+    /// Counts a fast-path lookup's hit or miss on `fid`'s shard.
+    fn count_lookup(&self, fid: Fid, hit: bool) {
+        if let Some(cell) = self.cell(fid) {
+            if hit {
+                cell.add_fastpath_hits(1);
+            } else {
+                cell.add_fastpath_misses(1);
+            }
+        }
     }
 
     /// A human-readable dump of every installed rule — the operator's view
@@ -740,7 +756,8 @@ impl GlobalMat {
 
     /// Processes a subsequent packet entirely on the fast path: event
     /// check, consolidated header action, then sequential state-function
-    /// execution.
+    /// execution. Like [`GlobalMat::prepare`], counts the lookup's hit or
+    /// miss, and the compiled hit or fallback, on the hub's shards.
     ///
     /// # Errors
     /// Returns [`MatError::Packet`] if header surgery fails (should not
@@ -748,7 +765,9 @@ impl GlobalMat {
     pub fn process(&self, packet: &mut Packet, ops: &mut OpCounter) -> Result<FastPathOutcome> {
         let fid = packet.fid().ok_or(MatError::InvalidActionSequence("packet has no FID"))?;
         let record = self.flows.get(fid);
-        let Some(rule) = self.serve(fid, record.as_deref(), ops) else {
+        let served = self.serve(fid, record.as_deref(), ops);
+        self.count_lookup(fid, served.is_some());
+        let Some(rule) = served else {
             return Ok(FastPathOutcome::NoRule);
         };
         if !self.apply_rule(&rule, fid, packet, ops)? {

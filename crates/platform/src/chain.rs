@@ -24,10 +24,10 @@ use std::sync::Arc;
 use speedybox_mat::{Classification, NfInstrument, OpCounter, PacketClass};
 use speedybox_nf::Nf;
 use speedybox_packet::{Fid, Magazine, Packet, PacketPool, PoolStats};
-use speedybox_telemetry::Telemetry;
+use speedybox_telemetry::{LaneCounters, Telemetry};
 
 use crate::cycles::{Counted, CycleModel, Ledger};
-use crate::metrics::{observe, sync_pool, PathKind, ProcessedPacket, RunStats};
+use crate::metrics::{sync_pool, PathKind, ProcessedPacket, RunStats};
 use crate::runtime::{
     fast_path, notify_flow_closed, tag_ingress, traverse_chain, SboxConfig, SlowPathResult,
     SpeedyBox,
@@ -151,9 +151,9 @@ impl Nfs {
 /// Everything one packet step mutates besides the shared SpeedyBox
 /// runtime: the NFs, the ledger that prices finished packets (with the
 /// platform, the count scratch and the stage and worker totals), the
-/// buffer magazine and the supervisor. Borrowing it separately from the
-/// runtime lets [`crate::workers`] threads share one runtime while each
-/// owns a lane.
+/// buffer magazine, the supervisor and the lane's telemetry cell.
+/// Borrowing it separately from the runtime lets [`crate::workers`]
+/// threads share one runtime while each owns a lane.
 #[derive(Debug)]
 pub(crate) struct Lane {
     nfs: Nfs,
@@ -161,23 +161,29 @@ pub(crate) struct Lane {
     mag: Magazine,
     /// NF crash/restart supervision (checkpoints + in-flight log).
     supervisor: Option<Supervisor>,
+    /// Every finished packet's facts, in a cell of the hub only this lane
+    /// writes: no locked instruction per packet.
+    counters: LaneCounters,
 }
 
 impl Lane {
     /// A lane over `nfs` drawing buffers from `pool`, attributing work
-    /// across `workers` (a power of two) FID slices.
+    /// across `workers` (a power of two) FID slices and counting its
+    /// packets in a cell of `telemetry`.
     pub(crate) fn new(
         nfs: Nfs,
         platform: Platform,
         pool: &Arc<PacketPool>,
         workers: usize,
         supervisor: Option<Supervisor>,
+        telemetry: &Telemetry,
     ) -> Self {
         Self {
             ledger: Ledger::new(platform, nfs.len(), workers),
             nfs,
             mag: Magazine::new(Arc::clone(pool)),
             supervisor,
+            counters: telemetry.lane(),
         }
     }
 
@@ -197,7 +203,7 @@ impl Lane {
 
     /// The original chain's packet: the ingress FID tag, then the
     /// uninstrumented walk.
-    fn baseline(&mut self, telemetry: &Telemetry, mut packet: Packet) -> ProcessedPacket {
+    fn baseline(&mut self, mut packet: Packet) -> ProcessedPacket {
         // Harness bookkeeping: the tag records no operations.
         tag_ingress(&mut packet, &mut OpCounter::default());
         let (packet, res) = self.nfs.walk(packet, None, &mut self.ledger.walk);
@@ -206,27 +212,22 @@ impl Lane {
                 self.nfs.flow_closed(fid);
             }
         }
-        self.complete(telemetry, packet, &res)
+        self.complete(packet, &res)
     }
 
     /// An original-chain packet back from its walk `res`, finished. The
     /// threaded runtime's pipelined original-chain loop completes each
     /// packet here as it leaves the rings.
-    pub(crate) fn complete(
-        &mut self,
-        telemetry: &Telemetry,
-        packet: Packet,
-        res: &SlowPathResult,
-    ) -> ProcessedPacket {
+    pub(crate) fn complete(&mut self, packet: Packet, res: &SlowPathResult) -> ProcessedPacket {
         let hint = packet.fid().map_or(0, |f| f.index() as u64);
-        self.finish(telemetry, hint, packet, res.counted(OpCounter::default(), false), res.ops)
+        self.finish(hint, packet, res.counted(OpCounter::default(), false), res.ops)
     }
 
     /// A SpeedyBox packet: classification, then [`Lane::step`].
     pub(crate) fn process(&mut self, sbox: &SpeedyBox, mut packet: Packet) -> ProcessedPacket {
         let mut cls_ops = OpCounter::default();
         match sbox.classifier.classify(&mut packet, &mut cls_ops) {
-            Err(_) => self.drop_unparsed(&sbox.telemetry, packet, cls_ops),
+            Err(_) => self.drop_unparsed(packet, cls_ops),
             Ok(cls) => self.step(sbox, packet, cls, cls_ops),
         }
     }
@@ -253,15 +254,10 @@ impl Lane {
 
     /// An unparseable packet: dropped at the classifier. It carries no
     /// FID, so worker 0 owns it by convention.
-    fn drop_unparsed(
-        &mut self,
-        telemetry: &Telemetry,
-        packet: Packet,
-        cls_ops: OpCounter,
-    ) -> ProcessedPacket {
+    fn drop_unparsed(&mut self, packet: Packet, cls_ops: OpCounter) -> ProcessedPacket {
         let mut ops = cls_ops;
         ops.drops += 1;
-        self.finish(telemetry, 0, packet, Counted::Unparsed, ops)
+        self.finish(0, packet, Counted::Unparsed, ops)
     }
 
     /// The packet step after classification, shared by every platform,
@@ -302,7 +298,8 @@ impl Lane {
 
         let mut ops = cls_ops;
         let fast = if class == PacketClass::Subsequent {
-            fast_path(sbox, &mut packet, fid, record.as_deref(), &mut self.ledger.batches)
+            let batches = &mut self.ledger.batches;
+            fast_path(sbox, &mut packet, fid, record.as_deref(), batches, &mut self.counters)
         } else {
             None
         };
@@ -330,7 +327,7 @@ impl Lane {
             sbox.remove_flow(fid);
             self.nfs.flow_closed(fid);
         }
-        self.finish(&sbox.telemetry, hint, packet, counted, ops)
+        self.finish(hint, packet, counted, ops)
     }
 
     /// The walk arms: the packet runs through the original chain,
@@ -356,12 +353,11 @@ impl Lane {
     }
 
     /// Hands the packet back if it survived (recycling its buffer
-    /// otherwise), has the ledger price it from its counts, and observes
-    /// it. `hint` is the FID whose telemetry shard and worker slice get
-    /// the packet.
+    /// otherwise), has the ledger price it from its counts, and counts its
+    /// path, latency, delivery and operations in the lane's cell. `hint`
+    /// is the FID whose worker slice gets the packet.
     fn finish(
         &mut self,
-        telemetry: &Telemetry,
         hint: u64,
         mut packet: Packet,
         counted: Counted<'_>,
@@ -387,7 +383,8 @@ impl Lane {
             path,
             ops,
         };
-        observe(telemetry, hint, &outcome);
+        self.counters.record_packet(path.telemetry_class(), latency_cycles, survived);
+        self.counters.add_ops(&outcome.ops.telemetry_totals());
         outcome
     }
 }
@@ -432,7 +429,14 @@ impl Chain {
             }
         };
         Self {
-            lane: Lane::new(Nfs::InProcess(nfs), Platform::Bess, &pool, workers, supervisor),
+            lane: Lane::new(
+                Nfs::InProcess(nfs),
+                Platform::Bess,
+                &pool,
+                workers,
+                supervisor,
+                &telemetry,
+            ),
             sbox,
             telemetry,
             worker_wall: 0,
@@ -612,7 +616,7 @@ impl Chain {
     /// Processes one packet through the chain.
     pub fn process(&mut self, packet: Packet) -> ProcessedPacket {
         let outcome = match &self.sbox {
-            None => self.lane.baseline(&self.telemetry, packet),
+            None => self.lane.baseline(packet),
             Some(sbox) => {
                 let outcome = self.lane.process(sbox, packet);
                 // Per-packet mode is a batch of one: the idle-eviction

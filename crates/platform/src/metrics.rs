@@ -30,11 +30,14 @@ impl PathKind {
     }
 }
 
-/// Records a finished packet into the telemetry hub: path mix, delivery
-/// outcome, latency histogram and the abstract-operation mirror. Called by
-/// the environments at the same points where `RunStats::record` would fold
-/// the outcome in — the differential test holds the two byte-for-byte
-/// equal.
+/// Records a finished packet into the telemetry hub's shard for `hint`:
+/// path mix, delivery outcome, latency histogram and the
+/// abstract-operation mirror, with relaxed read-modify-writes. This is
+/// the shared path for callers that own no packet lane, such as
+/// perfbench's traced replica of the chain; a lane counts the same facts
+/// in its own cell, with no locked instruction. Both total what
+/// `RunStats::record` folds in — the differential test holds the two
+/// byte-for-byte equal.
 pub fn observe(telemetry: &Telemetry, hint: u64, outcome: &ProcessedPacket) {
     let shard = telemetry.shard(hint);
     shard.record_packet(outcome.path.telemetry_class(), outcome.latency_cycles, outcome.survived());

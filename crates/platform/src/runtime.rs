@@ -17,7 +17,7 @@ use speedybox_mat::{
 };
 use speedybox_nf::{Nf, NfContext};
 use speedybox_packet::{Fid, Packet};
-use speedybox_telemetry::Telemetry;
+use speedybox_telemetry::{LaneCounters, Telemetry};
 
 use crate::cycles::Counted;
 
@@ -137,8 +137,9 @@ pub struct SpeedyBox {
     /// Active optimizations.
     pub config: SboxConfig,
     /// Live telemetry hub. The classifier, Global MAT and Event Table all
-    /// sink into this same instance; environments additionally record
-    /// per-packet outcomes (path mix, latency, op totals) into it.
+    /// sink into this same instance; each packet lane records per-packet
+    /// outcomes (path mix, latency, op totals, fast-path hits) into a
+    /// cell of it that only the lane writes.
     pub telemetry: Arc<Telemetry>,
 }
 
@@ -364,33 +365,39 @@ impl FastPathResult<'_> {
 /// then state-function batches, each counting into its own entry of
 /// `batches` (cleared first; empty after an early drop). Returns `None` if
 /// no rule is installed (the caller should fall back to the slow path).
+/// The lookup's hit or miss and the compiled hit or fallback count in
+/// `counters`, the calling lane's own cell.
 pub fn fast_path<'r>(
     sbox: &SpeedyBox,
     packet: &mut Packet,
     fid: Fid,
     record: Option<&'r FlowRecord>,
     batches: &mut Vec<OpCounter>,
+    counters: &mut LaneCounters,
 ) -> Option<FastPathResult<'r>> {
     // Step 1: event check on the record's rule (re-consolidates if an
     // event fired).
     let mut ops = OpCounter::default();
     batches.clear();
-    let rule = sbox.global.serve(fid, record, &mut ops)?;
+    let Some(rule) = sbox.global.serve(fid, record, &mut ops) else {
+        counters.add_fastpath_misses(1);
+        return None;
+    };
+    counters.add_fastpath_hits(1);
 
     // Step 2: header actions — compiled micro-op program by default, the
     // interpreted walk under `--interpreted`, per-NF replay in the
     // consolidation ablation.
-    let cell = sbox.telemetry.shard(fid.index() as u64);
     let survived = if sbox.config.consolidate_ha {
         if sbox.config.compiled {
-            cell.add_compiled_hits(1);
+            counters.add_compiled_hits(1);
             rule.compiled.run(packet, &mut ops).unwrap_or(false)
         } else {
-            cell.add_compiled_fallbacks(1);
+            counters.add_compiled_fallbacks(1);
             rule.interpret(packet, &mut ops).unwrap_or(false)
         }
     } else {
-        cell.add_compiled_fallbacks(1);
+        counters.add_compiled_fallbacks(1);
         // Ablation: replay each NF's recorded header actions, kept in the
         // rule's template, sequentially, paying the per-NF re-parse the
         // consolidation would have removed.
@@ -477,7 +484,9 @@ mod tests {
     fn fast(sbox: &SpeedyBox, packet: &mut Packet, fid: Fid) -> Option<Fast> {
         let record = sbox.global.record(fid);
         let mut ledger = Ledger::new(Platform::Bess, sbox.instruments.len(), 1);
-        let res = fast_path(sbox, packet, fid, record.as_deref(), &mut ledger.batches)?;
+        let mut counters = sbox.telemetry.lane();
+        let res =
+            fast_path(sbox, packet, fid, record.as_deref(), &mut ledger.batches, &mut counters)?;
         let mut ops = res.ops;
         let (work_cycles, latency_cycles) = ledger.price(0, res.counted(&sbox.config), &mut ops);
         let batches = ledger.batches.len();

@@ -293,7 +293,7 @@ pub fn run_threaded_on(
     let pool = Arc::new(PacketPool::default());
     let instruments = sbox.map(|s| s.instruments.as_slice());
     let (rings, handles) = Rings::spawn(nfs, instruments);
-    let mut lane = Lane::new(Nfs::Rings(rings), Platform::Onvm, &pool, 1, None);
+    let mut lane = Lane::new(Nfs::Rings(rings), Platform::Onvm, &pool, 1, None, &telemetry);
     let mut got = Collected {
         delivered: (0..total).map(|_| None).collect(),
         latencies_ns: vec![0; total],
@@ -327,7 +327,7 @@ pub fn run_threaded_on(
             for (seq, mut pkt) in packets.into_iter().enumerate() {
                 if in_flight == RING_CAPACITY {
                     let walk = lane.rings().done();
-                    complete(&mut lane, &telemetry, &mut got, walk);
+                    complete(&mut lane, &mut got, walk);
                     in_flight -= 1;
                 }
                 let sent_at = Instant::now();
@@ -341,14 +341,14 @@ pub fn run_threaded_on(
                 in_flight += 1;
                 // Collect what has already left, to keep the rings moving.
                 while let Some(walk) = lane.rings().try_done() {
-                    complete(&mut lane, &telemetry, &mut got, walk);
+                    complete(&mut lane, &mut got, walk);
                     in_flight -= 1;
                 }
                 got.snapshots(&telemetry, &mut on_snapshot);
             }
             for _ in 0..in_flight {
                 let walk = lane.rings().done();
-                complete(&mut lane, &telemetry, &mut got, walk);
+                complete(&mut lane, &mut got, walk);
                 got.snapshots(&telemetry, &mut on_snapshot);
             }
         }
@@ -370,11 +370,11 @@ pub fn run_threaded_on(
     }
 }
 
-/// Finishes — prices and observes — and collects an original-chain packet
+/// Finishes — prices and counts — and collects an original-chain packet
 /// back from the rings.
-fn complete(lane: &mut Lane, telemetry: &Telemetry, got: &mut Collected, walk: Walk) {
+fn complete(lane: &mut Lane, got: &mut Collected, walk: Walk) {
     let ticket = walk.ticket.expect("pipelined packets carry a ticket");
-    let outcome = lane.complete(telemetry, walk.pkt, &walk.res);
+    let outcome = lane.complete(walk.pkt, &walk.res);
     got.record(ticket.seq, outcome, elapsed_ns(ticket.sent_at));
 }
 

@@ -121,7 +121,8 @@ pub fn run_workers_on(
             .into_iter()
             .zip(slices)
             .map(|(nfs, slice)| {
-                let lane = Lane::new(Nfs::InProcess(nfs), Platform::Bess, &pool, 1, None);
+                let nfs = Nfs::InProcess(nfs);
+                let lane = Lane::new(nfs, Platform::Bess, &pool, 1, None, &sbox.telemetry);
                 scope.spawn(move || worker_loop(sbox, lane, slice))
             })
             .collect();

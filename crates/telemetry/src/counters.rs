@@ -1,14 +1,30 @@
-//! Per-shard lock-free counter cells and the sharded [`Telemetry`] hub.
+//! Lock-free counter cells, the sharded [`Telemetry`] hub and the
+//! per-lane cells its packet lanes write.
 //!
 //! Every counter is a relaxed [`AtomicU64`]: increments are monotone and
-//! independent, so no inter-counter ordering is needed and the hot path
-//! pays one uncontended RMW per event. Shards are cache-line padded and
-//! selected by a caller-supplied hint (typically the 20-bit FID), so
-//! concurrent writers on different flows touch different lines.
+//! independent, so no inter-counter ordering is needed. A cell is written
+//! one of two ways:
+//!
+//! * The hub's shards take any writer. Each event is one uncontended
+//!   relaxed read-modify-write (a locked instruction on x86). Shards are
+//!   cache-line padded and selected by a caller-supplied hint (typically
+//!   the 20-bit FID), so concurrent writers on different flows touch
+//!   different lines. Per-flow and rarer events count here: installs,
+//!   rewrites, removals, events fired, flow lifecycle, pool, supervision.
+//! * A lane cell ([`Telemetry::lane`]) has one writer, the
+//!   [`LaneCounters`] handle that owns it, so each add is a relaxed load
+//!   and store with no locked instruction. Every finished packet's facts
+//!   count here: path, latency, delivery, operations, fast-path and
+//!   compiled hits. Nothing is buffered, so there is nothing to flush and
+//!   a snapshot is never staler than the last store.
+//!
+//! A snapshot drains the shards, then the lane cells, through one
+//! [`CounterShard::drain_into`]: both kinds share one layout.
 
-use crate::hist::AtomicHistogram;
+use crate::hist::{bump, AtomicHistogram};
 use crate::snapshot::TelemetrySnapshot;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which data-plane path a packet took. Index order matches
 /// `RunStats::path_counts` in the platform crate: baseline, initial,
@@ -296,10 +312,18 @@ impl CounterShard {
 /// Shard count is rounded up to a power of two; callers pick a shard with
 /// a cheap hint (`fid & mask`), so flows that live on different MAT
 /// shards also count on different telemetry lines.
+///
+/// Packet lanes count their per-packet facts in cells of their own
+/// ([`Telemetry::lane`]); [`Telemetry::snapshot`] adds those in.
 #[derive(Debug)]
 pub struct Telemetry {
     shards: Box<[CounterShard]>,
     mask: u64,
+    /// Every lane cell ever handed out. A cell no [`LaneCounters`] holds
+    /// (the hub's is its only handle) is free for the next lane. The only
+    /// update is a push, which leaves the list valid if it panics, so a
+    /// poisoned lock is taken as it is.
+    lanes: Mutex<Vec<Arc<CounterShard>>>,
 }
 
 impl Telemetry {
@@ -309,7 +333,7 @@ impl Telemetry {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         let shards: Box<[CounterShard]> = (0..n).map(|_| CounterShard::default()).collect();
-        Telemetry { mask: (n - 1) as u64, shards }
+        Telemetry { mask: (n - 1) as u64, shards, lanes: Mutex::default() }
     }
 
     /// Number of counter shards.
@@ -327,16 +351,101 @@ impl Telemetry {
         &self.shards[(hint & self.mask) as usize]
     }
 
-    /// Merges every shard into one consistent snapshot. While writers are
-    /// active the result is a valid lower bound; once they quiesce it is
-    /// exact.
+    /// A counter cell for one packet lane, which only the returned handle
+    /// writes. Reuses the first registered cell no handle holds, so its
+    /// counts carry on; registers a new one if every cell is held. A
+    /// dropped lane's counts stay in every later snapshot.
+    ///
+    /// A free cell is found by [`Arc::get_mut`]: its acquire load of the
+    /// reference count pairs with the release decrement of the last
+    /// handle's drop, so that writer's stores happen before the new
+    /// writer's loads, even across threads.
+    #[must_use]
+    pub fn lane(&self) -> LaneCounters {
+        let mut lanes = self.lanes.lock().unwrap_or_else(PoisonError::into_inner);
+        let cell =
+            match lanes.iter_mut().find_map(|cell| Arc::get_mut(cell).is_some().then_some(cell)) {
+                Some(free) => Arc::clone(free),
+                None => {
+                    let cell = Arc::new(CounterShard::default());
+                    lanes.push(Arc::clone(&cell));
+                    cell
+                }
+            };
+        LaneCounters { cell }
+    }
+
+    /// Merges every shard and lane cell into one consistent snapshot.
+    /// While writers are active the result is a valid lower bound; once
+    /// they quiesce it is exact.
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot::default();
         for shard in self.shards.iter() {
             shard.drain_into(&mut s);
         }
+        for cell in self.lanes.lock().unwrap_or_else(PoisonError::into_inner).iter() {
+            cell.drain_into(&mut s);
+        }
         s
+    }
+}
+
+/// The per-packet counters of one packet lane: a cell of its hub that
+/// only this handle writes ([`Telemetry::lane`]).
+///
+/// Each add is a relaxed load and store of the lane's own cell, with no
+/// locked instruction; the writers take `&mut self`, and the handle is
+/// `Send` but not `Clone`, so the cell has one writer at a time. Dropping
+/// the handle frees the cell for the hub's next lane.
+#[derive(Debug)]
+pub struct LaneCounters {
+    cell: Arc<CounterShard>,
+}
+
+macro_rules! lane_methods {
+    ($($(#[$doc:meta])* $name:ident => $field:ident),* $(,)?) => {
+        $(
+            $(#[$doc])*
+            #[inline]
+            pub fn $name(&mut self, n: u64) {
+                bump(&self.cell.$field, n);
+            }
+        )*
+    };
+}
+
+impl LaneCounters {
+    lane_methods! {
+        /// Counts fast-path lookups that found a consolidated rule.
+        add_fastpath_hits => fastpath_hits,
+        /// Counts fast-path lookups that missed (no rule installed).
+        add_fastpath_misses => fastpath_misses,
+        /// Counts fast-path packets whose header action ran as a compiled
+        /// micro-op program.
+        add_compiled_hits => compiled_hits,
+        /// Counts fast-path packets that executed interpretively although
+        /// a compiled program existed (`--interpreted` or ablation).
+        add_compiled_fallbacks => compiled_fallbacks,
+    }
+
+    /// Records a finished packet: delivery outcome, and latency (model
+    /// cycles) in its path's histogram.
+    #[inline]
+    pub fn record_packet(&mut self, path: PathClass, latency: u64, delivered: bool) {
+        let cell = &*self.cell;
+        bump(if delivered { &cell.delivered } else { &cell.dropped }, 1);
+        cell.latency[path.index()].record_owned(latency);
+    }
+
+    /// Merges a packet's abstract-operation counts into the lane's cell.
+    #[inline]
+    pub fn add_ops(&mut self, ops: &OpTotals) {
+        for (cell, v) in self.cell.ops.iter().zip(&ops.0) {
+            if *v != 0 {
+                bump(cell, *v);
+            }
+        }
     }
 }
 
@@ -377,6 +486,99 @@ mod tests {
         assert_eq!(s.latency[2].sum, 50);
         assert_eq!(s.latency_total().count, 3);
         assert_eq!(s.latency_total().sum, 350);
+    }
+
+    /// The number of lane cells `t` has registered.
+    fn lane_cells(t: &Telemetry) -> usize {
+        t.lanes.lock().unwrap().len()
+    }
+
+    /// Records `n` outcomes into `lane`, one with latency `base + i` each,
+    /// cycling through the paths and dropping every fifth packet; each
+    /// also counts a parse, a fast-path hit and a compiled hit.
+    fn record_outcomes(lane: &mut LaneCounters, base: u64, n: u64) {
+        let mut ops = OpTotals::default();
+        ops.0[0] = 1; // parses
+        for i in 0..n {
+            lane.record_packet(PathClass::ALL[(i % 3) as usize], base + i, i % 5 != 0);
+            lane.add_ops(&ops);
+            lane.add_fastpath_hits(1);
+            lane.add_compiled_hits(1);
+        }
+    }
+
+    #[test]
+    fn lanes_on_four_threads_count_exactly() {
+        const N: u64 = 100_000;
+        let t = Telemetry::new(2);
+        // All four taken before any thread runs, so none can reuse a cell
+        // another thread has finished with.
+        let lanes: Vec<LaneCounters> = (0..4).map(|_| t.lane()).collect();
+        std::thread::scope(|scope| {
+            for (k, mut lane) in (0..4u64).zip(lanes) {
+                scope.spawn(move || record_outcomes(&mut lane, 1 + k * N, N));
+            }
+        });
+        assert_eq!(lane_cells(&t), 4, "four live lanes, four cells");
+        let s = t.snapshot();
+        let total = 4 * N;
+        assert_eq!(s.packets, total);
+        assert_eq!(s.dropped, 4 * N.div_ceil(5));
+        assert_eq!(s.delivered, total - s.dropped);
+        // Latencies are 1..=4N, each once.
+        let latency = s.latency_total();
+        assert_eq!(latency.count, total);
+        assert_eq!(latency.sum, total * (total + 1) / 2);
+        assert_eq!((latency.min, latency.max), (1, total));
+        assert_eq!(s.paths.iter().sum::<u64>(), total);
+        assert_eq!(s.ops.0[0], total);
+        assert_eq!(s.ops.0[1..], [0; OP_KINDS - 1]);
+        assert_eq!((s.fastpath_hits, s.compiled_hits), (total, total));
+    }
+
+    #[test]
+    fn a_dropped_lane_cell_is_reused_on_another_thread() {
+        let t = Telemetry::new(1);
+        std::thread::scope(|scope| {
+            let mut lane = t.lane();
+            scope.spawn(move || record_outcomes(&mut lane, 10, 1_000)).join().unwrap();
+            let mut lane = t.lane();
+            scope.spawn(move || record_outcomes(&mut lane, 5, 500)).join().unwrap();
+        });
+        assert_eq!(lane_cells(&t), 1, "the second lane took the first one's cell");
+        let s = t.snapshot();
+        assert_eq!(s.packets, 1_500);
+        let latency = s.latency_total();
+        assert_eq!(latency.sum, (10..1_010).sum::<u64>() + (5..505).sum::<u64>());
+        assert_eq!((latency.min, latency.max), (5, 1_009));
+        assert_eq!(s.fastpath_hits, 1_500);
+    }
+
+    #[test]
+    fn live_lanes_never_share_a_cell() {
+        let t = Telemetry::new(1);
+        let a = t.lane();
+        let b = t.lane();
+        assert!(!Arc::ptr_eq(&a.cell, &b.cell));
+        drop(a);
+        let c = t.lane();
+        assert!(!Arc::ptr_eq(&b.cell, &c.cell));
+        assert_eq!(lane_cells(&t), 2, "the third lane reused the first one's cell");
+    }
+
+    #[test]
+    fn a_dropped_lanes_counts_stay_in_later_snapshots() {
+        let t = Telemetry::new(1);
+        let mut lane = t.lane();
+        record_outcomes(&mut lane, 100, 30);
+        drop(lane);
+        let first = t.snapshot();
+        assert_eq!(first.packets, 30);
+        t.shard(0).add_rules_installed(1);
+        let later = t.snapshot();
+        assert_eq!((later.packets, later.fastpath_hits), (30, 30));
+        assert_eq!(later.latency, first.latency);
+        assert_eq!(later.rules_installed, 1);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Bucket `i` covers `[2^i, 2^(i+1))`, bucket 0 additionally holds zero,
 //! and every slot is a relaxed [`AtomicU64`], so the hot path records
-//! without taking a lock. Snapshots are plain-old-data and merge
+//! without taking a lock: a shared histogram with read-modify-writes, a
+//! packet lane's own with plain loads and stores. Snapshots are plain-old-data and merge
 //! associatively, which is what lets per-shard histograms be combined
 //! across threads.
 
@@ -16,6 +17,14 @@ pub const BUCKETS: usize = 64;
 #[inline]
 pub fn bucket_of(value: u64) -> usize {
     (64 - value.leading_zeros() as usize).saturating_sub(1)
+}
+
+/// Adds `n` to a cell only the calling thread writes: a relaxed load and
+/// store, where a shared cell needs a locked `fetch_add`. Concurrent
+/// readers see the old or the new value, never a torn one.
+#[inline]
+pub(crate) fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Relaxed).wrapping_add(n), Relaxed);
 }
 
 /// Inclusive upper bound of bucket `i` (used for quantile estimates and
@@ -77,6 +86,21 @@ impl AtomicHistogram {
         self.sum.fetch_add(value, Relaxed);
         self.min.fetch_min(value, Relaxed);
         self.max.fetch_max(value, Relaxed);
+    }
+
+    /// [`AtomicHistogram::record`] for a histogram only one thread
+    /// writes: plain loads and stores, no read-modify-write. Min and max
+    /// compare before they store.
+    #[inline]
+    pub(crate) fn record_owned(&self, value: u64) {
+        bump(&self.buckets[bucket_of(value)], 1);
+        bump(&self.sum, value);
+        if value < self.min.load(Relaxed) {
+            self.min.store(value, Relaxed);
+        }
+        if value > self.max.load(Relaxed) {
+            self.max.store(value, Relaxed);
+        }
     }
 
     /// Copies the current state into a plain-old-data snapshot.

@@ -6,8 +6,11 @@
 //! to gate on. This crate adds the live layer:
 //!
 //! * [`Telemetry`] — a sharded hub of cache-padded, relaxed-atomic
-//!   counter cells ([`CounterShard`]). The hot path pays one uncontended
-//!   RMW per event and never takes a lock.
+//!   counter cells ([`CounterShard`]), plus one cell per packet lane
+//!   ([`LaneCounters`]). A lane's per-packet facts (path, latency,
+//!   delivery, operations, fast-path hits) go to its own cell with a
+//!   relaxed load and store, no locked instruction; per-flow and rarer
+//!   events pay one uncontended RMW on a shard. Neither takes a lock.
 //! * [`AtomicHistogram`] — fixed-bucket log2 latency histograms, one per
 //!   path kind ([`PathClass`]: baseline / initial / subsequent).
 //! * [`TelemetrySnapshot`] — a mergeable point-in-time copy with
@@ -28,6 +31,8 @@ pub mod hist;
 pub mod json;
 pub mod snapshot;
 
-pub use counters::{CounterShard, OpTotals, PathClass, Telemetry, OP_KINDS, OP_NAMES};
+pub use counters::{
+    CounterShard, LaneCounters, OpTotals, PathClass, Telemetry, OP_KINDS, OP_NAMES,
+};
 pub use hist::{AtomicHistogram, HistogramSnapshot, BUCKETS};
 pub use snapshot::TelemetrySnapshot;

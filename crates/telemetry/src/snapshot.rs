@@ -185,6 +185,12 @@ impl TelemetrySnapshot {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
         for (name, value) in self.scalars() {
+            // The depot's idle-buffer count falls as well as rises.
+            if name == "pool_depth" {
+                let _ = writeln!(out, "# TYPE speedybox_{name} gauge");
+                let _ = writeln!(out, "speedybox_{name} {value}");
+                continue;
+            }
             let _ = writeln!(out, "# TYPE speedybox_{name}_total counter");
             let _ = writeln!(out, "speedybox_{name}_total {value}");
         }
@@ -452,6 +458,10 @@ mod tests {
         assert!(text.contains("speedybox_ops_total{op=\"parses\"} 12"));
         assert!(text.contains("speedybox_latency_bucket{path=\"subsequent\",le=\"+Inf\"} 10"));
         assert!(text.contains("speedybox_latency_count{path=\"subsequent\"} 10"));
+        // The pool depth is a gauge, not a counter.
+        assert!(text.contains("# TYPE speedybox_pool_depth gauge\n"));
+        assert!(text.contains("\nspeedybox_pool_depth 4\n"));
+        assert!(!text.contains("speedybox_pool_depth_total"));
         // Cumulative buckets end at the total count.
         let last_sub_bucket = text
             .lines()

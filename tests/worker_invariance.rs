@@ -332,3 +332,40 @@ fn one_worker_matches_the_per_packet_chain() {
     assert_eq!(a.fastpath_hits, b.fastpath_hits, "fast-path hits");
     assert_eq!(a.rules_installed, b.rules_installed, "rule installs");
 }
+
+/// Real worker threads count each packet in their own lane's telemetry
+/// cell: at 2 and 4 `run_workers` threads over one runtime, the snapshot
+/// reports the same outcomes, latencies, op totals, fast-path and
+/// compiled hits and rule installs as the per-packet `Chain` on the same
+/// trace. Pool counters are left out, as above.
+#[test]
+fn worker_threads_count_like_the_per_packet_chain() {
+    let packets = workload(24, 7);
+    let mut chain = Chain::speedybox(chain1(4).0);
+    let _ = chain.run(packets.iter().cloned());
+    let a = chain.telemetry().snapshot();
+    assert_eq!(a.packets, packets.len() as u64, "the chain counted every packet");
+    let la = a.latency_total();
+    for workers in [2, 4] {
+        let nf_sets = (0..workers).map(|_| chain1(4).0).collect();
+        let config = SboxConfig { workers, ..SboxConfig::default() };
+        let b = run_workers(nf_sets, packets.clone(), config).snapshot;
+        let lb = b.latency_total();
+        let label = format!("{workers} workers");
+        assert_eq!((a.delivered, a.dropped), (b.delivered, b.dropped), "{label}: outcomes");
+        assert_eq!(a.paths, b.paths, "{label}: paths");
+        assert_eq!(
+            (la.count, la.sum, la.min, la.max),
+            (lb.count, lb.sum, lb.min, lb.max),
+            "{label}: latency count, sum, min and max"
+        );
+        assert_eq!(a.ops, b.ops, "{label}: op totals");
+        assert_eq!(
+            (a.fastpath_hits, a.fastpath_misses),
+            (b.fastpath_hits, b.fastpath_misses),
+            "{label}: fast-path hits and misses"
+        );
+        assert_eq!(a.compiled_hits, b.compiled_hits, "{label}: compiled hits");
+        assert_eq!(a.rules_installed, b.rules_installed, "{label}: rule installs");
+    }
+}
