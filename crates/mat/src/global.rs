@@ -226,6 +226,35 @@ impl GlobalRule {
     }
 }
 
+/// How the fast path runs a rule's header action. Every installed rule
+/// carries all three forms and they produce identical bytes, so the mode
+/// may change at any packet boundary; only the op kinds counted differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeaderExec {
+    /// The rule's compiled micro-op program (the default).
+    Compiled,
+    /// The consolidated action, interpreted (`--interpreted`).
+    Interpreted,
+    /// Each NF's recorded header actions one at a time, paying the per-NF
+    /// parse consolidation removes (the consolidation ablation).
+    Replay,
+}
+
+/// A subsequent packet the fast path served.
+#[derive(Debug)]
+pub struct Served<'r> {
+    /// Whether the packet survived (false = early drop, or failed header
+    /// surgery).
+    pub survived: bool,
+    /// Operations performed: the lookup, the event checks, the header
+    /// action and every SF batch.
+    pub ops: OpCounter,
+    /// The rule served: borrowed from the caller's record, or the flow's
+    /// current rule if an armed condition triggered and the record may
+    /// have been republished.
+    pub rule: Cow<'r, Arc<GlobalRule>>,
+}
+
 /// Outcome of fast-path processing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastPathOutcome {
@@ -270,12 +299,6 @@ pub struct GlobalMat {
     /// the fast-path hit/miss and compiled counts of `prepare` and
     /// `process`. Relaxed atomics; no effect on processing.
     sink: Option<Arc<Telemetry>>,
-    /// Whether header actions execute as compiled micro-op programs
-    /// (default) or through the interpreted [`ConsolidatedAction::apply`]
-    /// (`--interpreted` escape hatch / ablation). Atomic so the mode can be
-    /// flipped mid-run through a shared handle (fault-injection harnesses);
-    /// every rule carries both forms, so a flip is always safe.
-    compiled: std::sync::atomic::AtomicBool,
     /// Bitmask of chain positions whose NF is currently dead/recovering.
     /// While any bit is set, rule publication (`install` / rewrites) is
     /// refused: a consolidated rule embeds recordings from *every* NF, so
@@ -323,7 +346,6 @@ impl GlobalMat {
             flows,
             templates: Templates::default(),
             sink: None,
-            compiled: std::sync::atomic::AtomicBool::new(true),
             quarantine: AtomicU64::new(0),
             owns_clock: false,
         }
@@ -336,53 +358,6 @@ impl GlobalMat {
         self.events.set_telemetry(Arc::clone(&sink));
         self.sink = Some(sink);
         self
-    }
-
-    /// Selects compiled (default) or interpreted header-action execution.
-    /// Never changes processing results — only which op kinds are counted
-    /// (`word_writes`/`checksum_patches` vs `field_writes`/
-    /// `checksum_fixes`).
-    #[must_use]
-    pub fn with_compiled(self, compiled: bool) -> Self {
-        self.set_compiled(compiled);
-        self
-    }
-
-    /// True if header actions run as compiled micro-op programs.
-    #[must_use]
-    pub fn is_compiled(&self) -> bool {
-        self.compiled.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Switches between compiled and interpreted execution at runtime.
-    /// Always safe mid-run: every rule template carries both its
-    /// compiled program and its [`ConsolidatedAction`], and both produce
-    /// identical packet bytes.
-    pub fn set_compiled(&self, compiled: bool) {
-        self.compiled.store(compiled, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Runs a rule's header action via the configured execution mode,
-    /// counting compiled hits/fallbacks. Returns `false` for dropped
-    /// packets.
-    fn apply_rule(
-        &self,
-        rule: &GlobalRule,
-        fid: Fid,
-        packet: &mut Packet,
-        ops: &mut OpCounter,
-    ) -> Result<bool> {
-        if self.is_compiled() {
-            if let Some(cell) = self.cell(fid) {
-                cell.add_compiled_hits(1);
-            }
-            rule.compiled.run(packet, ops)
-        } else {
-            if let Some(cell) = self.cell(fid) {
-                cell.add_compiled_fallbacks(1);
-            }
-            rule.interpret(packet, ops)
-        }
     }
 
     /// The telemetry cell for a FID, if a sink is attached.
@@ -645,8 +620,7 @@ impl GlobalMat {
     /// not move and log each that holds as a missed raise
     /// ([`crate::track::take_missed_raises`]).
     ///
-    /// Split from [`GlobalMat::process`] so executors that parallelize
-    /// state functions can reuse the event/lookup logic.
+    /// The first step of [`GlobalMat::fast_path`].
     pub fn serve<'r>(
         &self,
         fid: Fid,
@@ -683,6 +657,48 @@ impl GlobalMat {
             rule.record_hit();
         }
         served
+    }
+
+    /// The fast path of a subsequent packet, on the record the classifier
+    /// found for `fid` (Fig 1's subsequent-packet walkthrough): the armed
+    /// events' check ([`GlobalMat::serve`]), the header action as `exec`
+    /// says, then the rule's SF batches in chain order, unless the packet
+    /// dropped early. Each batch counts into its own entry of `batches`
+    /// (cleared first; empty after an early drop), so its wave of the
+    /// Table I schedule can be priced. Returns `None`, with nothing
+    /// counted, if the flow has no rule installed: the caller walks the
+    /// original chain instead.
+    ///
+    /// A header surgery that fails (say, an encap past the frame's
+    /// headroom) drops the packet, as the NF that recorded the action
+    /// would have. Counts what [`GlobalMat::serve`] counts; the caller
+    /// counts the lookup's hit or miss and the header mode.
+    #[inline]
+    pub fn fast_path<'r>(
+        &self,
+        fid: Fid,
+        record: Option<&'r FlowRecord>,
+        packet: &mut Packet,
+        exec: HeaderExec,
+        batches: &mut Vec<OpCounter>,
+    ) -> Option<Served<'r>> {
+        let mut ops = OpCounter::default();
+        batches.clear();
+        let rule = self.serve(fid, record, &mut ops)?;
+        let survived = match exec {
+            HeaderExec::Compiled => rule.compiled.run(packet, &mut ops).unwrap_or(false),
+            HeaderExec::Interpreted => rule.interpret(packet, &mut ops).unwrap_or(false),
+            HeaderExec::Replay => rule.replay(packet, &mut ops),
+        };
+        if survived {
+            for batch in &rule.batches {
+                let mut batch_ops = OpCounter::default();
+                batch.execute(packet, fid, &mut batch_ops);
+                ops.merge(&batch_ops);
+                batches.push(batch_ops);
+            }
+        }
+        Some(Served { survived, ops, rule })
     }
 
     /// [`GlobalMat::serve`] for a flow by FID: one record lookup, then the
@@ -754,27 +770,29 @@ impl GlobalMat {
         out
     }
 
-    /// Processes a subsequent packet entirely on the fast path: event
-    /// check, consolidated header action, then sequential state-function
-    /// execution. Like [`GlobalMat::prepare`], counts the lookup's hit or
-    /// miss, and the compiled hit or fallback, on the hub's shards.
+    /// Processes a subsequent packet entirely on the fast path: one record
+    /// lookup, then [`GlobalMat::fast_path`] with compiled header actions.
+    /// Adds the served packet's operations to `ops` (a miss adds none)
+    /// and, like [`GlobalMat::prepare`], counts the lookup's hit or miss,
+    /// and the compiled hit, on the hub's shards.
     ///
     /// # Errors
-    /// Returns [`MatError::Packet`] if header surgery fails (should not
-    /// happen for rules recorded from valid packets).
+    /// Returns [`MatError::InvalidActionSequence`] for a packet without a
+    /// FID.
     pub fn process(&self, packet: &mut Packet, ops: &mut OpCounter) -> Result<FastPathOutcome> {
         let fid = packet.fid().ok_or(MatError::InvalidActionSequence("packet has no FID"))?;
         let record = self.flows.get(fid);
-        let served = self.serve(fid, record.as_deref(), ops);
+        let served =
+            self.fast_path(fid, record.as_deref(), packet, HeaderExec::Compiled, &mut Vec::new());
         self.count_lookup(fid, served.is_some());
-        let Some(rule) = served else {
+        let Some(served) = served else {
             return Ok(FastPathOutcome::NoRule);
         };
-        if !self.apply_rule(&rule, fid, packet, ops)? {
-            return Ok(FastPathOutcome::Dropped);
+        if let Some(cell) = self.cell(fid) {
+            cell.add_compiled_hits(1);
         }
-        rule.execute_batches(packet, fid, ops);
-        Ok(FastPathOutcome::Forwarded)
+        ops.merge(&served.ops);
+        Ok(if served.survived { FastPathOutcome::Forwarded } else { FastPathOutcome::Dropped })
     }
 }
 
@@ -820,6 +838,34 @@ mod tests {
         let mut p = PacketBuilder::tcp().build();
         let mut ops = OpCounter::default();
         assert!(gm.process(&mut p, &mut ops).is_err());
+    }
+
+    #[test]
+    fn a_miss_counts_nothing() {
+        // A lane walks the original chain after a miss and prices the
+        // packet as an initial one, without the lookup: so does `process`.
+        let gm = GlobalMat::new(mats(1));
+        let (mut p, _) = pkt_with_fid();
+        let mut ops = OpCounter::default();
+        assert_eq!(gm.process(&mut p, &mut ops).unwrap(), FastPathOutcome::NoRule);
+        assert_eq!(ops, OpCounter::default());
+    }
+
+    #[test]
+    fn failed_header_surgery_drops_the_packet() {
+        // Six encaps need 144 B in front of the frame, more than its 128-B
+        // headroom. The VPN NF drops a packet whose encap fails, so the
+        // fast path drops it too.
+        use crate::action::EncapSpec;
+        let locals = mats(1);
+        let gm = GlobalMat::new(locals.clone());
+        let (mut p, fid) = pkt_with_fid();
+        let mut ops = OpCounter::default();
+        for spi in 0..6 {
+            locals[0].add_header_action(fid, HeaderAction::Encap(EncapSpec::new(spi)), &mut ops);
+        }
+        gm.install(fid, &mut ops);
+        assert_eq!(gm.process(&mut p, &mut ops).unwrap(), FastPathOutcome::Dropped);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use event::{Event, EventHandlers, EventTable, RulePatch, Signal};
 pub use flow_table::{
     Admission, AdmissionPolicy, Evicted, FlowHandle, FlowTable, Opened, Pinned, FID_SPACE,
 };
-pub use global::{FastPathOutcome, GlobalMat, GlobalRule};
+pub use global::{FastPathOutcome, GlobalMat, GlobalRule, HeaderExec, Served};
 pub use local::{LocalMat, LocalRule, NfId};
 pub use ops::OpCounter;
 pub use parallel::{can_parallelize, schedule_batches};

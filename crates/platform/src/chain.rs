@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use speedybox_mat::{Classification, NfInstrument, OpCounter, PacketClass};
+use speedybox_mat::{Classification, HeaderExec, NfInstrument, OpCounter, PacketClass};
 use speedybox_nf::Nf;
 use speedybox_packet::{Fid, Magazine, Packet, PacketPool, PoolStats};
 use speedybox_telemetry::{LaneCounters, Telemetry};
@@ -29,8 +29,7 @@ use speedybox_telemetry::{LaneCounters, Telemetry};
 use crate::cycles::{Counted, CycleModel, Ledger};
 use crate::metrics::{sync_pool, PathKind, ProcessedPacket, RunStats};
 use crate::runtime::{
-    fast_path, notify_flow_closed, tag_ingress, traverse_chain, SboxConfig, SlowPathResult,
-    SpeedyBox,
+    notify_flow_closed, tag_ingress, traverse_chain, SboxConfig, SlowPathResult, SpeedyBox,
 };
 use crate::supervisor::{default_log_bound, Supervisor};
 use crate::threaded::Rings;
@@ -298,15 +297,28 @@ impl Lane {
 
         let mut ops = cls_ops;
         let fast = if class == PacketClass::Subsequent {
+            let exec = sbox.config.header_exec();
             let batches = &mut self.ledger.batches;
-            fast_path(sbox, &mut packet, fid, record.as_deref(), batches, &mut self.counters)
+            let served = sbox.global.fast_path(fid, record.as_deref(), &mut packet, exec, batches);
+            let counters = &mut self.counters;
+            if served.is_none() {
+                counters.add_fastpath_misses(1);
+            } else {
+                counters.add_fastpath_hits(1);
+                if exec == HeaderExec::Compiled {
+                    counters.add_compiled_hits(1);
+                } else {
+                    counters.add_compiled_fallbacks(1);
+                }
+            }
+            served
         } else {
             None
         };
         let (packet, counted) = match (class, &fast) {
-            (_, Some(res)) => {
-                ops.merge(&res.ops);
-                (packet, res.counted(&sbox.config))
+            (_, Some(served)) => {
+                ops.merge(&served.ops);
+                (packet, sbox.config.counted(served))
             }
             // Collision: a different flow owns this FID's rule slot, so
             // its rule must not be corrupted. Handshake (§III): the
@@ -520,27 +532,15 @@ impl Chain {
         self.sbox.as_ref()
     }
 
-    /// Mutable access to the SpeedyBox runtime (fault-injection harnesses
-    /// flip execution modes between packets).
-    pub fn sbox_mut(&mut self) -> Option<&mut SpeedyBox> {
-        self.sbox.as_mut()
-    }
-
-    /// Flips the fast path between compiled and interpreted header-action
-    /// execution. No-op on an original chain. Safe between packets — see
-    /// [`SpeedyBox::set_compiled`].
+    /// Switches the fast path between compiled and interpreted
+    /// header-action execution mid-run (the simulation harness's `flip@N`
+    /// fault). No-op on an original chain. Safe at any packet boundary:
+    /// every installed rule carries both forms, and they produce identical
+    /// bytes.
     pub fn set_compiled(&mut self, compiled: bool) {
         if let Some(sbox) = self.sbox.as_mut() {
-            sbox.set_compiled(compiled);
+            sbox.config.compiled = compiled;
         }
-    }
-
-    /// Turns NF crash/restart supervision on (or re-tunes it): takes an
-    /// immediate chain-consistent checkpoint and starts the bounded
-    /// in-flight log. Idempotent; `interval`/`log_bound` of 0 clamp to 1.
-    pub fn enable_supervision(&mut self, interval: u64, log_bound: usize) {
-        self.lane.supervisor =
-            Some(Supervisor::new(self.lane.nfs.in_process(), interval, log_bound));
     }
 
     /// Whether NF crash/restart supervision is active.

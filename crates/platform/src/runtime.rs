@@ -2,22 +2,22 @@
 //! shared by every execution environment.
 //!
 //! The per-packet step that strings these together lives in
-//! [`crate::chain`]; the building blocks of steering, recording,
-//! consolidation and fast-path execution are here. They count operations
-//! and price nothing: the lane's ledger in [`crate::cycles`] prices each
-//! finished packet under its [`Platform`](crate::chain::Platform)'s costs
-//! (module hops vs. ring hops, pipelined vs. run-to-completion rate).
+//! [`crate::chain`]; the building blocks of steering, recording and
+//! consolidation are here, and the fast path is the Global MAT's
+//! ([`GlobalMat::fast_path`]). They count operations and price nothing:
+//! the lane's ledger in [`crate::cycles`] prices each finished packet
+//! under its [`Platform`](crate::chain::Platform)'s costs (module hops
+//! vs. ring hops, pipelined vs. run-to-completion rate).
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use speedybox_mat::{
-    AdmissionPolicy, EventTable, FlowRecord, FlowTable, GlobalMat, GlobalRule, LocalMat, NfId,
-    NfInstrument, OpCounter, PacketClass, PacketClassifier, FID_SPACE,
+    AdmissionPolicy, EventTable, FlowRecord, FlowTable, GlobalMat, HeaderExec, LocalMat, NfId,
+    NfInstrument, OpCounter, PacketClass, PacketClassifier, Served, FID_SPACE,
 };
 use speedybox_nf::{Nf, NfContext};
 use speedybox_packet::{Fid, Packet};
-use speedybox_telemetry::{LaneCounters, Telemetry};
+use speedybox_telemetry::Telemetry;
 
 use crate::cycles::Counted;
 
@@ -50,6 +50,8 @@ pub struct SboxConfig {
     /// (default). When off (`--interpreted`), the fast path walks the
     /// [`ConsolidatedAction`](speedybox_mat::ConsolidatedAction) vectors
     /// per packet instead — same packet bytes, higher per-packet cost.
+    /// Read at every packet, so it may change between packets
+    /// ([`Chain::set_compiled`](crate::Chain::set_compiled)).
     pub compiled: bool,
     /// Number of symmetric run-to-completion workers (rounded up to a
     /// power of two). Each worker owns the FID slice
@@ -118,6 +120,28 @@ impl SboxConfig {
     pub fn worker_count(&self) -> usize {
         self.workers.max(1).next_power_of_two()
     }
+
+    /// How the fast path runs header actions: per-NF replay without
+    /// consolidation, else compiled or interpreted.
+    #[must_use]
+    pub fn header_exec(&self) -> HeaderExec {
+        match (self.consolidate_ha, self.compiled) {
+            (false, _) => HeaderExec::Replay,
+            (true, true) => HeaderExec::Compiled,
+            (true, false) => HeaderExec::Interpreted,
+        }
+    }
+
+    /// What the ledger needs to price a packet the fast path `served`
+    /// under this configuration.
+    pub(crate) fn counted<'r>(&self, served: &'r Served<'_>) -> Counted<'r> {
+        Counted::Fast {
+            survived: served.survived,
+            compiled: self.header_exec() == HeaderExec::Compiled,
+            parallel: self.parallelize_sf,
+            rule: &served.rule,
+        }
+    }
 }
 
 /// The per-chain SpeedyBox state.
@@ -156,8 +180,7 @@ impl SpeedyBox {
             Arc::new(FlowTable::new(config.shards, config.max_flows, config.admission));
         let global = Arc::new(
             GlobalMat::sharing(locals.clone(), Arc::clone(&flows))
-                .with_telemetry(Arc::clone(&telemetry))
-                .with_compiled(config.compiled),
+                .with_telemetry(Arc::clone(&telemetry)),
         );
         let events: Arc<EventTable> = Arc::clone(global.events());
         let instruments =
@@ -177,15 +200,6 @@ impl SpeedyBox {
             classifier = classifier.handshake_aware();
         }
         Self { classifier: Arc::new(classifier), global, instruments, config, telemetry }
-    }
-
-    /// Switches the fast path between compiled and interpreted
-    /// header-action execution mid-run (the simulation harness's
-    /// `flip@N` fault). Safe at any packet boundary: every installed rule
-    /// carries both execution forms and they produce identical bytes.
-    pub fn set_compiled(&mut self, compiled: bool) {
-        self.config.compiled = compiled;
-        self.global.set_compiled(compiled);
     }
 
     /// Tears down a closed flow: one record removal, which takes the
@@ -332,92 +346,6 @@ pub(crate) fn nf_step(
     ops
 }
 
-/// Result of a fast-path execution.
-#[derive(Debug)]
-pub struct FastPathResult<'r> {
-    /// Whether the packet survived (false = early drop).
-    pub survived: bool,
-    /// Operations performed.
-    pub ops: OpCounter,
-    /// The rule served: borrowed from the caller's record, or the flow's
-    /// current rule if an armed condition triggered and the record may
-    /// have been republished.
-    pub rule: Cow<'r, Arc<GlobalRule>>,
-}
-
-impl FastPathResult<'_> {
-    /// What the ledger needs to price this packet under `config`.
-    pub(crate) fn counted(&self, config: &SboxConfig) -> Counted<'_> {
-        Counted::Fast {
-            survived: self.survived,
-            compiled: config.consolidate_ha && config.compiled,
-            parallel: config.parallelize_sf,
-            rule: &self.rule,
-        }
-    }
-}
-
-/// Executes the consolidated fast path for a subsequent packet from its
-/// flow's record, as the classifier found it.
-///
-/// Mirrors Fig 1's subsequent-packet walkthrough: the rule's armed event
-/// conditions (inside [`GlobalMat::serve`]), consolidated header action,
-/// then state-function batches, each counting into its own entry of
-/// `batches` (cleared first; empty after an early drop). Returns `None` if
-/// no rule is installed (the caller should fall back to the slow path).
-/// The lookup's hit or miss and the compiled hit or fallback count in
-/// `counters`, the calling lane's own cell.
-pub fn fast_path<'r>(
-    sbox: &SpeedyBox,
-    packet: &mut Packet,
-    fid: Fid,
-    record: Option<&'r FlowRecord>,
-    batches: &mut Vec<OpCounter>,
-    counters: &mut LaneCounters,
-) -> Option<FastPathResult<'r>> {
-    // Step 1: event check on the record's rule (re-consolidates if an
-    // event fired).
-    let mut ops = OpCounter::default();
-    batches.clear();
-    let Some(rule) = sbox.global.serve(fid, record, &mut ops) else {
-        counters.add_fastpath_misses(1);
-        return None;
-    };
-    counters.add_fastpath_hits(1);
-
-    // Step 2: header actions — compiled micro-op program by default, the
-    // interpreted walk under `--interpreted`, per-NF replay in the
-    // consolidation ablation.
-    let survived = if sbox.config.consolidate_ha {
-        if sbox.config.compiled {
-            counters.add_compiled_hits(1);
-            rule.compiled.run(packet, &mut ops).unwrap_or(false)
-        } else {
-            counters.add_compiled_fallbacks(1);
-            rule.interpret(packet, &mut ops).unwrap_or(false)
-        }
-    } else {
-        counters.add_compiled_fallbacks(1);
-        // Ablation: replay each NF's recorded header actions, kept in the
-        // rule's template, sequentially, paying the per-NF re-parse the
-        // consolidation would have removed.
-        rule.replay(packet, &mut ops)
-    };
-
-    // Step 3: state-function batches, unless the packet dropped early.
-    // Each batch counts apart, so its wave of the Table I schedule can be
-    // priced.
-    if survived {
-        for batch in &rule.batches {
-            let mut batch_ops = OpCounter::default();
-            batch.execute(packet, fid, &mut batch_ops);
-            ops.merge(&batch_ops);
-            batches.push(batch_ops);
-        }
-    }
-    Some(FastPathResult { survived, ops, rule })
-}
-
 /// Classifies a packet under SpeedyBox, returning the assigned FID, the
 /// steering decision, and whether this packet closes its flow.
 pub fn classify(
@@ -484,13 +412,13 @@ mod tests {
     fn fast(sbox: &SpeedyBox, packet: &mut Packet, fid: Fid) -> Option<Fast> {
         let record = sbox.global.record(fid);
         let mut ledger = Ledger::new(Platform::Bess, sbox.instruments.len(), 1);
-        let mut counters = sbox.telemetry.lane();
-        let res =
-            fast_path(sbox, packet, fid, record.as_deref(), &mut ledger.batches, &mut counters)?;
-        let mut ops = res.ops;
-        let (work_cycles, latency_cycles) = ledger.price(0, res.counted(&sbox.config), &mut ops);
+        let exec = sbox.config.header_exec();
+        let served =
+            sbox.global.fast_path(fid, record.as_deref(), packet, exec, &mut ledger.batches)?;
+        let mut ops = served.ops;
+        let (work_cycles, latency_cycles) = ledger.price(0, sbox.config.counted(&served), &mut ops);
         let batches = ledger.batches.len();
-        Some(Fast { survived: res.survived, work_cycles, latency_cycles, batches })
+        Some(Fast { survived: served.survived, work_cycles, latency_cycles, batches })
     }
 
     /// Records `fid`'s flow through `nfs` with `initial` and installs its

@@ -19,8 +19,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use speedybox_mat::OpCounter;
-use speedybox_nf::{Nf, NfContext, StateSnapshot};
+use speedybox_nf::{Nf, StateSnapshot};
 use speedybox_packet::Packet;
+
+use crate::runtime::{notify_flow_closed, tag_ingress, traverse_chain};
 
 /// One entry of the in-flight log: everything that mutated NF state since
 /// the last checkpoint, in arrival order.
@@ -192,24 +194,10 @@ fn replay_frame(nfs: &mut [Box<dyn Nf>], bytes: &[u8], teardown: bool) {
     let Ok(mut packet) = Packet::from_frame(bytes) else {
         return;
     };
-    if let Ok(t) = packet.five_tuple() {
-        packet.set_fid(t.fid());
-    }
-    let mut ops = OpCounter::default();
-    let mut survived = true;
-    for nf in nfs.iter_mut() {
-        if !survived {
-            break;
-        }
-        let mut ctx = NfContext::baseline(&mut ops);
-        survived = nf.process(&mut packet, &mut ctx).survives();
-    }
-    if teardown {
-        if let Some(fid) = packet.fid() {
-            for nf in nfs.iter_mut() {
-                nf.flow_closed(fid);
-            }
-        }
+    tag_ingress(&mut packet, &mut OpCounter::default());
+    traverse_chain(nfs, None, &mut packet, &mut Vec::new());
+    if let Some(fid) = packet.fid().filter(|_| teardown) {
+        notify_flow_closed(nfs, fid);
     }
 }
 

@@ -7,8 +7,9 @@
 //! generator version is needed to reproduce, because the frames
 //! themselves are embedded.
 
+use speedybox_telemetry::json::Json;
+
 use crate::fault::FaultPlan;
-use crate::json::Json;
 use crate::runner::{hex_decode, hex_encode, BugKind, Divergence, SimCase};
 use crate::scenario::TraceItem;
 use crate::Platform;
@@ -20,14 +21,14 @@ pub const ARTIFACT_VERSION: u64 = 1;
 #[must_use]
 pub fn to_json(case: &SimCase, divergence: Option<&Divergence>) -> String {
     let mut fields = vec![
-        ("version".to_string(), Json::Num(ARTIFACT_VERSION as f64)),
+        ("version".to_string(), Json::Num(ARTIFACT_VERSION.to_string())),
         ("chain".to_string(), Json::Str(case.chain.clone())),
         ("env".to_string(), Json::Str(case.env.as_str().to_string())),
         ("compiled".to_string(), Json::Bool(case.compiled)),
-        ("batch".to_string(), Json::Num(case.batch as f64)),
-        ("workers".to_string(), Json::Num(case.workers.max(1) as f64)),
-        ("seed".to_string(), Json::Num(seed_f64(case.seed))),
-        ("max_flows".to_string(), Json::Num(case.max_flows as f64)),
+        ("batch".to_string(), Json::Num(case.batch.to_string())),
+        ("workers".to_string(), Json::Num(case.workers.max(1).to_string())),
+        ("seed".to_string(), Json::Num(case.seed.to_string())),
+        ("max_flows".to_string(), Json::Num(case.max_flows.to_string())),
         ("bug".to_string(), case.bug.map_or(Json::Null, |b| Json::Str(b.as_str().to_string()))),
         ("faults".to_string(), Json::Str(case.faults.to_dsl())),
         (
@@ -37,7 +38,7 @@ pub fn to_json(case: &SimCase, divergence: Option<&Divergence>) -> String {
                     .iter()
                     .map(|item| {
                         Json::Obj(vec![
-                            ("i".to_string(), Json::Num(item.orig as f64)),
+                            ("i".to_string(), Json::Num(item.orig.to_string())),
                             ("frame".to_string(), Json::Str(hex_encode(&item.frame))),
                         ])
                     })
@@ -49,21 +50,14 @@ pub fn to_json(case: &SimCase, divergence: Option<&Divergence>) -> String {
         fields.push((
             "divergence".to_string(),
             Json::Obj(vec![
-                ("index".to_string(), Json::Num(d.index as f64)),
-                ("orig".to_string(), Json::Num(d.orig as f64)),
+                ("index".to_string(), Json::Num(d.index.to_string())),
+                ("orig".to_string(), Json::Num(d.orig.to_string())),
                 ("kind".to_string(), Json::Str(d.kind.as_str().to_string())),
                 ("detail".to_string(), Json::Str(d.detail.clone())),
             ]),
         ));
     }
     Json::Obj(fields).render()
-}
-
-/// Seeds above 2^53 are informational only; clamp rather than lose
-/// round-trip precision silently.
-#[allow(clippy::cast_precision_loss)]
-fn seed_f64(seed: u64) -> f64 {
-    seed.min((1u64 << 53) - 1) as f64
 }
 
 /// Deserializes an artifact back into a runnable case.
@@ -91,7 +85,7 @@ pub fn from_json(text: &str) -> Result<SimCase, String> {
         Some(v) => Some(BugKind::parse(v.as_str().ok_or("bug must be a string")?)?),
     };
     let faults = FaultPlan::parse(root.get("faults").and_then(Json::as_str).unwrap_or_default())?;
-    let trace = root.get("trace").and_then(Json::as_arr).ok_or("missing trace")?;
+    let trace = root.get("trace").and_then(Json::as_array).ok_or("missing trace")?;
     let mut items = Vec::with_capacity(trace.len());
     for entry in trace {
         let orig =
@@ -124,7 +118,7 @@ mod tests {
             compiled: false,
             batch: 8,
             workers: 4,
-            seed: 9,
+            seed: u64::MAX,
             max_flows: 48,
             bug: Some(BugKind::SkipChecksumFix),
             items: s.items,

@@ -29,7 +29,6 @@
 
 pub mod artifact;
 pub mod fault;
-pub mod json;
 pub mod oracle;
 pub mod runner;
 pub mod scenario;

@@ -1,10 +1,11 @@
-//! A minimal JSON reader.
+//! A minimal JSON reader and compact writer.
 //!
 //! The workspace builds offline against vendored stub crates, so there is
-//! no `serde`. Snapshot dumps and the CI perf-gate baseline are small,
-//! flat documents; this hand-rolled recursive-descent parser covers the
-//! full JSON grammar in ~150 lines and keeps numbers as raw text so `u64`
-//! values round-trip without `f64` precision loss.
+//! no `serde`. Snapshot dumps, the CI perf-gate baseline and the
+//! simulation's divergence artifacts are small documents; this
+//! hand-rolled recursive-descent parser covers the full JSON grammar in
+//! ~150 lines and keeps numbers as raw text so `u64` values round-trip
+//! without `f64` precision loss.
 
 /// A parsed JSON value. Numbers keep their source text so callers choose
 /// `u64` or `f64` interpretation.
@@ -79,6 +80,35 @@ impl Json {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// The value as a bool.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Renders the value as compact JSON text: no whitespace, object
+    /// fields in order, numbers as their text.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let join = |items: Vec<String>| items.join(",");
+        match self {
+            Json::Null => "null".to_string(),
+            Json::Bool(b) => b.to_string(),
+            Json::Num(raw) => raw.clone(),
+            Json::Str(s) => format!("\"{}\"", escape(s)),
+            Json::Arr(items) => format!("[{}]", join(items.iter().map(Json::render).collect())),
+            Json::Obj(fields) => {
+                let field = |(key, value): &(String, Json)| {
+                    format!("\"{}\":{}", escape(key), value.render())
+                };
+                format!("{{{}}}", join(fields.iter().map(field).collect()))
+            }
         }
     }
 }
@@ -292,6 +322,23 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("nope").is_err());
+    }
+
+    #[test]
+    fn render_round_trips_nested_values() {
+        let text = r#"{"a":42,"b":[null,true,"x\"y"],"c":{"n":-3,"big":18446744073709551615}}"#;
+        let doc = Json::parse(text).unwrap();
+        assert_eq!(doc.render(), text);
+        assert_eq!(doc.get("c").unwrap().get("big").unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(doc.get("b").unwrap().as_array().unwrap()[1].as_bool(), Some(true));
+    }
+
+    #[test]
+    fn render_escapes_control_characters() {
+        let doc = Json::Str("a\u{1}b\nc".into());
+        let text = doc.render();
+        assert_eq!(text, "\"a\\u0001b\\nc\"");
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]

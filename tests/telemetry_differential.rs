@@ -166,6 +166,49 @@ fn merged_snapshots_match_merged_stats() {
     assert_matches(&combined, &snap, "merged");
 }
 
+/// The fast path's header mode is read at every packet and counted in the
+/// lane's cell. Compiled, interpreted and per-NF replay give the same
+/// bytes; every fast-path hit counts as either a compiled hit or a
+/// fallback; and switching to interpreted mid-run moves every later hit to
+/// the fallbacks.
+#[test]
+fn header_modes_count_on_the_lane() {
+    let packets = workload(60, 3);
+    let interpreted = SboxConfig { compiled: false, ..SboxConfig::default() };
+    let replay = SboxConfig { consolidate_ha: false, ..SboxConfig::default() };
+    let mut outputs = Vec::new();
+    for (label, config) in
+        [("compiled", SboxConfig::default()), ("interpreted", interpreted), ("replay", replay)]
+    {
+        let mut chain = Chain::speedybox_with(build("chain1"), config);
+        let stats = chain.run(packets.iter().cloned());
+        let snap = chain.telemetry().snapshot();
+        assert!(snap.fastpath_hits > 0, "{label}: the run reaches the fast path");
+        assert_eq!(snap.fastpath_hits, snap.paths[2], "{label}: one hit per fast-path packet");
+        assert_eq!(
+            snap.fastpath_hits,
+            snap.compiled_hits + snap.compiled_fallbacks,
+            "{label}: every hit runs one header mode"
+        );
+        let compiled = if label == "compiled" { snap.fastpath_hits } else { 0 };
+        assert_eq!(snap.compiled_hits, compiled, "{label}: compiled hits");
+        outputs.push(stats.outputs.iter().map(|p| p.as_bytes().to_vec()).collect::<Vec<_>>());
+    }
+    assert!(outputs.windows(2).all(|w| w[0] == w[1]), "the header mode changes no byte");
+
+    let (first, second) = packets.split_at(packets.len() / 2);
+    let mut chain = Chain::speedybox(build("chain1"));
+    let _ = chain.run(first.iter().cloned());
+    let before = chain.telemetry().snapshot();
+    chain.set_compiled(false);
+    let _ = chain.run(second.iter().cloned());
+    let after = chain.telemetry().snapshot();
+    let hits = after.fastpath_hits - before.fastpath_hits;
+    assert!(before.compiled_hits > 0 && hits > 0, "both halves reach the fast path");
+    assert_eq!(after.compiled_hits, before.compiled_hits, "no compiled hit after the switch");
+    assert_eq!(after.compiled_fallbacks - before.compiled_fallbacks, hits, "every later hit");
+}
+
 /// The exposition formats must round-trip the differential-grade numbers
 /// exactly: a snapshot serialized to JSON and parsed back is the snapshot.
 #[test]
